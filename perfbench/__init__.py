@@ -1,0 +1,1 @@
+"""The engine's benchmark: ``python3 perfbench/run.py --help``."""
