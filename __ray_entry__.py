@@ -20,8 +20,8 @@ from typing import Any
 def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001: full CDC replay of a
     deterministic binlog derived from the documents table through the
-    real engine (normalize → bucketed merge-apply → exactly-once
-    writers → commit log), then the reconcile cogroup vs the pre-replay
+    real engine (normalize → task-side LWW delta write → commit log),
+    then the reconcile cogroup vs the pre-replay
     snapshot. Returns the per-status counts DataFrame."""
     from etl_reconciliate_ray.pipelines.flagship import run_flagship
 

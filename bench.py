@@ -118,15 +118,13 @@ def run_bench() -> dict:
         lake_root=lake_root,
         num_buckets=num_buckets,
         salt_for_repo=man["salt_hot_repos"],
-        writer_concurrency=min(16, ncpu),
         normalize_batch_size=None,  # full read->write operator fusion
         read_parallelism=2 * ncpu,
-        # merge-on-read, direct strategy: binlog epochs batch through
-        # ONE streaming execution; map tasks write partial deltas
-        # straight to the lake (no shuffle, no object-store hop); the
-        # final state materializes in one distributed compaction pass
+        # merge-on-read: binlog epochs batch through ONE streaming
+        # execution; map tasks write partial deltas straight to the
+        # lake (no shuffle, no object-store hop); the final state
+        # materializes in one distributed compaction pass
         pipeline_epochs=4,
-        merge_strategy="direct",
         # compaction is asynchronous maintenance in a real CDC system
         # (readers resolve merge-on-read chains directly); it runs and
         # is reported below, outside the replay-throughput window
@@ -201,10 +199,7 @@ def run_bench() -> dict:
         export_changelog(lake_root, feed_dir, image_cols="all")
         replicate_feed(
             feed_dir,
-            ReplayConfig(
-                lake_root=replica_root, num_buckets=32,
-                writer_concurrency=min(16, ncpu),
-            ),
+            ReplayConfig(lake_root=replica_root, num_buckets=32),
         )
         qtimes["cdc_replicate"] = round(time.monotonic() - t0, 3)
         sha_ok = sha_ok and lake_state_hash(lake_root) == lake_state_hash(replica_root)

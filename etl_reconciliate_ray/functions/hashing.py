@@ -247,7 +247,7 @@ def table_state_sha256(tbl: pa.Table, key_cols: tuple[str, ...], value_col: str)
     Vectorized: canonical sort by key, element-wise join of the key and
     value columns with separators (Arrow C kernel), then ONE sha256
     over the combined column's offsets+data buffers — no per-row
-    Python. The writer actors call this per partition piece, so it must
+    Python. Every piece write calls this per bucket slice, so it must
     run at memory bandwidth, not interpreter speed.
     """
     if tbl.num_rows == 0:

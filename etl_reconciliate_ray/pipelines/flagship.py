@@ -1,8 +1,8 @@
 """Flagship pipeline for the driver's ``entry()`` smoke check:
 full CDC replay + reconcile driven from the driver's ``documents``
 table (sf0.001), end to end through the real engine path
-(normalize -> bucketed merge-apply -> exactly-once writers -> commit
-log -> reconcile cogroup -> status counts).
+(normalize -> task-side LWW delta write -> commit log -> reconcile
+cogroup -> status counts).
 
 The binlog is a DETERMINISTIC function of the input table (no RNG, no
 wall clock): per doc_id, ops are chosen by residue classes, so the

@@ -6,13 +6,19 @@ Replaces the reference's 4-step Spring Batch job lifecycle
 -> report, with inter-step state serialized to H2) with the target
 lifecycle of SURVEY.md §3:
 
-    for each epoch e:
-        read binlog slice            read_parquet (pruned)
-        normalize + sha256           map_batches (stateless tasks)
-        hash-partition by salted repo   groupby("bucket")
-        per-bucket merge-apply       map_groups (pure fn)
-        exactly-once write           map_batches(ExactlyOnceWriter, actors)
-        commit + seal epoch          commit-log append (driver, fenced)
+    for each window of up to ``pipeline_epochs`` epochs:
+        read binlog slices           read_parquet (pruned, unified schema)
+        normalize + tag epoch        map_batches (stateless tasks)
+        LWW + direct delta write     map_batches: each task writes its
+                                     block's per-(epoch, bucket) winners
+                                     straight to the lake (no shuffle)
+        fold long chains             parts past ``delta_threshold`` links
+                                     resolve into one full base
+        commit + seal, in order      commit-log append (driver, fenced)
+
+Exactly-once needs no stateful sink: data files are content-addressed
+(a retried task rewrites the same bytes under the same name) and the
+driver's ``(epoch, part)`` fence drops every re-delivered commit.
 
 Resume: ``replay()`` skips epochs already sealed in the commit log —
 a kill/restart mid-stream converges to the identical sha256-verified
@@ -29,13 +35,14 @@ import os
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import table_state_sha256
-from ..stages.merge import _unify_concat, make_merge_fn, read_chain
+from ..stages.merge import LAKE_COLS, _unify_concat, read_chain
 from ..stages.normalize import make_normalizer
-from ..stages.writer import make_writer_pool
+from ..stages.writer import write_piece_local
 from ..state.commitlog import CommitLog, PartEntry
 
 # input_seq marker stamped on MAINTENANCE (compaction) entries: lets a
@@ -50,6 +57,9 @@ class ReplayConfig:
     lake_root: str
     num_buckets: int = 32
     salt_for_repo: dict[str, int] = field(default_factory=dict)
+    # accepted and ignored: epochs are written task-side, there is no
+    # writer actor pool left to size (kept so existing configs and
+    # callers that still pass it construct unchanged)
     writer_concurrency: int = 4
     # None = one batch per block, which lets Ray FUSE the whole chain
     # ReadParquet->normalize->tag->write into ONE task pipeline — no
@@ -62,18 +72,19 @@ class ReplayConfig:
     # one-row-group file would otherwise read as 1-3 blocks and
     # serialize the pipeline); None = Ray's automatic choice
     read_parallelism: int | None = None
-    # merge-on-read: a bucket whose chain (base + deltas) is shorter
-    # than this writes an O(events) DELTA instead of rewriting its full
-    # state; at the threshold the merge compacts (reads + resolves the
-    # chain, writes a new base). <=1 disables deltas (always full).
+    # merge-on-read chain bound, on every write path: an epoch writes
+    # O(events) DELTAS, and before a window commits, each part whose
+    # chain would exceed this many links is folded into one full base
+    # at the epoch where it would, so no sealed epoch's chain exceeds
+    # max(1, delta_threshold) links.
     delta_threshold: int = 8
-    # >1: process up to K binlog epochs per SINGLE Dataset execution in
-    # forced-delta mode — grouped by (epoch, bucket), so per-epoch LWW
-    # semantics are exact while the streaming executor pipelines all K
-    # epochs through one shuffle (per-epoch driver barriers would
-    # dominate at 10^4+ epochs; concurrent separate executions contend
-    # pathologically). Epochs are committed + sealed in order after
-    # each execution; a crash redoes at most K epochs (idempotent).
+    # binlog epochs per Dataset execution (a window): each event is
+    # tagged with its epoch, so per-epoch LWW stays exact while the
+    # streaming executor pipelines the whole window with no driver
+    # barrier between epochs (per-epoch barriers dominate at 10^4+
+    # epochs). Epochs commit + seal in order after each execution; a
+    # crash redoes at most one window (idempotent). 1 = one epoch per
+    # execution.
     pipeline_epochs: int = 1
     # run a distributed compaction after the last epoch so readers see
     # chain length 1 everywhere (end-of-stream housekeeping).
@@ -83,22 +94,10 @@ class ReplayConfig:
     # appends forever: every CommitLog.open (one per follow poll) and
     # every in-memory chain resolution pays O(total commits ever) —
     # the snapshot keeps reopen parse work at O(partitions x chain
-    # length + N x partitions), independent of stream age. Auto
-    # delta->full compaction (delta_threshold) bounds chain length, so
-    # the two knobs together bound the log regardless of epoch count.
+    # length + N x partitions), independent of stream age. The
+    # delta_threshold fold bounds chain length, so the two knobs
+    # together bound the log regardless of epoch count.
     snapshot_every: int = 64
-    # batched-epoch merge strategy:
-    # - "direct": NO shuffle, NO object-store round trip — each map
-    #   task partial-LWWs its block per (epoch, bucket) and writes the
-    #   partial delta straight to the lake (one file per task+epoch,
-    #   one row group per bucket for pruned reads); read-time LWW
-    #   resolution on (epoch, seq) makes overlapping partials exact;
-    # - "combine": map tasks push partial-LWW tables to the bucket's
-    #   writer actor, which final-reduces on flush (one delta piece per
-    #   (epoch, bucket), denser files, but pays an object-store copy);
-    # - "shuffle": groupby(epoch, bucket) sort shuffle, one merge task
-    #   per group (most general; group-local logic sees all rows).
-    merge_strategy: str = "direct"
     # compaction splits a bucket's rewritten base into pieces of about
     # this many (in-memory Arrow) bytes — a commit-log part entry holds
     # a files TUPLE, so readers are unchanged. None = one file per
@@ -168,77 +167,30 @@ def _chains_payload(log: CommitLog, upto_epoch: int) -> dict[int, list[dict]]:
     }
 
 
+def _skipped(epoch: int) -> dict:
+    """Metrics of an epoch that was already sealed (nothing ran)."""
+    return {"epoch": epoch, "skipped": True, "parts_committed": 0, "sec": 0.0}
+
+
 def run_epoch(
     events_ds,
     epoch: int,
     cfg: ReplayConfig,
     log: CommitLog | None = None,
     input_seq: tuple[int, int] | None = None,
-    writers: list | None = None,
-    mode: str = "auto",
     seal: bool = True,
 ) -> dict:
     """Apply one epoch (a ``ray.data.Dataset`` of binlog events) to the
-    lake. Idempotent: a sealed epoch is skipped; a partially-committed
-    epoch re-runs its uncommitted partitions only (writer-side fence).
-
-    ``mode``: "auto" decides delta-vs-full per bucket from its chain
-    length (needs the chain broadcast — requires all earlier epochs
-    committed); "delta" forces O(events) deltas and reads NO previous
-    state, so delta epochs are mutually independent and ``replay()``
-    can run them concurrently; "full" forces compaction of every
-    touched bucket.
-
-    ``writers``: the persistent LakeWriterActor pool; created here if
-    not passed (``replay()`` creates it once for all epochs)."""
+    lake: a window of one through the shared epoch kernel, every event
+    tagged with ``epoch``. Idempotent: a sealed epoch is skipped; a
+    partially-committed epoch re-runs and the (epoch, part) fence keeps
+    its already-committed partitions. ``seal=False`` commits without
+    publishing (multi-table txn staging)."""
     log = log or CommitLog.open(cfg.lake_root)
     log.ensure_layout(cfg.layout())
-    t0 = time.monotonic()
     if log.is_sealed(epoch):
-        return {"epoch": epoch, "skipped": True, "parts_committed": 0, "sec": 0.0}
-
-    import ray
-
-    if writers is None:
-        writers = make_writer_pool(cfg.lake_root, cfg.writer_concurrency)
-
-    if mode == "delta":
-        manifest_ref = ray.put({})
-        delta_threshold = 0
-    else:
-        manifest_ref = ray.put(_chains_payload(log, upto_epoch=epoch - 1))
-        delta_threshold = 0 if mode == "full" else cfg.delta_threshold
-
-    normalized = events_ds.map_batches(
-        make_normalizer(cfg.num_buckets, cfg.salt_for_repo),
-        batch_format="pyarrow",
-        batch_size=cfg.normalize_batch_size,
-    )
-    manifest_rows_ds = normalized.groupby("bucket").map_groups(
-        make_merge_fn(
-            manifest_ref,
-            writers=writers,
-            epoch=epoch,
-            delta_threshold=delta_threshold,
-            force_delta=(mode == "delta"),
-        ),
-        batch_format="pyarrow",
-    )
-    rows = manifest_rows_ds.take_all()  # tiny: one row per touched partition piece
-    committed = _commit_manifest_rows(log, epoch, [dict(r) for r in rows], input_seq, seal=seal)
-    sec = time.monotonic() - t0
-    metrics = {
-        "epoch": epoch,
-        "skipped": False,
-        "mode": mode,
-        "parts_committed": committed,
-        "pieces": len(rows),
-        "rows_written": sum(int(r["rows"]) for r in rows),
-        "sec": round(sec, 4),
-    }
-    if seal:
-        _write_lineage(cfg.lake_root, log, metrics)
-    return metrics
+        return _skipped(epoch)
+    return _apply_epochs(events_ds, {epoch: input_seq}, cfg, log, seal=seal)[0]
 
 
 def _write_lineage(lake_root: str, log: CommitLog, last_metrics: dict) -> None:
@@ -265,18 +217,14 @@ def bootstrap(
     lake_seed_path: str,
     cfg: ReplayConfig,
     log: CommitLog | None = None,
-    writers: list | None = None,
 ) -> dict:
     """Epoch 0 = initial lake load, expressed as all-insert events with
     ``seq=-1`` so it flows through the exact same replay path."""
-    import ray.data as rd
-
-    kwargs = {"override_num_blocks": cfg.read_parallelism} if cfg.read_parallelism else {}
-    ds = rd.read_parquet(lake_seed_path, **kwargs)
-    ds = ds.map_batches(
-        _seed_as_insert, batch_format="pyarrow", batch_size=cfg.normalize_batch_size
-    )
-    return run_epoch(ds, 0, cfg, log=log, input_seq=(-1, -1), writers=writers)
+    log = log or CommitLog.open(cfg.lake_root)
+    if log.is_sealed(0):  # skip before the scan: follow polls re-enter
+        return _skipped(0)
+    ds = _scan([lake_seed_path], cfg).map_batches(_seed_as_insert, batch_format="pyarrow")
+    return run_epoch(ds, 0, cfg, log=log, input_seq=(-1, -1))
 
 
 def replay(
@@ -288,13 +236,11 @@ def replay(
     binlog epochs. ``stop_after_epoch`` simulates a mid-stream kill for
     the chaos tests; calling again resumes from the commit log.
 
-    With ``cfg.pipeline_epochs > 1``, binlog epochs run CONCURRENTLY in
-    forced-delta mode (each epoch's merge is independent — it reads no
-    previous state), bounded by that many in-flight Dataset executions;
-    commits land out of order under the (epoch, part) fence and the
-    driver seals epochs strictly in order afterwards, so a crash leaves
-    a prefix of sealed epochs + fenced partial commits that a restart
-    completes idempotently."""
+    Epochs run in windows of ``cfg.pipeline_epochs``, one Dataset
+    execution each (an epoch's deltas read no previous state); the
+    driver commits and seals each window's epochs strictly in order, so
+    a crash leaves a prefix of sealed epochs + fenced partial commits
+    that a restart completes idempotently."""
     with open(os.path.join(fixture_dir, "fixture.json")) as fh:
         fixture = json.load(fh)
     seed_path = os.path.join(fixture_dir, "lake_seed.parquet")
@@ -316,16 +262,25 @@ def _discover_epochs(binlog_dir: str, stop_at_unreadable: bool = False) -> list[
     raises LOUDLY — silently skipping a file would seal the stream with
     an epoch missing, and rank-derived ordinals of later files would
     shift on a retry (events fenced out forever). In follow mode
-    (``stop_at_unreadable=True``) an unreadable file is assumed to be a
-    mid-copy arrival: discovery CUTS at the first one (name order), the
-    earlier complete prefix processes, and the next poll retries from
-    the cut. This is only safe under the documented producer contract —
-    files land in seq order (standard WAL semantics), ideally published
-    via atomic rename."""
+    (``stop_at_unreadable=True``) an unreadable file — or an unnamed
+    zero-row / stats-less one, which carries no seq range to order it
+    by — is assumed to be a mid-copy arrival: discovery CUTS at the
+    first one (name order), the earlier complete prefix processes, and
+    the next poll retries from the cut. This is only safe under the
+    documented producer contract — files land in seq order (standard
+    WAL semantics), ideally published via atomic rename."""
     import glob as _g
     import re
 
     import pyarrow.parquet as pq
+
+    def cut(f: str, why: str) -> None:
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "binlog tail: %s %s (mid-copy?) — processing the prefix before "
+            "it, retrying next poll", f, why
+        )
 
     files = sorted(_g.glob(os.path.join(binlog_dir, "*.parquet")))
     descs = []
@@ -334,12 +289,7 @@ def _discover_epochs(binlog_dir: str, stop_at_unreadable: bool = False) -> list[
             pf = pq.ParquetFile(f)
         except Exception as e:
             if stop_at_unreadable:
-                import logging
-
-                logging.getLogger(__name__).warning(
-                    "binlog tail: %s unreadable (mid-copy?) — processing the "
-                    "prefix before it, retrying next poll", f
-                )
+                cut(f, "unreadable")
                 break
             raise ValueError(
                 f"unreadable binlog file {f}: {e} — refusing to replay with a "
@@ -361,7 +311,12 @@ def _discover_epochs(binlog_dir: str, stop_at_unreadable: bool = False) -> list[
         if not los and epoch is None:
             # a zero-row or stats-less file carries no seq range: its
             # rank-derived ordinal would be arbitrary — silently picking
-            # one could fence another file's events out forever
+            # one could fence another file's events out forever. In
+            # follow mode it is most likely a file whose copy has not
+            # finished, so it cuts discovery like an unreadable one
+            if stop_at_unreadable:
+                cut(f, "has no seq statistics and no epoch=N name")
+                break
             raise ValueError(
                 f"binlog file {f} has no usable seq statistics "
                 f"({'empty file' if md.num_rows == 0 else 'stats disabled'}) "
@@ -421,12 +376,10 @@ def _replay_epoch_descs(
 ) -> list[dict]:
     """Shared replay core over epoch descriptors ``{"epoch", "file",
     "seq_range"}`` (from a fixture manifest or directory discovery)."""
-    import ray.data as rd
+    import itertools
 
     log = CommitLog.open(cfg.lake_root)
     log.ensure_layout(cfg.layout())
-    writers = make_writer_pool(cfg.lake_root, cfg.writer_concurrency)
-    kwargs = {"override_num_blocks": cfg.read_parallelism} if cfg.read_parallelism else {}
 
     todo = []
     for ep in epoch_descs:
@@ -436,79 +389,37 @@ def _replay_epoch_descs(
         todo.append((engine_epoch, ep))
 
     out: list[dict] = []
-
-    def _maybe_snapshot() -> None:
+    if seed_path is not None:
+        out.append(bootstrap(seed_path, cfg, log=log))
+    step = max(1, cfg.pipeline_epochs)
+    for i in range(0, len(todo), step):
+        window = todo[i : i + step]
+        # skip sealed epochs BEFORE building any scan: a long-lived
+        # follow stream would otherwise pay O(stream-age) parquet footer
+        # reads per poll just to no-op
+        out.extend(_skipped(e) for e, _ in window if log.is_sealed(e))
+        chunk = [t for t in window if not log.is_sealed(t[0])]
+        # a range-less desc (zero-row / stats-less named epoch) has no
+        # seqs to tag by: it runs alone, between the ranged runs around
+        # it, so epochs still commit and seal in order
+        for ranged, run in itertools.groupby(chunk, key=lambda t: bool(t[1].get("seq_range"))):
+            if ranged:
+                out.extend(_run_epoch_batch(list(run), cfg, log))
+            else:
+                out.extend(
+                    run_epoch(_scan([ep["file"]], cfg), e, cfg, log=log) for e, ep in run
+                )
         # log-growth bound: roll the log into its chains snapshot once
         # snapshot_every sealed epochs sit in the TAIL file. Keyed on
         # the log's DURABLE tail-seal count, not a local counter —
         # follow mode reopens the log every poll, so an in-process
         # counter would reset each poll and a slow 1-epoch-per-poll
         # stream would never snapshot
-        if cfg.snapshot_every > 0 and log.seals_since_snapshot >= cfg.snapshot_every:
+        if chunk and 0 < cfg.snapshot_every <= log.seals_since_snapshot:
             log.write_snapshot()
 
-    def _run_one(engine_epoch: int, ep: dict) -> dict:
-        if os.path.isdir(ep["file"]):
-            import glob as _g
-
-            epoch_files = sorted(_g.glob(os.path.join(ep["file"], "*.parquet")))
-        else:
-            epoch_files = [ep["file"]]
-        ds = rd.read_parquet(
-            ep["file"], schema=_binlog_scan_schema(epoch_files), **kwargs
-        )
-        return run_epoch(
-            ds, engine_epoch, cfg, log=log,
-            input_seq=tuple(ep["seq_range"]) if ep.get("seq_range") else None,
-            writers=writers,
-        )
-
-    if cfg.pipeline_epochs > 1:
-        # bootstrap through the same scaled batch path (the sequential
-        # bootstrap's shuffle is a fixed cost that would cap scaling)
-        if seed_path is None or log.is_sealed(0):
-            if seed_path is not None:
-                out.append({"epoch": 0, "skipped": True, "parts_committed": 0, "sec": 0.0})
-        else:
-            out.extend(_run_epoch_batch(
-                [(0, {"file": seed_path, "seq_range": (-1, 0)})],
-                cfg, log, writers, prep_fn=_seed_as_insert,
-            ))
-        for i in range(0, len(todo), cfg.pipeline_epochs):
-            window = todo[i : i + cfg.pipeline_epochs]
-            out.extend(
-                {"epoch": e, "skipped": True, "parts_committed": 0, "sec": 0.0}
-                for e, _ in window if log.is_sealed(e)
-            )
-            chunk = [t for t in window if not log.is_sealed(t[0])]
-            # a range-less desc (zero-row / stats-less named epoch) has
-            # no seqs to tag: run it individually; the batch kernel's
-            # seq->epoch bounds need real ranges
-            ranged = [t for t in chunk if t[1].get("seq_range")]
-            if ranged:
-                out.extend(_run_epoch_batch(ranged, cfg, log, writers))
-            for engine_epoch, ep in (t for t in chunk if not t[1].get("seq_range")):
-                out.append(_run_one(engine_epoch, ep))
-            if chunk:
-                _maybe_snapshot()
-    else:
-        if seed_path is not None:
-            out.append(bootstrap(seed_path, cfg, log=log, writers=writers))
-        for engine_epoch, ep in todo:
-            if log.is_sealed(engine_epoch):
-                # skip BEFORE building the scan: a long-lived follow
-                # stream would otherwise pay O(stream-age) parquet
-                # footer reads per poll just for run_epoch to no-op
-                out.append({"epoch": engine_epoch, "skipped": True,
-                            "parts_committed": 0, "sec": 0.0})
-                continue
-            m = _run_one(engine_epoch, ep)
-            out.append(m)
-            if not m.get("skipped"):
-                _maybe_snapshot()
-
     if cfg.post_compact:
-        out.append(compact(cfg, log=log, writers=writers))
+        out.append(compact(cfg, log=log))
     return out
 
 
@@ -773,45 +684,66 @@ def _binlog_scan_schema(files: list[str], drop: tuple[str, ...] = ("ts",)) -> "p
     return pa.schema(list(fields.values()))
 
 
+def _scan(paths: list[str], cfg: ReplayConfig):
+    """The binlog scan of one window: every parquet file under
+    ``paths`` (a path may be an epoch directory), ``ts`` pruned, one
+    unified schema across the files (see ``_binlog_scan_schema``)."""
+    import glob as _g
+
+    import ray.data as rd
+
+    files = [
+        f for p in paths
+        for f in (sorted(_g.glob(os.path.join(p, "*.parquet"))) if os.path.isdir(p) else [p])
+    ]
+    kwargs = {"override_num_blocks": cfg.read_parallelism} if cfg.read_parallelism else {}
+    return rd.read_parquet(files, schema=_binlog_scan_schema(files), **kwargs)
+
+
 def _run_epoch_batch(
     chunk: list[tuple[int, dict]],
     cfg: ReplayConfig,
     log: CommitLog,
-    writers: list,
     prep_fn=None,
 ) -> list[dict]:
-    """ONE Dataset execution over K binlog epochs in forced-delta mode.
-
-    Every event is tagged with its engine epoch (from the fixture's
-    per-epoch seq ranges), then grouped by (epoch, bucket): each group
-    is exactly one epoch's events for one bucket, so the per-group LWW
-    delta is bit-identical to K sequential delta epochs — but the
-    streaming executor pipelines read/normalize/shuffle/merge across
-    all K epochs with no driver barrier between them. Epochs are then
-    committed and sealed strictly in order."""
-    import numpy as np
-    import ray.data as rd
-
-    t0 = time.monotonic()
-    kwargs = {"override_num_blocks": cfg.read_parallelism} if cfg.read_parallelism else {}
-
-    def _expand(p: str) -> list[str]:
-        import glob as _g
-
-        return sorted(_g.glob(os.path.join(p, "*.parquet"))) if os.path.isdir(p) else [p]
-
-    files = [f for _, ep in chunk for f in _expand(ep["file"])]
-    # seq -> engine epoch boundaries (upper-exclusive), fixture order
-    bounds = [int(ep["seq_range"][1]) for _, ep in chunk]
-    epochs = [engine_epoch for engine_epoch, _ in chunk]
-    seq_by_epoch = {engine_epoch: tuple(ep["seq_range"]) for engine_epoch, ep in chunk}
-
-    # projection pushdown at the binlog scan (`ts` pruned) + unified
-    # schema across the chunk's files so mid-stream column additions
-    # survive (see _binlog_scan_schema)
-    ds = rd.read_parquet(files, schema=_binlog_scan_schema(files), **kwargs)
+    """ONE Dataset execution over a window of binlog epochs: every
+    event is tagged with its engine epoch from the descriptors' per-
+    epoch seq ranges, so the per-(epoch, bucket) deltas are exactly
+    those of the epochs applied one at a time."""
+    ds = _scan([ep["file"] for _, ep in chunk], cfg)
     if prep_fn is not None:
         ds = ds.map_batches(prep_fn, batch_format="pyarrow")
+    seqs = {engine_epoch: tuple(ep["seq_range"]) for engine_epoch, ep in chunk}
+    return _apply_epochs(ds, seqs, cfg, log)
+
+
+def _apply_epochs(
+    events_ds,
+    input_seqs: dict[int, tuple[int, int] | None],
+    cfg: ReplayConfig,
+    log: CommitLog,
+    seal: bool = True,
+) -> list[dict]:
+    """THE epoch kernel — every write path lands here. ``input_seqs``
+    maps the window's engine epochs, ascending, to their input seq
+    ranges; each event belongs to the first epoch whose upper-exclusive
+    seq bound exceeds its seq, the last epoch taking the rest (so a
+    window of one needs no range).
+
+    Normalize + epoch-tag + direct write run fused in one task per read
+    block; the driver then folds parts whose chains would outgrow
+    ``cfg.delta_threshold`` (``_fold_long_chains``) and commits (and,
+    with ``seal``, seals) the epochs strictly in order."""
+    import hashlib
+
+    import pyarrow.parquet as pq
+
+    from ..functions.hashing import key_strings
+
+    t0 = time.monotonic()
+    epochs = list(input_seqs)
+    bounds = [int(input_seqs[e][1]) for e in epochs[:-1]]
+    lake_root = cfg.lake_root
 
     def tag_epoch(batch: pa.Table) -> pa.Table:
         if "epoch" in batch.column_names:
@@ -823,189 +755,241 @@ def _run_epoch_batch(
         ep_col = np.asarray(epochs, dtype=np.int64)[idx]
         return batch.append_column("epoch", pa.array(ep_col, pa.int64()))
 
-    normalized = ds.map_batches(
-        make_normalizer(cfg.num_buckets, cfg.salt_for_repo),
-        batch_format="pyarrow",
-        batch_size=cfg.normalize_batch_size,
-    ).map_batches(tag_epoch, batch_format="pyarrow")
+    def direct_write(batch: pa.Table) -> pa.Table:
+        """Write this block's partial deltas straight to the lake:
+        data never leaves the task (read -> CPU -> disk; no shuffle,
+        no object-store round trip). One file per (task, epoch) with
+        one row group per bucket slice so chain readers prune by the
+        ``bucket`` filter; file names are content-addressed, so a
+        retried task rewrites byte-identical bytes — idempotent.
 
-    import ray
-
-    if cfg.merge_strategy == "direct":
-        import hashlib
-
-        import pyarrow.compute as pc
-
-        from ..functions.hashing import table_state_sha256
-
-        lake_root = cfg.lake_root
-
-        def direct_write(batch: pa.Table) -> pa.Table:
-            """Write this block's partial deltas straight to the lake:
-            data never leaves the task (read -> CPU -> disk; no shuffle,
-            no object-store round trip). One file per (task, epoch) with
-            one row group per bucket slice so chain readers prune by the
-            ``bucket`` filter; file names are content-addressed, so a
-            retried task rewrites byte-identical bytes — idempotent.
-
-            The LWW winner per (epoch, bucket, repo, path) is computed
-            as an index permutation over the SMALL columns only (int64
-            lexsort + dictionary-coded keys); the content payload is
-            then gathered ONCE, winners-only, by a single ``take``.
-            The previous full-table ``sort_by`` copied every event's
-            content bytes before dropping the losers — on this
-            memory-bandwidth-bound stage that copy was the scaling
-            bottleneck (BENCH/BASELINE.md)."""
-            if batch.num_rows == 0:
-                return pa.table({})
-            from ..functions.hashing import key_strings
-
-            ge0 = batch["epoch"].to_numpy(zero_copy_only=False).astype(np.int64)
-            gb0 = batch["bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
-            seq0 = batch["seq"].to_numpy(zero_copy_only=False).astype(np.int64)
-            keys = key_strings(batch["repo"], batch["path"])
-            if isinstance(keys, pa.ChunkedArray):
-                keys = keys.combine_chunks()
-            codes = (
-                pc.dictionary_encode(keys)
-                .indices.to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            ncodes = int(codes.max()) + 1
-            nb = int(gb0.max()) + 1
-            gid = (ge0 * nb + gb0) * ncodes + codes
-            # stable sort by (gid, seq): last row of each gid run is the
-            # max-seq winner (ties -> later batch position, matching the
-            # stable-sort + "last" aggregate semantics of lww_reduce)
-            perm = np.lexsort((seq0, gid))
-            g = gid[perm]
-            winners = perm[np.flatnonzero(np.append(g[1:] != g[:-1], True))]
-            t = batch.take(pa.array(winners))  # the ONE content gather
-            t = t.drop_columns([c for c in ("ts", "epoch") if c in t.column_names])
-            from ..stages.merge import LAKE_COLS
-
-            extras = sorted(
-                c for c in t.column_names if c not in LAKE_COLS + ["bucket", "op", "seq"]
-            )
-            order = [
-                c for c in LAKE_COLS + ["op", "seq", "bucket"] + extras
-                if c in t.column_names
-            ]
-            t = t.select(order)  # delta_of's column contract (zero-copy)
-            ge = ge0[winners]
-            gb = gb0[winners]
-            sid = ge * nb + gb  # winners are grouped: gid asc => (epoch, bucket) asc
-            cuts = np.flatnonzero(np.diff(sid)) + 1
-            starts = np.concatenate([[0], cuts]).astype(np.int64)
-            ends = np.concatenate([cuts, [len(sid)]]).astype(np.int64)
-            by_epoch: dict[int, list[tuple[int, pa.Table, str]]] = {}
-            for s, e in zip(starts, ends):
-                sl = t.slice(int(s), int(e - s))
-                sha = table_state_sha256(sl, ("repo", "path"), "content_sha256")
-                by_epoch.setdefault(int(ge[s]), []).append((int(gb[s]), sl, sha))
-            import pyarrow.parquet as pq
-
-            rows = []
-            for ep_id, slices in sorted(by_epoch.items()):
-                digest = hashlib.sha256(
-                    (str(ep_id) + "".join(sha for _, _, sha in slices)).encode()
-                ).hexdigest()[:16]
-                out_dir = os.path.join(lake_root, f"epoch={ep_id:05d}")
-                os.makedirs(out_dir, exist_ok=True)
-                fname = os.path.join(out_dir, f"delta-{digest}.parquet")
-                if not os.path.exists(fname):
-                    tmp = fname + f".tmp{os.getpid()}"
-                    with pq.ParquetWriter(tmp, slices[0][1].schema) as w:
-                        for _, sl, _ in slices:
-                            # row_group_size=num_rows: EXACTLY one row
-                            # group per bucket slice — pyarrow would
-                            # otherwise silently split slices over 1Mi
-                            # rows, desyncing every later rg ordinal
-                            w.write_table(sl, row_group_size=max(1, sl.num_rows))
-                    os.replace(tmp, fname)
-                for rg, (part, sl, sha) in enumerate(slices):
-                    rows.append({
-                        "epoch": ep_id, "part": part, "file": fname, "rg": rg,
-                        "rows": sl.num_rows, "state_sha256": sha, "kind": "delta",
-                    })
-            return pa.Table.from_pylist(rows)
-
-        rows_ds = normalized.map_batches(direct_write, batch_format="pyarrow", batch_size=None)
-        rows = [dict(r) for r in rows_ds.take_all()]
-    elif cfg.merge_strategy == "combine":
-        from ..stages.merge import lww_reduce
-
-        nw = len(writers)
-
-        def send_partials(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return pa.table({"n": pa.array([0], pa.int64())})
-            t = batch.sort_by([("epoch", "ascending"), ("bucket", "ascending")])
-            ge = t["epoch"].to_numpy(zero_copy_only=False).astype(np.int64)
-            gb = t["bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
-            gid = ge * (gb.max() + 1) + gb
-            cuts = np.flatnonzero(np.diff(gid)) + 1
-            starts = np.concatenate([[0], cuts])
-            ends = np.concatenate([cuts, [len(gid)]])
-            refs, sent = [], 0
-            for s, e in zip(starts, ends):
-                sl = t.slice(int(s), int(e - s))
-                partial = lww_reduce(sl)
-                if "ts" in partial.column_names:
-                    partial = partial.drop_columns(["ts"])
-                sent += partial.num_rows
-                refs.append(
-                    writers[int(gb[s]) % nw].add_partial.remote(
-                        int(ge[s]), int(gb[s]), partial
-                    )
-                )
-            ray.get(refs)  # barrier: stage completion => partials received
-            return pa.table({"n": pa.array([sent], pa.int64())})
-
-        normalized.map_batches(
-            send_partials, batch_format="pyarrow", batch_size=None
-        ).count()  # drives the execution; output is a tiny count per block
-        rows = [dict(r) for w in writers for r in ray.get(w.flush_all.remote())]
-    else:
-        manifest_rows_ds = normalized.groupby(["epoch", "bucket"]).map_groups(
-            make_merge_fn(ray.put({}), writers=writers, epoch=None, force_delta=True),
-            batch_format="pyarrow",
+        The LWW winner per (epoch, bucket, repo, path) is computed
+        as an index permutation over the SMALL columns only (int64
+        lexsort + dictionary-coded keys); the content payload is
+        then gathered ONCE, winners-only, by a single ``take``.
+        A full-table ``sort_by`` would copy every event's content
+        bytes before dropping the losers — on this
+        memory-bandwidth-bound stage that copy was the scaling
+        bottleneck (BENCH/BASELINE.md)."""
+        if batch.num_rows == 0:
+            return pa.table({})
+        ge0 = batch["epoch"].to_numpy(zero_copy_only=False).astype(np.int64)
+        gb0 = batch["bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
+        seq0 = batch["seq"].to_numpy(zero_copy_only=False).astype(np.int64)
+        keys = key_strings(batch["repo"], batch["path"])
+        if isinstance(keys, pa.ChunkedArray):
+            keys = keys.combine_chunks()
+        codes = (
+            pc.dictionary_encode(keys)
+            .indices.to_numpy(zero_copy_only=False)
+            .astype(np.int64)
         )
-        rows = [dict(r) for r in manifest_rows_ds.take_all()]
+        ncodes = int(codes.max()) + 1
+        nb = int(gb0.max()) + 1
+        gid = (ge0 * nb + gb0) * ncodes + codes
+        # stable sort by (gid, seq): last row of each gid run is the
+        # max-seq winner (ties -> later batch position, matching the
+        # stable-sort + "last" aggregate semantics of lww_reduce)
+        perm = np.lexsort((seq0, gid))
+        g = gid[perm]
+        winners = perm[np.flatnonzero(np.append(g[1:] != g[:-1], True))]
+        t = batch.take(pa.array(winners))  # the ONE content gather
+        t = t.drop_columns([c for c in ("ts", "epoch") if c in t.column_names])
+        extras = sorted(
+            c for c in t.column_names if c not in LAKE_COLS + ["bucket", "op", "seq"]
+        )
+        order = [
+            c for c in LAKE_COLS + ["op", "seq", "bucket"] + extras
+            if c in t.column_names
+        ]
+        t = t.select(order)  # the delta column contract (zero-copy)
+        ge = ge0[winners]
+        gb = gb0[winners]
+        sid = ge * nb + gb  # winners are grouped: gid asc => (epoch, bucket) asc
+        cuts = np.flatnonzero(np.diff(sid)) + 1
+        starts = np.concatenate([[0], cuts]).astype(np.int64)
+        ends = np.concatenate([cuts, [len(sid)]]).astype(np.int64)
+        by_epoch: dict[int, list[tuple[int, pa.Table, str]]] = {}
+        for s, e in zip(starts, ends):
+            sl = t.slice(int(s), int(e - s))
+            sha = table_state_sha256(sl, ("repo", "path"), "content_sha256")
+            by_epoch.setdefault(int(ge[s]), []).append((int(gb[s]), sl, sha))
+        rows = []
+        for ep_id, slices in sorted(by_epoch.items()):
+            digest = hashlib.sha256(
+                (str(ep_id) + "".join(sha for _, _, sha in slices)).encode()
+            ).hexdigest()[:16]
+            out_dir = os.path.join(lake_root, f"epoch={ep_id:05d}")
+            os.makedirs(out_dir, exist_ok=True)
+            fname = os.path.join(out_dir, f"delta-{digest}.parquet")
+            if not os.path.exists(fname):
+                tmp = fname + f".tmp{os.getpid()}"
+                with pq.ParquetWriter(tmp, slices[0][1].schema) as w:
+                    for _, sl, _ in slices:
+                        # row_group_size=num_rows: EXACTLY one row
+                        # group per bucket slice — pyarrow would
+                        # otherwise silently split slices over 1Mi
+                        # rows, desyncing every later rg ordinal
+                        w.write_table(sl, row_group_size=max(1, sl.num_rows))
+                os.replace(tmp, fname)
+            for rg, (part, sl, sha) in enumerate(slices):
+                rows.append({
+                    "epoch": ep_id, "part": part, "file": fname, "rg": rg,
+                    "rows": sl.num_rows, "state_sha256": sha, "kind": "delta",
+                })
+        return pa.Table.from_pylist(rows)
+
+    rows_ds = (
+        events_ds.map_batches(
+            make_normalizer(cfg.num_buckets, cfg.salt_for_repo),
+            batch_format="pyarrow",
+            batch_size=cfg.normalize_batch_size,
+        )
+        .map_batches(tag_epoch, batch_format="pyarrow")
+        .map_batches(direct_write, batch_format="pyarrow", batch_size=None)
+    )
+    rows, folded = _fold_long_chains([dict(r) for r in rows_ds.take_all()], epochs[0], cfg, log)
     sec = time.monotonic() - t0
 
     by_epoch: dict[int, list[dict]] = {}
     for r in rows:
         by_epoch.setdefault(int(r["epoch"]), []).append(r)
     out = []
-    for engine_epoch in epochs:  # commit + seal strictly in order
+    for engine_epoch in epochs:  # commit (+ seal) strictly in order
+        mine = by_epoch.get(engine_epoch, [])
         committed = _commit_manifest_rows(
-            log, engine_epoch, by_epoch.get(engine_epoch, []),
-            seq_by_epoch[engine_epoch], seal=True,
+            log, engine_epoch, mine, input_seqs[engine_epoch], seal=seal
         )
         out.append({
             "epoch": engine_epoch,
             "skipped": False,
             "mode": "delta",
             "parts_committed": committed,
-            "pieces": len(by_epoch.get(engine_epoch, [])),
-            "rows_written": sum(int(r["rows"]) for r in by_epoch.get(engine_epoch, [])),
+            "pieces": len(mine),
+            "rows_written": sum(int(r["rows"]) for r in mine),
+            "folded": sum(1 for e, _ in folded if e == engine_epoch),
             "sec": round(sec / len(epochs), 4),
         })
-    if out:
+    if seal:
         _write_lineage(cfg.lake_root, log, out[-1])
     return out
 
 
-def compact(cfg: ReplayConfig, log: CommitLog | None = None, writers: list | None = None) -> dict:
+def _fold_long_chains(
+    rows: list[dict], first_epoch: int, cfg: ReplayConfig, log: CommitLog
+) -> tuple[list[dict], set[tuple[int, int]]]:
+    """Bound every part's merge-on-read chain before a window commits.
+    Walking the window's epochs in order, a part whose chain (committed
+    links, plus one link per window epoch that touched it) would exceed
+    ``cfg.delta_threshold`` at an epoch is folded THERE: everything up
+    to that epoch resolves into ONE full base, which replaces that
+    epoch's delta pieces in ``rows`` and restarts the chain count, so
+    the bound holds at every sealed epoch, not only at the window's
+    end. A later fold of the same part in the window resolves the whole
+    chain again (the earlier base is not written yet), which reads more
+    but yields the same state. Superseded history stays in the log
+    until ``snapshot_every`` or ``compact`` rolls it into the snapshot,
+    so time-travel reads keep it.
+
+    A fold never takes an epoch number of its own (unlike ``compact``,
+    whose maintenance epoch would steal the next binlog epoch's fixed
+    number). Every link it writes is the part's true state at that
+    epoch, so a crashed window rerun that folds differently still
+    commits a correct chain under the (epoch, part) fence.
+
+    Returns the rows to commit and the folded (epoch, part) slots."""
+    links: dict[int, dict[int, list[dict]]] = {}
+    for r in rows:
+        links.setdefault(int(r["part"]), {}).setdefault(int(r["epoch"]), []).append(r)
+    committed = _chains_payload(log, upto_epoch=first_epoch - 1)
+    items = []
+    for part, by_epoch in sorted(links.items()):
+        chain = list(committed.get(part, []))
+        n = len(chain)  # links on top of the part's latest base
+        for e, pieces in sorted(by_epoch.items()):
+            chain.append({
+                "epoch": e,
+                "kind": "delta",
+                "files": [r["file"] for r in pieces],
+                "rgs": [int(r["rg"]) for r in pieces],
+            })
+            n += 1
+            if n > cfg.delta_threshold:
+                items.append((e, part, list(chain)))
+                n = 1
+    if not items:
+        return rows, set()
+    folded = {(e, p) for e, p, _ in items}
+    kept = [r for r in rows if (int(r["epoch"]), int(r["part"])) not in folded]
+    return kept + _write_bases(cfg, items), folded
+
+
+def _write_bases(cfg: ReplayConfig, items: list[tuple[int, int, list[dict]]]) -> list[dict]:
+    """Resolve each ``(epoch, part, chain)`` item and write the part's
+    state as a full base at ``epoch`` — the one per-bucket body of
+    ``compact`` and the pre-commit fold. One Ray task per part via a
+    Dataset over descriptors, each reading ONLY its own chain (no
+    shuffle); the task already holds the resolved state, so it writes
+    it itself (``write_piece_local``: content-addressed, so retries
+    are idempotent; the driver's commit-log fence does the rest).
+    Returns the manifest rows."""
+    import ray.data as rd
+
+    lake_root = cfg.lake_root
+    target = cfg.compact_target_bytes
+
+    def write_base(batch: pa.Table) -> pa.Table:
+        rows = []
+        for rec in batch.to_pylist():
+            epoch, part = int(rec["epoch"]), int(rec["part"])
+            state = read_chain(json.loads(rec["chain"]), part=part)
+            if state is None or state.num_rows == 0:
+                # an emptied part still commits a (0-row) base, or the
+                # chain would carry its stale state forward;
+                # write_piece_local strips this all-null marker row
+                cols = {c: pa.array([None], pa.string()) for c in LAKE_COLS}
+                cols["bucket"] = pa.array([part], pa.int32())
+                state = pa.table(cols)
+            # rewritten bases are SORTED by key: parquet row-group
+            # min/max stats then prune point/repo lookups to O(one row
+            # group) (read_chain key_filter), pieces sliced below get
+            # tight disjoint key ranges, and sorted content compresses
+            # better. All state digests are order-insensitive
+            # (table_state_sha256 canonicalizes), so this is free.
+            if state.num_rows > 1:
+                state = state.sort_by([("repo", "ascending"), ("path", "ascending")])
+            # target-size split: slice the rewritten base into ~equal
+            # row ranges sized by in-memory bytes; each slice is its own
+            # content-addressed piece, folded into ONE multi-file part
+            # entry by _commit_manifest_rows (readers are unchanged —
+            # read_chain reads every file of a link). Deterministic
+            # given the chain, so retries stay idempotent.
+            n_pieces = 1
+            if target and state.num_rows and state.nbytes > target:
+                n_pieces = min(state.num_rows, -(-state.nbytes // target))
+            step = -(-state.num_rows // n_pieces)
+            for off in range(0, state.num_rows, step):
+                rows.append(write_piece_local(
+                    lake_root, epoch, part, state.slice(off, step), "full"
+                ))
+        return pa.Table.from_pylist(rows)
+
+    recs = [{"epoch": e, "part": p, "chain": json.dumps(c)} for e, p, c in items]
+    rows_ds = rd.from_items(recs, override_num_blocks=len(recs)).map_batches(
+        write_base, batch_format="pyarrow", batch_size=1
+    )
+    return [dict(r) for r in rows_ds.take_all()]
+
+
+def compact(cfg: ReplayConfig, log: CommitLog | None = None) -> dict:
     """Distributed end-of-stream compaction: every bucket whose
     merge-on-read chain is longer than 1 file is resolved and rewritten
     as a single base file, committed as a new (maintenance) epoch.
 
-    One Ray task per bucket via a Dataset over part descriptors — each
-    task reads ONLY its own chain (no shuffle). NOTE: the maintenance
-    epoch takes the next epoch number, so call this at a stream
-    checkpoint/end, not between fixture epochs with fixed numbering.
+    One Ray task per bucket (``_write_bases``) — each task reads ONLY
+    its own chain (no shuffle). NOTE: the maintenance epoch takes the
+    next epoch number, so call this at a stream checkpoint/end, not
+    between fixture epochs with fixed numbering.
 
     Refuses while a feed apply is IN FLIGHT on this lake: a replica's
     ``feed_map.json`` reserves a segment's epoch durably BEFORE the
@@ -1014,9 +998,6 @@ def compact(cfg: ReplayConfig, log: CommitLog | None = None, writers: list | Non
     the segment — silent data loss. (Compaction's own crashed epoch is
     not a reservation; its rerun resumes under the (epoch, part)
     fence as before.)"""
-    import ray
-    import ray.data as rd
-
     log = log or CommitLog.open(cfg.lake_root)
     t0 = time.monotonic()
     chains = _chains_payload(log, upto_epoch=log.latest_sealed_epoch())
@@ -1056,61 +1037,7 @@ def compact(cfg: ReplayConfig, log: CommitLog | None = None, writers: list | Non
                 "or drop_unsealed_epoch() to discard it, before compacting"
             )
 
-    from ..stages.merge import read_chain
-    from ..stages.writer import write_piece_local
-
-    lake_root = cfg.lake_root
-    items = [{"part": p, "chain": json.dumps(c)} for p, c in sorted(todo.items())]
-
-    target = cfg.compact_target_bytes
-
-    def compact_one(batch: pa.Table) -> pa.Table:
-        # task-side write (write_piece_local): the task already holds
-        # the resolved state, so shipping it through the object store to
-        # a writer actor would add a full serialization hop and funnel
-        # 64 buckets through writer_concurrency actors; the commit-log
-        # fence + content-addressed names keep retries idempotent
-        rows = []
-        for rec in batch.to_pylist():
-            part = int(rec["part"])
-            state = read_chain(json.loads(rec["chain"]), part=part)
-            if state is None or state.num_rows == 0:
-                from ..stages.merge import LAKE_COLS
-                cols = {c: pa.array([None], pa.string()) for c in LAKE_COLS}
-                cols["bucket"] = pa.array([part], pa.int32())
-                state = pa.table(cols)
-            # rewritten bases are SORTED by key: parquet row-group
-            # min/max stats then prune point/repo lookups to O(one row
-            # group) (read_chain key_filter), pieces sliced below get
-            # tight disjoint key ranges, and sorted content compresses
-            # better. All state digests are order-insensitive
-            # (table_state_sha256 canonicalizes), so this is free.
-            if state.num_rows > 1:
-                state = state.sort_by([("repo", "ascending"), ("path", "ascending")])
-            # target-size split: slice the rewritten base into ~equal
-            # row ranges sized by in-memory bytes; each slice is its own
-            # content-addressed piece, folded into ONE multi-file part
-            # entry by _commit_manifest_rows (readers are unchanged —
-            # read_chain reads every file of a link). Deterministic
-            # given the chain, so retries stay idempotent.
-            n_pieces = 1
-            if target and state.num_rows and state.nbytes > target:
-                n_pieces = min(state.num_rows, -(-state.nbytes // target))
-            if n_pieces == 1:
-                rows.append(write_piece_local(lake_root, epoch, part, state, "full"))
-            else:
-                step = -(-state.num_rows // n_pieces)
-                for off in range(0, state.num_rows, step):
-                    rows.append(write_piece_local(
-                        lake_root, epoch, part,
-                        state.slice(off, step), "full",
-                    ))
-        return pa.Table.from_pylist(rows)
-
-    rows_ds = rd.from_items(items, override_num_blocks=len(items)).map_batches(
-        compact_one, batch_format="pyarrow", batch_size=1
-    )
-    rows = [dict(r) for r in rows_ds.take_all()]
+    rows = _write_bases(cfg, [(epoch, p, c) for p, c in sorted(todo.items())])
     # the maintenance marker lets a rerun distinguish compaction's own
     # crashed entries (resumable) from a crashed replay's (refused)
     _commit_manifest_rows(log, epoch, rows, _MAINT_SEQ, seal=True)
@@ -1152,7 +1079,6 @@ def rebucket(
     import ray.data as rd
 
     from ..functions.hashing import bucket_of
-    from ..stages.writer import write_piece_local
     from ..state.commitlog import layout_fingerprint
 
     src_root = _root_of(cfg_or_root)
@@ -2344,7 +2270,6 @@ def _apply_snapshot_replace(
     epoch: int,
     replica_cfg: ReplayConfig,
     log: CommitLog,
-    writers: list,
 ) -> dict:
     """Apply a snapshot segment onto a NON-EMPTY replica with REPLACE
     semantics: the snapshot's images upsert every key it carries, and
@@ -2396,7 +2321,7 @@ def _apply_snapshot_replace(
         return pa.table(out)
 
     ds = ev.union(joined.map_batches(as_deletes, batch_format="pyarrow"))
-    return run_epoch(ds, epoch, replica_cfg, log=log, writers=writers)
+    return run_epoch(ds, epoch, replica_cfg, log=log)
 
 
 def replicate_feed(
@@ -2439,13 +2364,8 @@ def replicate_feed(
     draining); returns per-segment metrics and the replica head."""
     from glob import glob as _glob
 
-    import ray.data as rd
-
     log = CommitLog.open(replica_cfg.lake_root)
     log.ensure_layout(replica_cfg.layout())
-    writers = make_writer_pool(
-        replica_cfg.lake_root, replica_cfg.writer_concurrency
-    )
     segs = _feed_segments(out_dir)
     applied: list[dict] = []
     # the persisted feed map is the AUTHORITATIVE segment -> replica
@@ -2503,23 +2423,16 @@ def replicate_feed(
             # spool's re-baseline (compact_feed): REPLACE semantics —
             # insert-only application would resurrect keys whose
             # deletes the compaction folded away
-            m = _apply_snapshot_replace(files, epoch, replica_cfg, log, writers)
-        elif replica_cfg.merge_strategy == "direct":
+            m = _apply_snapshot_replace(files, epoch, replica_cfg, log)
+        else:
             # fused read -> feed-to-events -> normalize -> direct
-            # partial-delta write: no shuffle, no object-store hop —
-            # the same fast path the flagship replay uses. seq is a
-            # constant 0 per segment (each key appears once), so the
-            # single-epoch seq_range (0, 1) maps every row to this
-            # segment's epoch.
+            # partial-delta write: no shuffle, no object-store hop.
+            # seq is a constant 0 per segment (each key appears once),
+            # so every row belongs to this segment's epoch.
             m = _run_epoch_batch(
                 [(epoch, {"file": seg, "seq_range": (0, 1)})],
-                replica_cfg, log, writers, prep_fn=_feed_to_events,
+                replica_cfg, log, prep_fn=_feed_to_events,
             )[0]
-        else:
-            ds = rd.read_parquet(files).map_batches(
-                _feed_to_events, batch_format="pyarrow"
-            )
-            m = run_epoch(ds, epoch, replica_cfg, log=log, writers=writers)
         m["segment"] = name
         applied.append(m)
     return {

@@ -40,7 +40,8 @@ def exact_dedup(
     SQL GROUP BY semantics, what the DuckDB oracle computes; ``"keep"``
     treats unknown content as incomparable (the module's near-dup
     stages' policy: null text is never a candidate), so every null-text
-    doc survives as its own representative with a null hash."""
+    doc survives as its own representative with a null hash; it keys
+    those docs by id, so ``"keep"`` refuses null ids."""
     from ray.data.aggregate import Min
 
     if null_text not in ("collapse", "keep"):
@@ -49,6 +50,14 @@ def exact_dedup(
     def hash_and_partial_min(batch: pa.Table) -> pa.Table:
         sha = sha256_hex_array(batch[text_col])
         if null_text == "keep":
+            if batch[id_col].null_count:
+                # a null id would key its null-text doc as a null hash,
+                # and every such doc would collapse into ONE group
+                raise ValueError(
+                    f"exact_dedup(null_text='keep'): {batch[id_col].null_count} "
+                    f"null {id_col}(s) — every document needs an id to stay "
+                    "its own representative (pre-filter upstream)"
+                )
             # per-doc sentinel key: "\x00<id>" can never collide with a
             # hex sha, so null-text rows pass the groupbys unmerged
             mask = pc.is_null(sha)

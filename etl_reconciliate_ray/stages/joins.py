@@ -48,12 +48,9 @@ _NULLABLE_PD = {
 
 
 def _bucket_expr(col: pa.ChunkedArray | pa.Array, num_buckets: int) -> pa.Array:
-    typ = col.type if hasattr(col, "type") else col.chunk(0).type
-    if pa.types.is_integer(typ):
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        vals = pc.fill_null(col, 0).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.array((vals % num_buckets).astype(np.int32))
+    # integer keys hash before the mod too: a plain ``key % n`` sends
+    # ids strided by n (per-shard id allocation, stepped sequences) all
+    # to ONE bucket
     return pa.array((hash64(col) % np.uint64(num_buckets)).astype(np.int32))
 
 

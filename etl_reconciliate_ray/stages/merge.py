@@ -1,29 +1,26 @@
-"""Merge-apply: per-bucket last-writer-wins upsert of CDC events onto
-the lake, with additive schema evolution.
+"""Merge-on-read resolution: per-bucket last-writer-wins over a
+chain of lake pieces, with additive schema evolution.
 
 This is the Ray-Data-native replacement for the reference's in-heap
 hash index + per-message loop (N3 ``LoadJpatBatchesTasklet.java:53,112``
 builds a ``HashMap<String, List<BpBatchDTO>>`` over the whole right
 side; the graft's north rule turns that into key-partitioned upserts).
-Shape: ``events.groupby("bucket").map_groups(merge_fn)`` — the shuffle
-moves ONLY the epoch's events (O(epoch), never O(lake)); each bucket
-task reads its own previous lake partition files directly (no lake
-shuffle), merges vectorized in Arrow, and emits the new partition
-state. Buckets untouched by an epoch are carried forward by the commit
-log, so per-epoch cost is O(events + touched partitions).
+An epoch writes only DELTAS — its LWW winners per (epoch, bucket),
+delete tombstones included (``replay._apply_epochs``), O(epoch) and
+never O(lake). State materializes where it is read: ``read_chain``
+resolves a bucket's chain (newest full base + later deltas) and
+compaction or the pre-commit fold write it back as one base.
 
 Semantics (SURVEY.md §2.6 "graft adds true dedup-like semantics"):
-per key (repo, path), the event with max ``seq`` wins; ``D`` removes
-the key; ``I``/``U`` upsert (a ``U`` on an absent key inserts — upsert
-semantics, matching the oracle in datagen.oracle_replay).
-Determinism under Ray task retries: the fn is pure (input events +
-immutable prev files -> output), which is what makes the exactly-once
-sink achievable (SURVEY.md §7 hard part 1).
+per key (repo, path), the event with max (epoch, ``seq``) wins; ``D``
+removes the key; ``I``/``U`` upsert (a ``U`` on an absent key inserts —
+upsert semantics, matching the oracle in datagen.oracle_replay).
+Determinism under Ray task retries: resolution is pure (immutable
+content-addressed files in -> state out), which is what makes the
+exactly-once sink achievable (SURVEY.md §7 hard part 1).
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -34,20 +31,6 @@ from ..functions.hashing import key_strings
 
 #: lake state column order (extras like evolved columns append after)
 LAKE_COLS = ["repo", "path", "commit", "lang", "content", "content_sha256"]
-#: binlog bookkeeping columns dropped from lake state
-EVENT_ONLY_COLS = ["seq", "ts", "op", "epoch"]
-
-LAKE_SCHEMA = pa.schema(
-    [
-        ("repo", pa.string()),
-        ("path", pa.string()),
-        ("commit", pa.string()),
-        ("lang", pa.string()),
-        ("content", pa.string()),
-        ("content_sha256", pa.string()),
-        ("bucket", pa.int32()),
-    ]
-)
 
 _LAST_OPTS = pc.ScalarAggregateOptions(skip_nulls=False)  # keep D-row nulls
 
@@ -310,112 +293,3 @@ def read_chain(
     if columns is not None:
         out = out.select([c for c in columns if c in out.column_names])
     return out
-
-
-def merge_apply(events: pa.Table, prev: pa.Table | None) -> pa.Table:
-    """Pure merge of one bucket: prev state + epoch events -> new state."""
-    winners = lww_reduce(events)
-    # lake rows = winners' new values (minus bookkeeping cols) for live keys
-    keep = winners.filter(pc.not_equal(winners["op"], "D"))
-    keep = keep.drop_columns([c for c in EVENT_ONLY_COLS if c in keep.column_names])
-    if prev is None or prev.num_rows == 0:
-        merged = keep
-    else:
-        # sentinel-fill null key components like resolve_chain_tables:
-        # unjoined null keys all collapse to ONE null string and
-        # is_in's null-matches-null would then delete every untouched
-        # null-component lake row whenever any event carries one
-        wkeys = key_strings(
-            pc.fill_null(winners["repo"], "\x00N"),
-            pc.fill_null(winners["path"], "\x00N"),
-        )
-        pkeys = key_strings(
-            pc.fill_null(prev["repo"], "\x00N"),
-            pc.fill_null(prev["path"], "\x00N"),
-        )
-        untouched = prev.filter(pc.invert(pc.is_in(pkeys, value_set=wkeys.combine_chunks())))
-        merged = _unify_concat([untouched, keep])
-    # canonical column order: LAKE_COLS + bucket + evolved extras (sorted)
-    extras = sorted(c for c in merged.column_names if c not in LAKE_COLS + ["bucket"])
-    return merged.select([c for c in LAKE_COLS + ["bucket"] + extras if c in merged.column_names])
-
-
-def delta_of(events: pa.Table, keep_seq: bool = False, presorted: bool = False) -> pa.Table:
-    """The epoch's merge-on-read DELTA for one bucket: per-key LWW
-    winners INCLUDING delete tombstones (``op`` kept, ``D`` rows carry
-    nulls). O(epoch events) — no previous-state read at all, which is
-    what lets epochs run pipelined (an epoch's merge depends only on its
-    own events; state materializes at compaction/read).
-
-    ``keep_seq=True`` for PARTIAL deltas (direct task-side writes):
-    several tasks may emit overlapping keys for the same epoch, and
-    read-time resolution breaks the in-epoch tie on ``seq``."""
-    winners = lww_reduce(events, presorted=presorted)
-    drop = ["ts", "epoch"] if keep_seq else ["seq", "ts", "epoch"]
-    winners = winners.drop_columns([c for c in drop if c in winners.column_names])
-    keep_extra = ["op", "seq"] if keep_seq else ["op"]
-    extras = sorted(c for c in winners.column_names if c not in LAKE_COLS + ["bucket"] + keep_extra)
-    order = [c for c in LAKE_COLS + keep_extra + ["bucket"] + extras if c in winners.column_names]
-    return winners.select(order)
-
-
-def make_merge_fn(
-    manifest_ref,
-    writers: list | None = None,
-    epoch: int | None = None,
-    delta_threshold: int = 0,
-    force_delta: bool = False,
-) -> Callable[[pa.Table], pa.Table]:
-    """Build the ``map_groups`` fn. ``manifest_ref`` is a ``ray.put``
-    ObjectRef of ``{part:int -> chain}`` where chain is the bucket's
-    merge-on-read file chain ``[{"epoch", "kind", "files"}, ...]`` —
-    broadcast once per epoch, read per task (never re-shipped per batch).
-
-    Mode per bucket (Hudi/Iceberg-style merge-on-read, SURVEY.md §4):
-    - ``delta_threshold > 1`` and the chain is shorter than it: write a
-      DELTA (O(events), no prev read);
-    - otherwise (bootstrap, or chain at threshold): read+resolve the
-      chain and write the compacted FULL state.
-
-    With ``writers`` (the persistent LakeWriterActor pool) the output
-    table is handed to ``writers[part % W]`` and the fn returns the tiny
-    manifest row — nothing big flows back to the driver. Without
-    ``writers`` the fn returns the resolved full state (unit tests)."""
-    import ray
-
-    def merge_group(events: pa.Table) -> pa.Table:
-        if events.num_rows == 0:
-            return pa.table({})
-        part = events["bucket"][0].as_py()
-        # multi-epoch execution: the group key is (epoch, bucket) and
-        # each group's epoch rides in its own column
-        this_epoch = epoch if epoch is not None else events["epoch"][0].as_py()
-        # per-worker-process cache: the {part -> chain} manifest dict
-        # deserializes ONCE per worker instead of once per bucket group
-        # (an epoch touching hundreds of buckets re-paid the ray.get
-        # dict deserialization per map_groups call)
-        from ..functions.broadcast import fetch as _bfetch
-
-        manifest: dict[int, list[dict]] = _bfetch(manifest_ref)
-        chain = manifest.get(part, [])
-        want_delta = force_delta or (chain and 1 < delta_threshold and len(chain) < delta_threshold)
-        if writers is not None and want_delta:
-            row = ray.get(writers[part % len(writers)].write_piece.remote(
-                this_epoch, part, delta_of(events), "delta"))
-            return pa.Table.from_pylist([row])
-        prev = read_chain(chain, part=part)
-        out = merge_apply(events, prev)
-        if writers is None:
-            return out
-        if out.num_rows == 0:
-            # all keys in this bucket were deleted: emit a null-key
-            # tombstone row so the writer still commits the (now empty)
-            # partition — otherwise the commit log would carry the stale
-            # previous state forward. The writer strips null-repo rows.
-            cols = {c: pa.array([None], pa.string()) for c in LAKE_COLS}
-            cols["bucket"] = pa.array([part], pa.int32())
-            out = pa.table(cols)
-        row = ray.get(writers[part % len(writers)].write_piece.remote(this_epoch, part, out, "full"))
-        return pa.Table.from_pylist([row])
-
-    return merge_group

@@ -146,9 +146,10 @@ def bucket_tag(batch: pa.Table, key_cols: Sequence[str], num_buckets: int,
         # salted splitting needs bucket_of's repo-keyed salt routing
         return bucket_of(batch[key_cols[0]], batch[key_cols[0]], num_buckets, salt_for_repo)
     # single high-cardinality key (orderkey reconciles): hash-mod
-    # directly — bucket_of's dictionary-encode is tuned for a
-    # low-cardinality repo column and would build a full per-batch
-    # hash table of a near-unique key
+    # directly (integers hashed too, so strided ids still spread) —
+    # bucket_of's dictionary-encode is tuned for a low-cardinality repo
+    # column and would build a full per-batch hash table of a
+    # near-unique key
     from .joins import _bucket_expr
 
     return _bucket_expr(batch[key_cols[0]], num_buckets)

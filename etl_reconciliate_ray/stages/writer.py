@@ -1,26 +1,27 @@
-"""Exactly-once parquet sink — stateful writer actor pool.
+"""Exactly-once parquet sink — task-side piece writes.
 
-North-star requirement: "stateful actor-pool writers enforcing
-exactly-once sink semantics (idempotent commit log + per-partition
-epoch fencing)". The reference has NO exactly-once story (its report +
-email are simply re-sent on re-run, ``ReportAndEmailTasklet.java:46-47``);
-this stage is designed fresh for Ray's retry model (SURVEY.md §4):
+North-star requirement: exactly-once sink semantics (idempotent commit
+log + per-partition epoch fencing). The reference has NO exactly-once
+story (its report + email are simply re-sent on re-run,
+``ReportAndEmailTasklet.java:46-47``); this stage is designed fresh for
+Ray's retry model (SURVEY.md §4), and needs no stateful writer:
 
-- a pool of long-lived ``LakeWriterActor``s is created ONCE per replay
-  (``ray.remote(num_cpus=0)`` — IO-bound, so they never compete with
-  the CPU slots of the data tasks) and shared by every epoch: state
-  (commit-log fence snapshot, output-root handle) lives in the actor,
-  amortized across the whole run, not re-built per epoch;
-- each merge task routes its partition state to ``writers[part % W]``;
-  the actor enforces the **per-partition epoch fence** (an (epoch,
-  part) already written this run is skipped) and performs the write;
-- file names are **content-addressed** (sha256 of the partition's
+- the task that computed a piece writes it itself — no object-store
+  hop, no actor round-trip, no writer-pool serialization point;
+- file names are **content-addressed** (sha256 of the piece's
   key->hash state) and published tmp-file + atomic ``os.replace``: a
   retried task re-writes byte-identical bytes to the same name —
   idempotent under Ray task retries;
-- visibility is manifest-gated: actors only WRITE; the driver appends
-  the returned commit records to the commit log and seals the epoch
-  (single-writer log; state/commitlog.py).
+- visibility is manifest-gated: tasks only WRITE; the driver appends
+  the returned commit records to the commit log under the
+  **per-partition (epoch, part) fence** and seals the epoch
+  (single-writer log; state/commitlog.py), so a re-delivered piece is
+  never committed twice.
+
+Epoch deltas are written by ``replay._apply_epochs`` (one file per
+task and epoch, one row group per bucket); full bases — compaction,
+the pre-commit chain fold, rebucketing — go through
+``write_piece_local``.
 """
 
 from __future__ import annotations
@@ -32,27 +33,24 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions.hashing import table_state_sha256
-from ..state.commitlog import CommitLog
+
 
 def write_piece_local(lake_root: str, epoch: int, part: int, tbl: pa.Table,
                       kind: str = "full") -> dict:
-    """Task-side piece write — idempotent WITHOUT an actor: the file
-    name is content-addressed (sha of the key->hash state), published
-    tmp + atomic replace, so a retried task that recomputes the same
-    state rewrites byte-identical bytes to the same name. Tasks that
-    already HOLD their output (compaction resolves the chain in the
-    task) write here directly — no object-store hop, no actor
-    round-trip, no writer-pool serialization point; the run-level fence
-    stays with the driver's commit log (``_commit_manifest_rows``)."""
+    """Task-side piece write: the file name is content-addressed (sha
+    of the key->hash state), published tmp + atomic replace, so a
+    retried task that recomputes the same state rewrites
+    byte-identical bytes to the same name. The run-level fence stays
+    with the driver's commit log (``_commit_manifest_rows``)."""
     if kind == "full":
-        # strip empty-partition tombstone rows (merge.make_merge_fn
-        # emits ONE all-null-LAKE_COLS row when a bucket empties). A
-        # tombstone is recognized by repo AND path AND content_sha256
-        # all null — filtering on repo alone deleted legitimate
-        # (null, path) keys that merge_apply deliberately preserves as
-        # distinct live rows. (A real key that is null in BOTH key
-        # columns with null content is indistinguishable from the
-        # marker — that one degenerate shape cannot be stored.)
+        # strip empty-partition marker rows (replay._write_bases emits
+        # ONE all-null-LAKE_COLS row when a bucket empties). A marker
+        # is recognized by repo AND path AND content_sha256 all null —
+        # filtering on repo alone deleted legitimate (null, path) keys,
+        # which chain resolution preserves as distinct live rows. (A
+        # real key that is null in BOTH key columns with null content
+        # is indistinguishable from the marker — that one degenerate
+        # shape cannot be stored.)
         tomb = pc.and_(pc.is_null(tbl["repo"]), pc.is_null(tbl["path"]))
         if "content_sha256" in tbl.column_names:
             tomb = pc.and_(tomb, pc.is_null(tbl["content_sha256"]))
@@ -75,73 +73,3 @@ def write_piece_local(lake_root: str, epoch: int, part: int, tbl: pa.Table,
         "state_sha256": piece_sha,
         "kind": kind,
     }
-
-
-class LakeWriterActor:
-    """One member of the writer pool. Plain class — wrapped with
-    ``ray.remote`` by ``make_writer_pool`` so tests can also drive it
-    directly in-process."""
-
-    def __init__(self, lake_root: str):
-        self.lake_root = lake_root
-        os.makedirs(lake_root, exist_ok=True)
-        self._partials: dict[tuple[int, int], list[pa.Table]] = {}
-        # fence: (epoch, part) pairs already committed (from the log) or
-        # already written by this actor in this run
-        self._fence: dict[tuple[int, int], dict] = {}
-        # public accessor, not a reach into CommitLog internals; the
-        # single-file view is enough — the driver's (epoch, part)
-        # re-fence ignores a fenced row's file list
-        for entry in CommitLog.open(lake_root).all_entries():
-            self._fence[(entry.epoch, entry.part)] = {
-                "epoch": entry.epoch,
-                "part": entry.part,
-                "file": entry.files[0] if entry.files else "",
-                "rows": entry.rows,
-                "state_sha256": entry.state_sha256,
-                "kind": entry.kind,
-            }
-
-    def write_piece(self, epoch: int, part: int, tbl: pa.Table, kind: str = "full") -> dict:
-        """Write one partition piece (full state or merge-on-read delta)
-        for one epoch; fenced + idempotent."""
-        key = (epoch, part)
-        if key in self._fence:
-            return self._fence[key]  # epoch fence: already written/committed
-        row = write_piece_local(self.lake_root, epoch, part, tbl, kind)
-        self._fence[key] = row
-        return row
-
-    # -- combiner path: map-side partials, actor-side final reduce ------
-    # LWW is associative + commutative (max-seq wins, duplicates of the
-    # same (key, seq) are identical rows), so map tasks can partial-
-    # reduce their own blocks and push the partials here with NO
-    # shuffle; task retries that re-send a partial are absorbed by the
-    # final LWW. A lost actor loses only unsealed-epoch partials, which
-    # the epoch replay regenerates.
-
-    def add_partial(self, epoch: int, part: int, tbl: pa.Table) -> int:
-        if (epoch, part) in self._fence:
-            return 0  # already durable from a previous run — drop
-        self._partials.setdefault((epoch, part), []).append(tbl)
-        return tbl.num_rows
-
-    def flush_all(self) -> list[dict]:
-        """Final-reduce every accumulated (epoch, part) and write its
-        delta. Returns the manifest rows (the driver commits them)."""
-        from .merge import delta_of, _unify_concat
-
-        rows = []
-        for (epoch, part) in sorted(self._partials):
-            tbls = self._partials.pop((epoch, part))
-            delta = delta_of(_unify_concat(tbls))
-            rows.append(self.write_piece(epoch, part, delta, "delta"))
-        return rows
-
-
-def make_writer_pool(lake_root: str, size: int) -> list:
-    """Create the long-lived writer actor pool (once per replay run)."""
-    import ray
-
-    actor_cls = ray.remote(num_cpus=0)(LakeWriterActor)
-    return [actor_cls.remote(lake_root) for _ in range(max(1, size))]

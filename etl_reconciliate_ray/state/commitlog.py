@@ -97,6 +97,11 @@ class CommitLog:
     #: under a fenced snapshot is ignored wholesale — everything live
     #: at publish time is in the snapshot by construction.
     _tail_fence: int = 0
+    #: the on-disk tail is stale (or missing) under a fenced snapshot —
+    #: a crash interrupted a snapshot publish. Nothing in it is applied,
+    #: and the first append replaces it with a fresh stamped tail
+    #: (appending to it would land records a reopen ignores).
+    _stale_tail: bool = False
     # pipelined replay commits epochs from worker threads; the log
     # stays single-writer per PROCESS, serialized by this lock.
     # REENTRANT: mutators hold it while calling reader helpers
@@ -178,20 +183,24 @@ class CommitLog:
         # of records already in the snapshot are idempotent dict puts
         if os.path.exists(log.snapshot_path):
             log._apply_file(log.snapshot_path)
-        if os.path.exists(log.path) and not log._tail_is_stale():
+        log._stale_tail = log._tail_is_stale()
+        if os.path.exists(log.path) and not log._stale_tail:
             log._apply_file(log.path, is_tail=True)
         return log
 
     def _tail_is_stale(self) -> bool:
         """True when the snapshot demands a tail generation the on-disk
         tail does not open with — the crash-between-publish-and-truncate
-        window. An empty tail is never stale."""
+        window. Every tail a snapshot publishes opens with its stamp, so
+        a missing or empty tail under a fenced snapshot is stale too."""
         if not self._tail_fence:
             return False  # fence-less lake (no snapshot yet / legacy)
+        if not os.path.exists(self.path):
+            return True
         with open(self.path) as fh:
             first = fh.readline().strip()
         if not first:
-            return False
+            return True
         rec = json.loads(first)
         return not (
             rec.get("type") == "TAIL_OPEN"
@@ -210,9 +219,8 @@ class CommitLog:
         chains (plus the sealed set) to the snapshot file and truncate
         the tail log. At 10^4+ epochs the full history is O(epochs x
         partitions); the chains are O(partitions x chain length).
-        Crash-safe ordering: snapshot is published atomically BEFORE the
-        tail truncate — replaying an un-truncated tail over the
-        snapshot is idempotent. Returns the number of live entries."""
+        Crash-safe: see ``_publish_snapshot``. Returns the number of
+        live entries."""
         with self._lock:
             sealed_upto = self.latest_sealed_epoch()
             chains_now = self.part_chains()
@@ -223,9 +231,6 @@ class CommitLog:
                 # entries newer than the newest sealed epoch (committed
                 # but unsealed — a crash window) must survive too
                 live += [e for (ep, _), e in self._entries.items() if ep > sealed_upto]
-            recs = []
-            if self._layout is not None:
-                recs.append({"type": "LAYOUT", "layout": self._layout})
             # advance the time-travel floor ONLY past history actually
             # being dropped: a part whose chain starts at its base keeps
             # every pre-base entry out of `live`, but a delta-only part
@@ -242,71 +247,42 @@ class CommitLog:
                 default=0,
             )
             self._floor = max(self._floor, dropped_floor)
-            self._tail_fence += 1
-            recs.append({
-                "type": "SNAPSHOT_SEALED",
-                "sealed": sorted(self._sealed),
-                "floor": self._floor,
-                "tail_fence": self._tail_fence,
-            })
-            recs += [self._entry_rec(e) for e in sorted(live, key=lambda x: (x.epoch, x.part))]
-            tmp = self.snapshot_path + ".tmp"
-            with open(tmp, "w") as fh:
-                fh.write("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.snapshot_path)
-            with open(self.path + ".tmp", "w") as fh:
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(self.path + ".tmp", self.path)  # truncate tail
-            # the fresh tail opens with its generation marker so a
-            # crash-stale pre-snapshot tail can never replay over this
-            # snapshot (see _tail_is_stale)
-            self._append({"type": "TAIL_OPEN", "fence": self._tail_fence})
+            self._publish_snapshot(live)
             # prune in-memory history to match the snapshot
             self._entries = {(e.epoch, e.part): e for e in live}
-            self._tail_seals = 0  # everything sealed now lives in the snapshot
             return len(live)
 
-    def _rewrite_all(self) -> None:
-        """Persist the COMPLETE in-memory state (layout, sealed set,
-        floor, every entry — history included, nothing pruned) into the
-        snapshot file and truncate the tail. Unlike ``write_snapshot``
-        this does NOT advance the time-travel floor or drop pre-base
-        entries; it exists so ``drop_unsealed_epoch`` can remove records
-        from an append-only log without side effects on retention.
-        Caller must hold ``_lock``. Crash-safe: snapshot publish is
-        atomic and replaying a stale tail over it is idempotent."""
-        recs: list[dict] = []
-        if self._layout is not None:
-            recs.append({"type": "LAYOUT", "layout": self._layout})
+    def _publish_snapshot(self, entries) -> None:
+        """Publish the snapshot (layout, sealed set, floor, a new tail
+        generation, ``entries``), then truncate the tail — one atomic
+        ``os.replace`` each, the fresh tail written with its TAIL_OPEN
+        stamp already inside, so no unstamped tail is ever on disk. A
+        crash between the two replaces leaves the pre-snapshot tail,
+        which the new generation marks stale: everything live was
+        published in the snapshot, and the next append starts a fresh
+        stamped tail (``_append_many``). Caller must hold ``_lock``."""
         self._tail_fence += 1
+        recs = [{"type": "LAYOUT", "layout": self._layout}] if self._layout is not None else []
         recs.append({
             "type": "SNAPSHOT_SEALED",
             "sealed": sorted(self._sealed),
             "floor": self._floor,
             "tail_fence": self._tail_fence,
         })
-        recs += [
-            self._entry_rec(e)
-            for e in sorted(self._entries.values(), key=lambda x: (x.epoch, x.part))
-        ]
-        tmp = self.snapshot_path + ".tmp"
+        recs += [self._entry_rec(e) for e in sorted(entries, key=lambda x: (x.epoch, x.part))]
+        self._write_atomic(self.snapshot_path, recs)
+        self._write_atomic(self.path, [{"type": "TAIL_OPEN", "fence": self._tail_fence}])
+        self._stale_tail = False
+        self._tail_seals = 0  # everything sealed now lives in the snapshot
+
+    @staticmethod
+    def _write_atomic(path: str, recs: list[dict]) -> None:
+        tmp = path + ".tmp"
         with open(tmp, "w") as fh:
             fh.write("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, self.snapshot_path)
-        with open(self.path + ".tmp", "w") as fh:
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(self.path + ".tmp", self.path)  # truncate tail
-        # generation marker: a crash-stale pre-snapshot tail can never
-        # replay over this snapshot (an abort's removed entries would
-        # otherwise resurrect — see _tail_is_stale)
-        self._append({"type": "TAIL_OPEN", "fence": self._tail_fence})
-        self._tail_seals = 0
+        os.replace(tmp, path)
 
     def drop_unsealed_epoch(self, epoch: int) -> list[str]:
         """Remove every committed entry of an UNSEALED epoch from the
@@ -333,7 +309,10 @@ class CommitLog:
                 del self._entries[(epoch, e.part)]
             dropped_files = {f for e in dropped for f in e.files}
             survivors = {f for e in self._entries.values() for f in e.files}
-            self._rewrite_all()
+            # persist the COMPLETE remaining state — unlike
+            # write_snapshot, no floor advance and no pre-base pruning,
+            # so removing records has no side effect on retention
+            self._publish_snapshot(self._entries.values())
             return sorted(dropped_files - survivors)
 
     def _append(self, rec: dict) -> None:
@@ -346,6 +325,10 @@ class CommitLog:
         at high partition counts)."""
         if not recs:
             return
+        if self._stale_tail:
+            # finish the crashed snapshot publish's truncate first
+            self._write_atomic(self.path, [{"type": "TAIL_OPEN", "fence": self._tail_fence}])
+            self._stale_tail = False
         with open(self.path, "a") as fh:
             fh.write("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
             fh.flush()

@@ -314,7 +314,6 @@ class MultiTableTxn:
         cfg,
         events_ds,
         epoch: int | None = None,
-        mode: str = "auto",
         input_seq: tuple[int, int] | None = None,
         resume: bool = False,
     ) -> dict:
@@ -361,9 +360,7 @@ class MultiTableTxn:
                 f"{epoch} (crashed txn?); pass resume=True to roll the identical "
                 "content forward, or drop_unsealed_epoch() to discard it"
             )
-        metrics = run_epoch(
-            events_ds, epoch, cfg, log=log, input_seq=input_seq, mode=mode, seal=False
-        )
+        metrics = run_epoch(events_ds, epoch, cfg, log=log, input_seq=input_seq, seal=False)
         self._staged[name] = {"root": cfg.lake_root, "epoch": int(epoch)}
         return metrics
 

@@ -17,6 +17,8 @@ Pure-python (no Ray): cheap enough for hypothesis to explore deeply.
 
 from __future__ import annotations
 
+import os
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -152,3 +154,59 @@ def test_commitlog_matches_model(tmp_path_factory, ops):
     assert set(log2._entries) == set(model)
     assert log2._sealed == sealed
     assert log2.time_travel_floor() == floor
+
+
+class _Crash(Exception):
+    pass
+
+
+@pytest.mark.parametrize("nth_replace", [1, 2])
+@pytest.mark.parametrize("publish", ["write_snapshot", "drop_unsealed_epoch"])
+def test_crash_after_each_snapshot_replace_keeps_later_seals(
+    tmp_path, monkeypatch, publish, nth_replace
+):
+    """A snapshot publish (``write_snapshot``, or the full rewrite behind
+    ``drop_unsealed_epoch``) replaces two files: the snapshot, then the
+    tail. Crash right after either replace, reopen, commit and seal one
+    more epoch, reopen again: that seal and everything before it must
+    survive — the new records must not land in a tail the next open
+    ignores."""
+    root = str(tmp_path / "lake")
+    log = CommitLog.open(root)
+    log.ensure_layout({"num_buckets": 2, "salt": {}, "hash_impl": "t"})
+    for ep in (0, 1):
+        log.commit_parts([_entry(ep, 0), _entry(ep, 1)])
+        log.seal_epoch(ep)
+    log.commit_part(_entry(2, 0, tag="aborted"))
+
+    real_replace = os.replace
+    calls = []
+
+    def crash_after(src, dst):
+        real_replace(src, dst)
+        calls.append(dst)
+        if len(calls) == nth_replace:
+            raise _Crash(dst)
+
+    monkeypatch.setattr(os, "replace", crash_after)
+    with pytest.raises(_Crash):
+        if publish == "write_snapshot":
+            log.write_snapshot()
+        else:
+            log.drop_unsealed_epoch(2)
+    monkeypatch.setattr(os, "replace", real_replace)
+    assert len(calls) == nth_replace
+
+    log = CommitLog.open(root)  # restart after the crash
+    assert {0, 1} <= log._sealed and not log.is_sealed(2)
+    fresh = [_entry(2, 0), _entry(2, 1)]
+    if publish == "write_snapshot":
+        fresh = [e for e in fresh if not log.is_committed(e.epoch, e.part)]
+    log.commit_parts(fresh)
+    log.seal_epoch(2)
+
+    log = CommitLog.open(root)
+    assert log._sealed == {0, 1, 2}
+    assert set(log._entries) == {(e, p) for e in (0, 1, 2) for p in (0, 1)}
+    want = _entry(2, 0, tag="aborted" if publish == "write_snapshot" else "")
+    assert log._entries[(2, 0)] == want

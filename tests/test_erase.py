@@ -29,7 +29,6 @@ def _cfg(tmp_path, name, manifest, **kw):
         lake_root=str(tmp_path / name),
         num_buckets=8,
         salt_for_repo=manifest["salt_hot_repos"],
-        writer_concurrency=2,
         **kw,
     )
 
@@ -113,7 +112,6 @@ def test_erase_whole_repo_salted_and_direct_mode(fixture_small, tmp_path, ray_se
     groups) must keep reading exactly their rows."""
     fixture_dir, _, manifest = fixture_small
     cfg = _cfg(tmp_path, "lake_erase_d", manifest)
-    cfg.merge_strategy = "direct"
     cfg.pipeline_epochs = 4
     replay(fixture_dir, cfg)
     state = lake_table(cfg)

@@ -682,9 +682,9 @@ def test_commit_parts_refuses_conflicting_intrabatch_duplicates(tmp_path):
 
 def test_writer_full_strip_keeps_null_component_keys():
     """The full-state tombstone strip must remove ONLY the all-null
-    marker row merge emits for an emptied bucket — a legitimate
-    (null, path) key that merge_apply preserves previously vanished
-    from the written partition state."""
+    marker row written for an emptied bucket — a legitimate
+    (null, path) key that chain resolution preserves previously
+    vanished from the written partition state."""
     import pyarrow as pa
 
     from etl_reconciliate_ray.stages.writer import write_piece_local

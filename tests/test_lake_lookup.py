@@ -28,7 +28,6 @@ def _cfg(tmp_path, name, manifest, **kw):
         lake_root=str(tmp_path / name),
         num_buckets=8,
         salt_for_repo=manifest["salt_hot_repos"],
-        writer_concurrency=2,
         **kw,
     )
 
@@ -216,7 +215,6 @@ def test_key_history_matches_binlog_oracle(fixture_small, tmp_path):
 
     fixture_dir, _, manifest = fixture_small
     cfg = _cfg(tmp_path, "lake_hist", manifest)
-    cfg.merge_strategy = "direct"
     cfg.pipeline_epochs = 4
     replay(fixture_dir, cfg)
 

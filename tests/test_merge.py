@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from etl_reconciliate_ray.stages.merge import lww_reduce, merge_apply
+from etl_reconciliate_ray.stages.merge import lww_reduce, resolve_chain_tables
 
 
 def _events(rows):
     cols = ["seq", "op", "repo", "path", "commit", "lang", "content"]
     return pa.Table.from_pylist([dict(zip(cols, r)) for r in rows])
+
+
+def merge_apply(events: pa.Table, prev: pa.Table | None) -> pa.Table:
+    """Merge-apply as the lake does it: chain resolution with the
+    previous state as the full base link and the epoch's events as the
+    delta link on top."""
+    base = [(0, prev)] if prev is not None else []
+    return resolve_chain_tables(base + [(1, events)])
 
 
 def test_lww_picks_max_seq_and_keeps_delete_nulls():
@@ -223,11 +231,9 @@ def test_bucket_of_null_repo_routes_batch_independently():
 def test_merge_apply_null_key_components_stay_distinct():
     """Sentinel-fill regression: with prev holding (repoA, null) and an
     epoch touching only (repoB, null), plain key_strings would collapse
-    both to ONE null key and is_in (null matches null) would silently
-    delete the untouched (repoA, null) lake row."""
+    both to ONE null key and the newer (repoB, null) row would silently
+    replace the untouched (repoA, null) lake row."""
     import pyarrow as pa
-
-    from etl_reconciliate_ray.stages.merge import merge_apply
 
     prev = pa.table({
         "repo": pa.array(["repoA", "repoC"]),

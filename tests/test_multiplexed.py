@@ -60,7 +60,6 @@ def _cfg(tmp_path, name, manifest):
         lake_root=str(tmp_path / name),
         num_buckets=4,
         salt_for_repo=manifest["salt_hot_repos"],
-        writer_concurrency=2,
     )
 
 

@@ -104,6 +104,35 @@ def test_rollup_cascade_priority_order():
     assert roll(["MATCHED", "MATCHED"]) == ROLLUP_OK
 
 
+def test_bucket_tag_spreads_strided_integer_keys(ray_session):
+    """Single-key unsalted bucket_tag hashes integer keys before the
+    mod: ids strided by num_buckets (a plain ``key % n`` routes them all
+    to ONE bucket) spread over several buckets, width-insensitively, and
+    a reconcile over them keeps exact counts."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from etl_reconciliate_ray.stages.reconcile import bucket_tag, reconcile_datasets
+
+    n = 8
+    ids = np.arange(400, dtype=np.int64) * n
+    tags = bucket_tag(pa.table({"k": ids}), ["k"], n)
+    assert len(set(tags.to_pylist())) > 1
+    narrow = bucket_tag(pa.table({"k": ids.astype(np.int32)}), ["k"], n)
+    assert narrow.to_pylist() == tags.to_pylist()
+
+    left = pd.DataFrame({"k": ids[:300], "v": [f"h{i}" for i in ids[:300]]})
+    right = pd.DataFrame({"k": ids[100:], "v": [f"h{i}" for i in ids[100:]]})
+    right.loc[right.index[:50], "v"] = "changed"  # keys 100..149 differ
+    out = reconcile_datasets(
+        rd.from_pandas(left), rd.from_pandas(right), ["k"], value_col="v", num_buckets=n
+    ).to_pandas()
+    assert out["status"].value_counts().to_dict() == {
+        "MATCHED": 150, "VALUE_DIFF": 50, "MISSING_RIGHT": 100, "MISSING_LEFT": 100,
+    }
+
+
 def test_e2e_reconcile_counts_exact(fixture_small, tmp_path):
     """North rule: match/discrepancy report counts match the expected
     counts recorded by datagen at perturbation time, exactly."""
@@ -118,7 +147,6 @@ def test_e2e_reconcile_counts_exact(fixture_small, tmp_path):
         lake_root=str(tmp_path / "lake_rec"),
         num_buckets=8,
         salt_for_repo=manifest["salt_hot_repos"],
-        writer_concurrency=2,
     )
     replay(fixture_dir, cfg)
     snap = rd.read_parquet(f"{fixture_dir}/snapshot.parquet").map_batches(
@@ -155,7 +183,7 @@ def test_report_sink_partitioned_and_resumable(fixture_small, tmp_path):
     fixture_dir, cfg_gen, manifest = fixture_small
     cfg = ReplayConfig(
         lake_root=str(tmp_path / "lake_report"), num_buckets=8,
-        salt_for_repo=manifest["salt_hot_repos"], writer_concurrency=2,
+        salt_for_repo=manifest["salt_hot_repos"],
     )
     replay(fixture_dir, cfg)
     snap = rd.read_parquet(f"{fixture_dir}/snapshot.parquet").map_batches(
@@ -241,7 +269,6 @@ def test_incremental_reconcile_tracks_full(fixture_small, tmp_path):
         lake_root=str(tmp_path / "lake_increc"),
         num_buckets=8,
         salt_for_repo=manifest["salt_hot_repos"],
-        writer_concurrency=2,
         pipeline_epochs=4,  # leave delta chains for compact to change
     )
     replay(fixture_dir, cfg)
@@ -322,7 +349,7 @@ def test_incremental_reconcile_lost_state_recomputes(fixture_small, tmp_path):
     fixture_dir, cfg_gen, manifest = fixture_small
     cfg = ReplayConfig(
         lake_root=str(tmp_path / "lake_increc2"), num_buckets=8,
-        salt_for_repo=manifest["salt_hot_repos"], writer_concurrency=2,
+        salt_for_repo=manifest["salt_hot_repos"],
     )
     replay(fixture_dir, cfg)
 

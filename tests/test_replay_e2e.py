@@ -42,7 +42,6 @@ def _cfg(tmp_path, name, manifest):
         lake_root=str(tmp_path / name),
         num_buckets=8,
         salt_for_repo=manifest["salt_hot_repos"],
-        writer_concurrency=2,
     )
 
 
@@ -239,8 +238,8 @@ def test_lineage_manifest_written(fixture_small, tmp_path):
 
 
 def test_pipelined_delta_replay_matches_sequential(fixture_small, tmp_path):
-    """pipeline_epochs>1 runs binlog epochs concurrently in forced-delta
-    mode; final state must be sha-identical to the sequential run."""
+    """pipeline_epochs>1 runs a window of epochs per Dataset execution;
+    final state must be sha-identical to one epoch per execution."""
     fixture_dir, cfg_gen, manifest = fixture_small
     cfg_seq = _cfg(tmp_path, "lake_seq", manifest)
     replay(fixture_dir, cfg_seq)
@@ -322,14 +321,14 @@ def test_compact_target_bytes_splits_bases_preserving_state(fixture_small, tmp_p
 
 
 def test_delta_chain_kinds_and_resume_pipelined(fixture_small, tmp_path):
-    """Sequential auto-mode writes deltas under the threshold; a
-    pipelined run killed mid-stream resumes to the converged state."""
+    """Every epoch writes deltas under the threshold; a pipelined run
+    killed mid-stream resumes to the converged state."""
     fixture_dir, cfg_gen, manifest = fixture_small
     cfg = _cfg(tmp_path, "lake_kinds", manifest)
     replay(fixture_dir, cfg)
     log = CommitLog.open(cfg.lake_root)
     kinds = {e: entry.kind for (e, _), entry in log._entries.items()}
-    assert kinds[0] == "full"  # bootstrap
+    assert kinds[0] == "delta"  # bootstrap: the chain's first link
     assert any(k == "delta" for e, k in kinds.items() if e > 0)
 
     cfg_b = _cfg(tmp_path, "lake_kinds_resume", manifest)
@@ -354,15 +353,21 @@ def test_lake_dataset_resolves_deltas_distributed(fixture_small, tmp_path):
     assert (got["content_sha256"].values == want_sha.values).all()
 
 
-def test_auto_compaction_bounds_chain_length(fixture_small, tmp_path):
-    """Sequential auto mode: a bucket whose chain reaches
-    delta_threshold is compacted by the next epoch touching it, so no
-    chain exceeds the threshold; state still matches the oracle."""
+@pytest.mark.parametrize("pipeline_epochs", [1, 4])
+def test_auto_compaction_bounds_chain_length(fixture_small, tmp_path, pipeline_epochs):
+    """A part whose chain would outgrow delta_threshold is folded into
+    a full base before its window commits, one epoch at a time or
+    pipelined, so no chain exceeds the threshold at ANY sealed epoch
+    (not only at a window's end); state still matches the oracle."""
     fixture_dir, cfg_gen, manifest = fixture_small
     cfg = _cfg(tmp_path, "lake_autocompact", manifest)
     cfg.delta_threshold = 2
+    cfg.pipeline_epochs = pipeline_epochs
     replay(fixture_dir, cfg)
     log = CommitLog.open(cfg.lake_root)
+    for e in range(log.latest_sealed_epoch() + 1):
+        at_e = log.part_chains(upto_epoch=e)
+        assert all(len(c) <= 2 for c in at_e.values()), f"epoch {e}"
     chains = log.part_chains()
     assert chains and all(len(c) <= 2 for c in chains.values())
     assert any(e.kind == "full" and e.epoch > 0 for c in chains.values() for e in c)
@@ -370,6 +375,46 @@ def test_auto_compaction_bounds_chain_length(fixture_small, tmp_path):
     want = _oracle_final(fixture_dir)
     assert len(got) == len(want) == manifest["final_rows"]
     assert (got["content"].values == want["content"].values).all()
+
+
+def test_time_travel_and_view_span_a_fold(fixture_small, tmp_path):
+    """A pre-commit fold writes a base but drops no history: with the
+    default snapshot_every, the retention floor stays put, every sealed
+    epoch still reads as-of exactly as in a run that never folds, and a
+    MaintainedView current before the fold advances across it from the
+    changelog, with no re-bootstrap."""
+    import pyarrow.compute as pc
+
+    from etl_reconciliate_ray.stages.ivm import MaintainedView
+
+    fixture_dir, cfg_gen, manifest = fixture_small
+    ref = _cfg(tmp_path, "lake_nofold", manifest)
+    ref.delta_threshold = 100
+    replay(fixture_dir, ref)
+    cfg = _cfg(tmp_path, "lake_fold", manifest)
+    cfg.delta_threshold = 2  # snapshot_every stays at its default
+
+    replay(fixture_dir, cfg, stop_after_epoch=1)
+    view = MaintainedView(str(tmp_path / "view"), keys=["repo"], count_name="n")
+    assert view.advance(cfg.lake_root) == 1
+    m = replay(fixture_dir, cfg)
+    assert sum(x.get("folded", 0) for x in m) > 0, "the run must fold for this test to bite"
+
+    log = CommitLog.open(cfg.lake_root)
+    assert log.time_travel_floor() == 0
+    head = log.latest_sealed_epoch()
+    for e in range(head + 1):
+        got, want = lake_table(cfg.lake_root, as_of_epoch=e), lake_table(ref.lake_root, as_of_epoch=e)
+        key = [("repo", "ascending"), ("path", "ascending")]
+        got, want = got.sort_by(key), want.sort_by(key)
+        for c in ("repo", "path", "content_sha256"):
+            assert got[c].equals(want[c]), f"as-of epoch {e}, column {c}"
+
+    assert view.advance(cfg.lake_root, on_truncated="raise") == head
+    counts = pc.value_counts(lake_table(cfg.lake_root)["repo"]).to_pylist()
+    want_view = {d["values"]: d["counts"] for d in counts}
+    got_view = view.state().to_pandas()
+    assert dict(zip(got_view["repo"], got_view["n"])) == want_view
 
 
 def test_crash_after_commit_before_seal_converges(fixture_small, tmp_path):
@@ -401,6 +446,39 @@ def test_crash_after_commit_before_seal_converges(fixture_small, tmp_path):
 
     replay(fixture_dir, cfg_b)  # restart
     assert lake_state_hash(cfg_b.lake_root) == lake_state_hash(cfg_a.lake_root)
+
+
+def test_crash_after_fold_commit_before_seal_converges(fixture_small, tmp_path):
+    """An epoch whose commit folds a long chain crashes before its seal:
+    the restarted replay re-runs it under the (epoch, part) fence and
+    converges to the uninterrupted run's state."""
+    import ray.data as rd
+
+    from etl_reconciliate_ray.pipelines.replay import run_epoch
+
+    fixture_dir, cfg_gen, manifest = fixture_small
+    cfg_a = _cfg(tmp_path, "lake_fold_ref", manifest)
+    cfg_a.delta_threshold = 2
+    replay(fixture_dir, cfg_a)
+
+    cfg_b = _cfg(tmp_path, "lake_fold_crash", manifest)
+    cfg_b.delta_threshold = 2
+    replay(fixture_dir, cfg_b, stop_after_epoch=1)  # bootstrap + 1: chains of 2
+    log = CommitLog.open(cfg_b.lake_root)
+    with open(f"{fixture_dir}/fixture.json") as fh:
+        ep = json.load(fh)["epochs"][1]  # engine epoch 2
+    m = run_epoch(
+        rd.read_parquet(ep["file"]), 2, cfg_b, log=log,
+        input_seq=tuple(ep["seq_range"]), seal=False,  # "crash" before seal
+    )
+    assert m["folded"] > 0, "epoch 2 must fold a chain for this test to bite"
+    log2 = CommitLog.open(cfg_b.lake_root)
+    assert log2.latest_sealed_epoch() == 1
+    assert any(e.epoch == 2 and e.kind == "full" for e in log2.all_entries())
+
+    replay(fixture_dir, cfg_b)  # restart
+    assert lake_state_hash(cfg_b.lake_root) == lake_state_hash(cfg_a.lake_root)
+    assert all(len(c) <= 2 for c in CommitLog.open(cfg_b.lake_root).part_chains().values())
 
 
 def test_log_snapshot_bounds_history_and_preserves_state(fixture_small, tmp_path):
@@ -819,8 +897,7 @@ def test_fuzz_replay_matches_oracle(ray_session, tmp_path):
                            str(root / "binlog" / f"epoch={e:05d}.parquet"))
 
         cfg = ReplayConfig(lake_root=str(root / "lake"), num_buckets=4,
-                           writer_concurrency=2, read_parallelism=2,
-                           pipeline_epochs=2, merge_strategy="direct")
+                           read_parallelism=2, pipeline_epochs=2)
         replay_stream(str(root / "binlog"), cfg,
                       lake_seed=str(root / "lake_seed.parquet"))
 
@@ -1344,7 +1421,6 @@ def test_auto_salt_splits_hot_bucket_preserving_state(fixture_small, tmp_path):
         lake_root=str(tmp_path / "lake_hot"),
         num_buckets=8,
         salt_for_repo={},  # UNSALTED: the monorepo lands in one bucket
-        writer_concurrency=2,
         post_compact=True,  # chain rows ~ state rows, not raw deltas
     )
     replay(fixture_dir, cfg)
@@ -1640,6 +1716,40 @@ def test_discover_epochs_edge_files(tmp_path):
     pq.write_table(ranged, str(d / "later.parquet"))
     with pytest.raises(ValueError, match="both map to epoch ordinal"):
         _discover_epochs(str(d))
+
+
+@pytest.mark.parametrize("odd", ["zero_row", "stats_less"])
+def test_discover_epochs_rangeless_unnamed_file_cuts_lenient_scan(tmp_path, odd):
+    """An unnamed file with no seq range (zero rows, or statistics
+    disabled) cannot be ordered: one-shot discovery refuses it, while
+    follow-mode discovery treats it as a mid-copy arrival and cuts at
+    it — the complete prefix before it still processes."""
+    import pyarrow as pa
+
+    from etl_reconciliate_ray.pipelines.replay import _discover_epochs
+
+    d = tmp_path / "binlog"
+    d.mkdir()
+
+    def events(seqs):
+        n = len(seqs)
+        return pa.table({"seq": pa.array(seqs, pa.int64()), "repo": ["r"] * n,
+                         "path": [f"p{s}" for s in seqs], "op": ["I"] * n,
+                         "content": ["x"] * n})
+
+    pq.write_table(events([0, 1]), str(d / "a.parquet"))
+    if odd == "zero_row":
+        pq.write_table(events([]), str(d / "b.parquet"))
+    else:
+        pq.write_table(events([2, 3]), str(d / "b.parquet"), write_statistics=False)
+    pq.write_table(events([4, 5]), str(d / "c.parquet"))
+
+    with pytest.raises(ValueError, match="no usable seq statistics"):
+        _discover_epochs(str(d))
+    descs = _discover_epochs(str(d), stop_at_unreadable=True)
+    assert [(e["file"], e["epoch"], e["seq_range"]) for e in descs] == [
+        (str(d / "a.parquet"), 0, [0, 2])
+    ]
 
 
 def test_compact_refuses_crashed_replay_epoch_but_resumes_own(

@@ -109,13 +109,8 @@ def test_replicate_feed_lake_to_lake(fixture_small, tmp_path, ray_session):
     assert fmap[os.path.basename(m2["segment"])] == 1
 
     # crash-sim consumer: apply one segment, "crash", resume applies
-    # only the rest (the replica's commit log is the cursor). Pinned to
-    # the shuffle strategy so the run_epoch fallback path stays covered
-    # (the replicas above exercise the default direct fast path).
-    rep2 = ReplayConfig(
-        lake_root=str(tmp_path / "replica2"), num_buckets=4,
-        merge_strategy="shuffle",
-    )
+    # only the rest (the replica's commit log is the cursor)
+    rep2 = ReplayConfig(lake_root=str(tmp_path / "replica2"), num_buckets=4)
     first = replicate_feed(out, rep2, max_segments=1)
     assert len(first["applied"]) == 1
     rest = replicate_feed(out, rep2)

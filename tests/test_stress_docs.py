@@ -251,6 +251,22 @@ def test_exact_dedup_null_text_policies(ray_session):
     assert by_id[[0, 4]].notna().all()
 
 
+def test_exact_dedup_keep_refuses_null_ids(ray_session):
+    """null_text='keep' keys each null-text doc by its id; docs with
+    null ids would all collapse into ONE null group, so null ids are
+    refused (as split_assign and pack_batch refuse them)."""
+    import ray.data as rd
+
+    from etl_reconciliate_ray.stages.dedup import exact_dedup
+
+    df = pd.DataFrame({
+        "doc_id": pd.array([1, None, None, 4], dtype="Int64"),
+        "text": ["a", None, None, "b"],
+    })
+    with pytest.raises(Exception, match="null doc_id"):
+        exact_dedup(rd.from_pandas(df), null_text="keep").to_pandas()
+
+
 def test_bloom_membership_is_integer_dtype_insensitive():
     """A bloom built over int64 ids must accept an int32 (or uint64)
     probe column holding the same values: hash64 normalizes integer

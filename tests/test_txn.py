@@ -39,7 +39,6 @@ def two_lakes(fixture_small, tmp_path, ray_session):
             lake_root=str(tmp_path / name),
             num_buckets=4,
             salt_for_repo=manifest["salt_hot_repos"],
-            writer_concurrency=2,
         )
         bootstrap(os.path.join(fixture_dir, "lake_seed.parquet"), cfg)
         cfgs[name] = cfg
