@@ -360,38 +360,6 @@ def rollup_from_partials(partials_ds, key: str):
     return red.map_batches(_cascade_fn(key), batch_format="pandas")
 
 
-def rollup_by_key(detail_ds, key: str):
-    """A3 cascade rollup per key, decomposed into map-side partial
-    counters + a tiny final groupby (the cascade's any()/all() terms
-    are all sums, so the wide detail rows never shuffle). Cascade
-    order preserved bit-for-bit (ReconciliationService.java:194-201)."""
-    from ray.data.aggregate import Sum
-
-    from ..stages.reconcile import STATUS_DUP_PREFIX, STATUS_MATCHED
-
-    def partials(df: pd.DataFrame) -> pd.DataFrame:
-        s = df["status"]
-        # dropna=False: null-key detail rows must roll up too (see
-        # _make_cogroup_fn's partial counts)
-        agg = pd.DataFrame(
-            {
-                "n_rows": s.groupby(df[key], dropna=False).size(),
-                "n_matched": s.eq(STATUS_MATCHED).groupby(df[key], dropna=False).sum(),
-                "n_dup": s.str.startswith(STATUS_DUP_PREFIX).groupby(df[key], dropna=False).sum(),
-                "n_right": s.ne("MISSING_RIGHT").groupby(df[key], dropna=False).sum(),
-            }
-        )
-        return agg.rename_axis(key).reset_index()
-
-    red = detail_ds.map_batches(partials, batch_format="pandas").groupby(key).aggregate(
-        Sum(on="n_rows", alias_name="n_rows"),
-        Sum(on="n_matched", alias_name="n_matched"),
-        Sum(on="n_dup", alias_name="n_dup"),
-        Sum(on="n_right", alias_name="n_right"),
-    )
-    return red.map_batches(_cascade_fn(key), batch_format="pandas")
-
-
 def reconcile_incremental(
     lake_root: str,
     snapshot_ds,

@@ -530,35 +530,14 @@ def follow_stream(
     discovery — the upstream-adapter hook (e.g. convert newly landed
     CDC envelope JSONL into binlog epochs, forward an upstream ``_EOS``
     marker); exceptions propagate."""
-    out: list[dict] = []
-    seen: set[str] = set()
-    idle = 0
-    while True:
-        if poll_hook is not None:
-            poll_hook()
-        descs = _discover_epochs(binlog_dir, stop_at_unreadable=True)
-        fresh = [d for d in descs if d["file"] not in seen]
-        if fresh:
-            idle = 0
-            out.extend(_replay_epoch_descs(descs, cfg, lake_seed))
-            seen.update(d["file"] for d in descs)
-            if on_batch is not None:
-                on_batch(cfg)
-        else:
-            idle += 1
-        if os.path.exists(os.path.join(binlog_dir, "_EOS")):
-            # STRICT discovery for the final drain: the producer is done
-            # (_EOS lands after the last file), so an unreadable file is
-            # corruption, not a mid-copy — a lenient cut here would
-            # declare the drain complete and silently drop the stream's
-            # final epoch(s)
-            descs = _discover_epochs(binlog_dir, stop_at_unreadable=False)
-            if all(d["file"] in seen for d in descs):
-                break
-        elif idle >= idle_polls:
-            break
-        time.sleep(poll_sec)
-    return out
+
+    def run(descs: list[dict]) -> list[dict]:
+        out = _replay_epoch_descs(descs, cfg, lake_seed)
+        if on_batch is not None:
+            on_batch(cfg)
+        return out
+
+    return _poll_loop(binlog_dir, run, poll_sec, idle_polls, poll_hook)
 
 
 def follow_multiplexed(
@@ -580,25 +559,45 @@ def follow_multiplexed(
     ``on_batch(tables)``: downstream hook after each fresh atomic batch
     (advance views, spool feeds); exceptions propagate — the commits
     are already durable, so a crashed hook resumes cleanly."""
+
+    def run(descs: list[dict]) -> list[dict]:
+        out = replay_multiplexed(
+            binlog_dir, tables, coordinator_root, table_col=table_col,
+            stop_at_unreadable=True,
+        )
+        if on_batch is not None:
+            on_batch(tables)
+        return out
+
+    return _poll_loop(binlog_dir, run, poll_sec, idle_polls)
+
+
+def _poll_loop(binlog_dir: str, run, poll_sec: float, idle_polls: int,
+               poll_hook=None) -> list[dict]:
+    """The tail loop both follow modes share: each poll discovers the
+    epoch files (lenient: a mid-copy file cuts discovery) and hands the
+    descs to ``run`` when any file is new; stops on ``_EOS`` once a
+    strict discovery finds nothing unseen, or after ``idle_polls``
+    consecutive polls without news."""
     out: list[dict] = []
     seen: set[str] = set()
     idle = 0
     while True:
+        if poll_hook is not None:
+            poll_hook()
         descs = _discover_epochs(binlog_dir, stop_at_unreadable=True)
-        fresh = [d for d in descs if d["file"] not in seen]
-        if fresh:
+        if any(d["file"] not in seen for d in descs):
             idle = 0
-            out.extend(replay_multiplexed(
-                binlog_dir, tables, coordinator_root, table_col=table_col,
-                stop_at_unreadable=True,
-            ))
+            out.extend(run(descs))
             seen.update(d["file"] for d in descs)
-            if on_batch is not None:
-                on_batch(tables)
         else:
             idle += 1
         if os.path.exists(os.path.join(binlog_dir, "_EOS")):
-            # strict discovery for the final drain (see follow_stream)
+            # STRICT discovery for the final drain: the producer is done
+            # (_EOS lands after the last file), so an unreadable file is
+            # corruption, not a mid-copy — a lenient cut here would
+            # declare the drain complete and silently drop the stream's
+            # final epoch(s)
             descs = _discover_epochs(binlog_dir, stop_at_unreadable=False)
             if all(d["file"] in seen for d in descs):
                 break
@@ -1888,8 +1887,11 @@ def lake_changelog(
     Scale shape: both states' chains share the SAME bucket layout, so
     the diff is one task per partition over its own two chains — no
     shuffle, no driver materialization; pandas outer-merge per bucket.
-    Subject to the same retention-floor refusal as time travel
-    (``_as_of_upto``)."""
+    Only partitions whose chain differs between the two epochs are
+    diffed (equal chains resolve to equal states), so the cost is
+    O(changed partitions' chains); a window that changed none returns
+    a typed empty feed without reading any data. Subject to the same
+    retention-floor refusal as time travel (``_as_of_upto``)."""
     import ray.data as rd
 
     log = CommitLog.open(_root_of(cfg_or_root))
@@ -1903,28 +1905,39 @@ def lake_changelog(
         )
     old = _chains_payload(log, upto_epoch=upto_from)
     new = _chains_payload(log, upto_epoch=upto_to)
-    parts = sorted(set(old) | set(new))
     items = [
         {
             "part": p,
             "old": json.dumps(old.get(p, [])),
             "new": json.dumps(new.get(p, [])),
         }
-        for p in parts
+        for p in sorted(set(old) | set(new))
+        if old.get(p) != new.get(p)
     ]
+    # image types resolved driver-side from footers (metadata-only, one
+    # pass): a bucket whose state predates an evolved column null-fills
+    # it at this exact type, so every diff block shares one schema
+    sch = _payload_schema(log, upto_to) if image_cols else {}
     if image_cols == "all":
-        image_cols = sorted(_payload_schema(log, upto_to))
+        image_cols = sorted(sch)
     images = [c for c in (image_cols or []) if c not in ("repo", "path")]
     cols = ["repo", "path", "content_sha256"] + [
         c for c in images if c != "content_sha256"
     ]
-    # image types resolved driver-side from footers (metadata-only):
-    # a bucket whose state predates an evolved column null-fills it at
-    # this exact type, so every diff block shares one schema
-    img_types: dict[str, pa.DataType] = {}
-    if images:
-        sch = _payload_schema(log, upto_to)
-        img_types = {c: sch.get(c, pa.string()) for c in images}
+    img_types = {c: sch.get(c, pa.string()) for c in images}
+
+    def empty_feed() -> pa.Table:
+        empty: dict[str, pa.Array] = {
+            c: pa.array([], pa.string())
+            for c in ("repo", "path", "change", "content_sha256")
+        }
+        for c in images:
+            empty[f"{c}_old"] = pa.array([], img_types[c])
+            empty[f"{c}_new"] = pa.array([], img_types[c])
+        return pa.table(empty)
+
+    if not items:
+        return rd.from_arrow(empty_feed())
 
     def diff_part(batch: pa.Table) -> pa.Table:
         import pandas as pd
@@ -2010,20 +2023,10 @@ def lake_changelog(
                             )
                 out.append(t)
         if not out:
-            empty: dict[str, pa.Array] = {
-                "repo": pa.array([], pa.string()),
-                "path": pa.array([], pa.string()),
-                "change": pa.array([], pa.string()),
-                "content_sha256": pa.array([], pa.string()),
-            }
-            for c in images:
-                typ = img_types[c]
-                empty[f"{c}_old"] = pa.array([], typ)
-                empty[f"{c}_new"] = pa.array([], typ)
-            return pa.table(empty)
+            return empty_feed()
         return pa.concat_tables(out)
 
-    return rd.from_items(items, override_num_blocks=max(1, len(items))).map_batches(
+    return rd.from_items(items, override_num_blocks=len(items)).map_batches(
         diff_part, batch_format="pyarrow", batch_size=1
     )
 
@@ -2062,8 +2065,6 @@ def export_changelog(
     in name order therefore sees each change exactly once. Writes are
     distributed (``Dataset.write_parquet``); nothing data-scale lands
     on the driver."""
-    import shutil as _shutil
-
     root = _root_of(cfg_or_root)
     log = CommitLog.open(root)
     head = log.latest_sealed_epoch()
@@ -2098,10 +2099,7 @@ def export_changelog(
         feed = lake_changelog(
             root, from_epoch=cur, to_epoch=head, image_cols=image_cols
         )
-    _shutil.rmtree(seg, ignore_errors=True)  # crashed unsealed attempt
-    feed.write_parquet(seg)
-    with open(os.path.join(seg, "_SEALED"), "w") as fh:
-        fh.write("ok\n")
+    _write_segment(feed, seg)
     tmp = cursor_path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(f"{head}\n")
@@ -2113,6 +2111,26 @@ def export_changelog(
         "to_epoch": head,
         "snapshot": cur is None,
     }
+
+
+def _write_segment(feed, seg: str) -> None:
+    """Write one spool segment from SEALED inputs, then seal it. Ray
+    writes no file for an empty Dataset, so a window with no net change
+    gets one zero-row file: the segment still reads back with the
+    feed's schema."""
+    import shutil as _shutil
+
+    import pyarrow.parquet as pq
+
+    _shutil.rmtree(seg, ignore_errors=True)  # crashed unsealed attempt
+    feed.write_parquet(seg)
+    if not (os.path.isdir(seg)
+            and any(f.endswith(".parquet") for f in os.listdir(seg))):
+        os.makedirs(seg, exist_ok=True)
+        pq.write_table(feed.schema().base_schema.empty_table(),
+                       os.path.join(seg, "empty.parquet"))
+    with open(os.path.join(seg, "_SEALED"), "w") as fh:
+        fh.write("ok\n")
 
 
 def _snapshot_feed(log: CommitLog, root: str, head: int, image_cols):
@@ -2197,10 +2215,7 @@ def compact_feed(
     if existing == [name]:
         return {"skipped": True, "reason": "already compacted", "segment": seg}
     if name not in existing:  # retry after a crash-post-seal skips the build
-        _shutil.rmtree(seg, ignore_errors=True)  # crashed unsealed attempt
-        _snapshot_feed(log, root, head, image_cols).write_parquet(seg)
-        with open(os.path.join(seg, "_SEALED"), "w") as fh:
-            fh.write("ok\n")
+        _write_segment(_snapshot_feed(log, root, head, image_cols), seg)
     cursor_path = os.path.join(out_dir, "_CURSOR")
     tmp = cursor_path + ".tmp"
     with open(tmp, "w") as fh:
@@ -2414,11 +2429,10 @@ def replicate_feed(
             epoch = 1 + max(live) if live else 0
             feed_map[name] = epoch
             _publish_map()
+        # every sealed segment holds at least one file (a window with no
+        # net change is one zero-row file; its epoch seals empty)
         files = sorted(_glob(os.path.join(seg, "*.parquet")))
-        if not files:  # an all-quiet delta window: seal the empty epoch
-            _commit_manifest_rows(log, epoch, [], None, seal=True)
-            m = {"epoch": epoch, "skipped": False, "parts_committed": 0}
-        elif "snapshot" in name and log.latest_sealed_epoch() is not None:
+        if "snapshot" in name and log.latest_sealed_epoch() is not None:
             # a snapshot landing on a NON-EMPTY replica is a compacted
             # spool's re-baseline (compact_feed): REPLACE semantics —
             # insert-only application would resurrect keys whose

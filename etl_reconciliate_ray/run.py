@@ -37,6 +37,31 @@ def _strip_serve(raw: list[str]) -> list[str]:
     return inner
 
 
+def repo_view(lake_root: str):
+    """The CLI's per-repo view (``--view``): files and content bytes per
+    repo, a ``MaintainedView`` at ``<lake>/view`` (one ``epoch=N`` state
+    directory published by its ``_CURRENT`` pointer)."""
+    from .stages.ivm import MaintainedView
+
+    return MaintainedView(
+        os.path.join(lake_root, "view"), keys=["repo"], count_name="n_files",
+        sums={"content_bytes": ("content", "binary_length")},
+    )
+
+
+def _advance_repo_view(lake_root: str) -> int:
+    """Bring the repo view to the lake's sealed head and return its
+    repo count (0 while the lake has no sealed epoch). A ``view/``
+    without ``_CURRENT`` is rebuilt by bootstrap."""
+    from .state.commitlog import CommitLog
+
+    if CommitLog.open(lake_root).latest_sealed_epoch() is None:
+        return 0
+    view = repo_view(lake_root)
+    view.advance(lake_root)
+    return view.state().count()
+
+
 def main(argv: list[str] | None = None) -> dict:
     # allow_abbrev=False: a '--ser 8080' abbreviation would start the
     # server but slip past _strip_serve, so every triggered rerun of
@@ -68,7 +93,9 @@ def main(argv: list[str] | None = None) -> dict:
     p.add_argument("--pipeline-epochs", type=int, default=4)
     p.add_argument("--compact", action="store_true", help="compact chains after replay")
     p.add_argument("--view", action="store_true",
-                   help="maintain the incremental per-repo aggregate view after replay")
+                   help="after replay, advance the per-repo view (files and "
+                        "content bytes per repo) at <lake>/view from the "
+                        "lake's changelog; reports view_repos")
     p.add_argument("--incremental", action="store_true",
                    help="delta-aware reconcile: recompute only buckets whose "
                         "chains changed since the last run (state under "
@@ -281,7 +308,8 @@ def main(argv: list[str] | None = None) -> dict:
         # sidecar dir under the lake, then the standard discovery-based
         # replay runs on the converted binlog. Underscore-prefixed like
         # the other sidecars (_reconcile_detail, _snapshot_spool) —
-        # vacuum and lake scans only walk epoch=* dirs.
+        # vacuum and lake scans only walk the lake root's epoch=* dirs,
+        # so no sidecar (nor view/epoch=N) is taken for lake data.
         from .sources.cdc_envelope import convert_envelope_dir
 
         conv = os.path.join(args.lake, "_binlog_conv")
@@ -315,9 +343,7 @@ def main(argv: list[str] | None = None) -> dict:
         if args.view or args.export_feed:
             def on_batch(c):  # noqa: E306
                 if args.view:
-                    from .pipelines.incremental import maintain_repo_view
-
-                    maintain_repo_view(c.lake_root)
+                    _advance_repo_view(c.lake_root)
                 if args.export_feed:
                     from .pipelines.replay import export_changelog
 
@@ -354,11 +380,7 @@ def main(argv: list[str] | None = None) -> dict:
             "hot_parts": m["plan"]["hot_parts"],
         }}, sort_keys=True))
 
-    view_rows = None
-    if args.view:
-        from .pipelines.incremental import maintain_repo_view
-
-        view_rows = maintain_repo_view(args.lake).num_rows
+    view_rows = _advance_repo_view(args.lake) if args.view else None
 
     feed_seg = None
     if args.export_feed:

@@ -522,7 +522,18 @@ def triangle_counts(nodes_ds, edges_ds, num_buckets: int = 32,
     def _finish(partials):
         # declared-node marker rides the small (node) aggregate so an
         # edge endpoint absent from nodes_ds surfaces LOUDLY (pagerank's
-        # contract) instead of as a silent phantom output row
+        # contract) instead of as a silent phantom output row. Every
+        # distinct endpoint gets a marker-0 row, not just the nodes that
+        # close a triangle: a pendant undeclared endpoint never reaches
+        # the partials and would otherwise slip through.
+        def endpoints(t: pa.Table) -> pa.Table:
+            u = np.unique(np.concatenate([
+                _i64(t["doc_a"]).to_numpy(zero_copy_only=False),
+                _i64(t["doc_b"]).to_numpy(zero_copy_only=False),
+            ]))
+            z = pa.array(np.zeros(len(u), np.int64))
+            return pa.table({"node": pa.array(u), "n": z, "__isn": z})
+
         zeros = nodes_ds.map_batches(
             lambda t: pa.table({
                 "node": _i64(t["node"]),
@@ -538,7 +549,7 @@ def triangle_counts(nodes_ds, edges_ds, num_buckets: int = 32,
             batch_format="pyarrow",
         )
         agg = (
-            tagged.union(zeros)
+            tagged.union(zeros, edges_ds.map_batches(endpoints, batch_format="pyarrow"))
             .groupby("node")
             .aggregate(Sum(on="n", alias_name="n_triangles"),
                        Sum(on="__isn", alias_name="__isn"))

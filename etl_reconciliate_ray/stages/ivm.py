@@ -233,8 +233,8 @@ class MaintainedView:
             return int(fh.read().strip())
 
     def state(self):
-        """The current view state as a Dataset (raises if never
-        bootstrapped)."""
+        """The current view state as a Dataset of exactly ``keys`` +
+        measures (raises if never bootstrapped)."""
         import os
 
         import ray.data as rd
@@ -242,7 +242,12 @@ class MaintainedView:
         ep = self.current_epoch()
         if ep is None:
             raise ValueError(f"view at {self.view_root} has no published state")
-        return rd.read_parquet(os.path.join(self.view_root, f"epoch={ep:05d}"))
+        path = os.path.join(self.view_root, f"epoch={ep:05d}")
+        if not any(f.endswith(".parquet") for f in os.listdir(path)):
+            return rd.from_items([])  # empty view: no group is live
+        # partitioning=None: Hive inference would turn the state dir's
+        # own name into an extra `epoch` column
+        return rd.read_parquet(path, partitioning=None)
 
     def _publish(self, new_state, epoch: int) -> None:
         import os
@@ -251,6 +256,7 @@ class MaintainedView:
         out = os.path.join(self.view_root, f"epoch={epoch:05d}")
         shutil.rmtree(out, ignore_errors=True)  # crashed unpublished try
         new_state.write_parquet(out)
+        os.makedirs(out, exist_ok=True)  # Ray writes no file for an empty state
         tmp = self._pointer() + ".tmp"
         with open(tmp, "w") as fh:
             fh.write(f"{epoch}\n")

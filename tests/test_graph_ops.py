@@ -86,6 +86,23 @@ def test_triangle_counts_planted(ray_session):
         pd.testing.assert_frame_equal(got.astype("int64"), want)
 
 
+def test_triangle_counts_refuses_undeclared_pendant_endpoint(ray_session):
+    """An undeclared endpoint that closes no triangle (pendant edge
+    2-9, node 9 absent from nodes_ds) is refused on both paths, not
+    only an undeclared node inside a triangle."""
+    import pytest
+
+    from etl_reconciliate_ray.stages.graph import triangle_counts
+
+    edges = pd.DataFrame([(0, 1), (0, 2), (1, 2), (2, 9)],
+                         columns=["doc_a", "doc_b"])
+    nodes = pd.DataFrame({"node": np.arange(4, dtype=np.int64)})
+    for budget in (5_000_000, 0):  # fast path / forced join path
+        with pytest.raises(Exception, match="not present in nodes_ds"):
+            triangle_counts(_ds(nodes), _ds(edges), num_buckets=4,
+                            driver_edge_budget=budget).materialize()
+
+
 def test_triangle_counts_fast_path_matches_join_path(ray_session):
     """The broadcast fast path and the partitioned-join path agree on a
     seeded random graph (the join path is what runs at over-budget edge

@@ -406,3 +406,112 @@ def test_view_sum_over_primary_key_column(tmp_path):
     for repo, row in want.iterrows():
         assert int(got.loc[repo, "n"]) == int(row["n"])
         assert int(got.loc[repo, "plen"]) == int(row["plen"])
+
+
+def test_maintained_view_state_columns_are_keys_and_measures(tmp_path):
+    """``state()`` reads the published ``epoch=N`` directory without
+    Hive partition inference: its columns are exactly the keys plus the
+    measures, both after bootstrap and after an advance (an inferred
+    ``epoch`` column also made every advance union mismatched schemas)."""
+    from etl_reconciliate_ray.stages.ivm import MaintainedView
+
+    binlog = _write_four_epoch_binlog(tmp_path)
+    root = str(tmp_path / "lake")
+    cfg = ReplayConfig(lake_root=root, num_buckets=2)
+    view = MaintainedView(
+        str(tmp_path / "view"), keys=["repo"], count_name="n",
+        sums={"bytes": ("nbytes", "identity")},
+    )
+    replay_stream(binlog, cfg, stop_after_epoch=2)
+    view.advance(root)
+    assert sorted(view.state().schema().names) == ["bytes", "n", "repo"]
+    replay_stream(binlog, cfg)
+    assert view.advance(root) == 4
+    assert sorted(view.state().schema().names) == ["bytes", "n", "repo"]
+    assert _view_df(view).equals(_recompute(root))
+
+
+def test_changelog_diffs_only_changed_parts(tmp_path):
+    """An epoch that touches k of n parts (one key over 8 buckets) is
+    diffed over exactly those k parts: the feed runs one task, and so
+    yields one block, per diffed part. A window with no changed part is
+    a typed empty feed."""
+    from etl_reconciliate_ray.state.commitlog import CommitLog
+
+    binlog = tmp_path / "binlog"
+    binlog.mkdir()
+    n = 64
+    pq.write_table(pa.table({
+        "seq": pa.array(range(n), pa.int64()),
+        "op": pa.array(["I"] * n),
+        "repo": pa.array([f"r{i}" for i in range(n)]),
+        "path": pa.array([f"p{i}" for i in range(n)]),
+        "content": pa.array([f"c{i}" for i in range(n)]),
+        "nbytes": pa.array(range(n), pa.int64()),
+    }), str(binlog / "epoch=00000.parquet"))
+    pq.write_table(pa.table({
+        "seq": pa.array([n], pa.int64()),
+        "op": pa.array(["U"]),
+        "repo": pa.array(["r3"]),
+        "path": pa.array(["p3"]),
+        "content": pa.array(["changed"]),
+        "nbytes": pa.array([999], pa.int64()),
+    }), str(binlog / "epoch=00001.parquet"))
+    root = str(tmp_path / "lake")
+    replay_stream(str(binlog), ReplayConfig(lake_root=root, num_buckets=8))
+
+    entries = CommitLog.open(root).all_entries()
+    all_parts = {e.part for e in entries}
+    touched = {e.part for e in entries if e.epoch == 2}
+    assert len(all_parts) == 8 and len(touched) == 1
+
+    feed = lake_changelog(root, from_epoch=1, to_epoch=2,
+                          image_cols=["nbytes"]).materialize()
+    assert feed.num_blocks() == len(touched)
+    rows = feed.to_pandas()
+    assert rows[["repo", "path", "change"]].values.tolist() == [["r3", "p3", "U"]]
+    assert (rows["nbytes_old"][0], rows["nbytes_new"][0]) == (3, 999)
+
+    quiet = lake_changelog(root, from_epoch=2, to_epoch=2, image_cols=["nbytes"])
+    sch = quiet.schema()
+    assert quiet.count() == 0
+    assert dict(zip(sch.names, map(str, sch.types))) == {
+        "repo": "string", "path": "string", "change": "string",
+        "content_sha256": "string", "nbytes_old": "int64", "nbytes_new": "int64",
+    }
+
+
+def test_maintained_view_empty_state_round_trip(tmp_path):
+    """A view whose every group is retired publishes an empty state
+    (Ray writes no file for it) that reads back as zero rows and
+    advances again once keys return: bootstrap on a lake that is empty
+    at its head, refill, then delete everything."""
+    from etl_reconciliate_ray.stages.ivm import MaintainedView
+
+    binlog = tmp_path / "binlog"
+    binlog.mkdir()
+    for e, (ops, repos) in enumerate([
+        (["I", "D"], ["r0", "r0"]),    # head is empty
+        (["I", "I"], ["r0", "r1"]),    # keys return
+        (["D", "D"], ["r0", "r1"]),    # every group retired
+    ]):
+        pq.write_table(pa.table({
+            "seq": pa.array([2 * e, 2 * e + 1], pa.int64()),
+            "op": pa.array(ops),
+            "repo": pa.array(repos),
+            "path": pa.array(["a" if e == 0 else "b"] * 2),
+            "content": pa.array([None if o == "D" else f"c{e}" for o in ops]),
+            "nbytes": pa.array([e, e + 1], pa.int64()),
+        }), str(binlog / f"epoch={e:05d}.parquet"))
+    root = str(tmp_path / "lake")
+    cfg = ReplayConfig(lake_root=root, num_buckets=2)
+    view = MaintainedView(
+        str(tmp_path / "view"), keys=["repo"], count_name="n",
+        sums={"bytes": ("nbytes", "identity")},
+    )
+    for epoch, live in ((1, 0), (2, 2), (3, 0)):
+        replay_stream(str(binlog), cfg, stop_after_epoch=epoch)
+        assert view.advance(root) == epoch
+        assert view.state().count() == live
+        if live:
+            assert _view_df(view).equals(_recompute(root))

@@ -779,53 +779,95 @@ def test_cli_binlog_dir_mode(fixture_small, tmp_path, ray_session):
         assert lake_table(lake_tail).num_rows == manifest["final_rows"]
 
 
-def test_incremental_view_equals_recompute(fixture_small, tmp_path):
-    """The incrementally-maintained per-repo view (delta-state-delta
-    across epochs, tombstones included) must equal the recompute oracle
-    over the final resolved lake state; re-running maintenance is a
-    resume no-op with the identical result."""
+def view_of_state(state):
+    """Recompute oracle for the CLI's per-repo view: files and content
+    bytes per repo aggregated directly from a resolved lake state."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    t = pa.table({
+        "repo": state["repo"],
+        "b": pc.fill_null(pc.cast(pc.binary_length(state["content"]), pa.int64()), 0),
+    })
+    red = t.group_by(["repo"], use_threads=False).aggregate([("b", "count"), ("b", "sum")])
+    return pa.table({
+        "repo": red["repo"],
+        "n_files": red["b_count"],
+        "content_bytes": red["b_sum"],
+    }).sort_by("repo")
+
+
+def _repo_view_table(view):
+    """A maintained view's state as a repo-sorted table, in the
+    oracle's column order and types."""
     import pyarrow as pa
 
-    from etl_reconciliate_ray.pipelines.incremental import (
-        maintain_repo_view, view_of_state,
-    )
-    from etl_reconciliate_ray.pipelines.replay import lake_table
+    df = view.state().to_pandas().sort_values("repo")
+    return pa.table({
+        "repo": pa.array(df["repo"].tolist(), pa.string()),
+        "n_files": pa.array(df["n_files"].tolist(), pa.int64()),
+        "content_bytes": pa.array(df["content_bytes"].tolist(), pa.int64()),
+    })
+
+
+def test_incremental_view_equals_recompute(fixture_small, tmp_path):
+    """The CLI's per-repo view, bootstrapped at epoch 1 and then
+    advanced epoch by epoch from the lake's changelog (tombstones
+    included), equals the recompute oracle at every sealed epoch;
+    re-running the advance is a no-op with the identical result."""
+    from etl_reconciliate_ray.pipelines.replay import CommitLog, lake_table
+    from etl_reconciliate_ray.run import repo_view
 
     fixture_dir, cfg_gen, manifest = fixture_small
     cfg = _cfg(tmp_path, "lake_view", manifest)
-    replay(fixture_dir, cfg)
+    view = repo_view(cfg.lake_root)
+    replay(fixture_dir, cfg, stop_after_epoch=1)
+    assert view.advance(cfg.lake_root) == 1  # bootstrap
+    head = len(manifest["epochs"])
+    for epoch in range(2, head + 1):
+        replay(fixture_dir, cfg, stop_after_epoch=epoch)
+        assert view.advance(cfg.lake_root) == epoch
+        got = _repo_view_table(view)
+        want = view_of_state(lake_table(cfg.lake_root))
+        assert got.equals(want), (epoch, got.num_rows, want.num_rows)
+    assert CommitLog.open(cfg.lake_root).latest_sealed_epoch() == head
+    assert view.advance(cfg.lake_root) == head  # rerun: no-op
+    assert _repo_view_table(view).equals(want)
 
-    got = maintain_repo_view(cfg.lake_root)
-    want = view_of_state(lake_table(cfg.lake_root))
-    assert got.equals(want), (
-        got.to_pandas().compare(want.to_pandas())
-        if got.num_rows == want.num_rows else (got.num_rows, want.num_rows)
-    )
-    again = maintain_repo_view(cfg.lake_root)  # resume: all epochs _DONE
-    assert again.equals(want)
 
+def test_incremental_view_resumes_after_partial_loss(fixture_small, tmp_path, monkeypatch):
+    """A crash inside the publish, after the new state is written and
+    before the ``_CURRENT`` pointer moves, leaves the old state current;
+    the next advance rebuilds the same epoch and equals the oracle."""
+    import os
 
-def test_incremental_view_resumes_after_partial_loss(fixture_small, tmp_path):
-    """Losing the most recent maintained epoch (crash before _DONE)
-    must be repaired by re-running maintenance from the survivors."""
-    import glob
-    import shutil
-
-    from etl_reconciliate_ray.pipelines.incremental import (
-        maintain_repo_view, view_of_state,
-    )
     from etl_reconciliate_ray.pipelines.replay import lake_table
+    from etl_reconciliate_ray.run import repo_view
 
     fixture_dir, cfg_gen, manifest = fixture_small
     cfg = _cfg(tmp_path, "lake_view2", manifest)
+    view = repo_view(cfg.lake_root)
+    replay(fixture_dir, cfg, stop_after_epoch=2)
+    assert view.advance(cfg.lake_root) == 2
     replay(fixture_dir, cfg)
     want = view_of_state(lake_table(cfg.lake_root))
 
-    maintain_repo_view(cfg.lake_root)
-    epochs = sorted(glob.glob(f"{cfg.lake_root}/view/epoch=*"))
-    shutil.rmtree(epochs[-1])  # simulate crash losing the newest epoch
-    got = maintain_repo_view(cfg.lake_root)
-    assert got.equals(want)
+    real_replace = os.replace
+
+    def crash_on_pointer(src, dst):
+        if str(dst).endswith("_CURRENT"):
+            raise OSError("simulated crash before the pointer publish")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash_on_pointer)
+    with pytest.raises(OSError, match="simulated crash"):
+        view.advance(cfg.lake_root)
+    monkeypatch.undo()
+    head = len(manifest["epochs"])
+    assert view.current_epoch() == 2
+    assert os.path.isdir(os.path.join(view.view_root, f"epoch={head:05d}"))
+    assert view.advance(cfg.lake_root) == head
+    assert _repo_view_table(view).equals(want)
 
 
 def test_fuzz_replay_matches_oracle(ray_session, tmp_path):
@@ -915,22 +957,65 @@ def test_fuzz_replay_matches_oracle(ray_session, tmp_path):
 
 
 def test_incremental_view_survives_compaction(fixture_small, tmp_path):
-    """Compaction truncates chain history; resuming the maintained view
-    across it must NOT double-count (the full link replays the whole
-    state). The fence rebuilds the view from the truncated chains."""
-    from etl_reconciliate_ray.pipelines.incremental import (
-        maintain_repo_view, view_of_state,
-    )
+    """Compaction truncates chain history; advancing the view across it
+    must NOT double-count (below the retention floor the view
+    re-bootstraps from the compacted lake)."""
     from etl_reconciliate_ray.pipelines.replay import compact, lake_table
+    from etl_reconciliate_ray.run import repo_view
 
     fixture_dir, cfg_gen, manifest = fixture_small
     cfg = _cfg(tmp_path, "lake_view3", manifest)
     replay(fixture_dir, cfg)
-    maintain_repo_view(cfg.lake_root)       # view maintained pre-compaction
+    view = repo_view(cfg.lake_root)
+    view.advance(cfg.lake_root)             # view maintained pre-compaction
     compact(cfg)                            # truncates every chain to [full@N+1]
-    got = maintain_repo_view(cfg.lake_root)  # must rebuild, not double-count
+    view.advance(cfg.lake_root)             # must rebuild, not double-count
+    got = _repo_view_table(view)
     want = view_of_state(lake_table(cfg.lake_root))
     assert got.equals(want), (got.num_rows, want.num_rows)
+
+
+@pytest.mark.parametrize("mode", ["fixture", "follow"])
+def test_cli_view_matches_recompute(fixture_small, tmp_path, ray_session, mode):
+    """``run.py --view``, one-shot over a fixture and ``--follow`` over a
+    binlog dir (the view advances in the per-batch hook): ``view_repos``
+    equals the oracle's repo count, and ``<lake>/view`` holds one
+    published state. The one-shot lake starts with an old-layout
+    ``view/epoch=00000/_DONE`` directory, which bootstrap replaces."""
+    import glob
+    import os
+    import shutil
+
+    import pyarrow as pa
+
+    from etl_reconciliate_ray.pipelines.replay import lake_table
+    from etl_reconciliate_ray.run import main
+
+    fixture_dir, cfg_gen, manifest = fixture_small
+    lake = str(tmp_path / "lake")
+    if mode == "fixture":
+        old = os.path.join(lake, "view", "epoch=00000")
+        os.makedirs(old)
+        pq.write_table(pa.table({"repo": ["junk"], "n_files": [99], "content_bytes": [99]}),
+                       os.path.join(old, "view.parquet"))
+        open(os.path.join(old, "_DONE"), "w").close()
+        summary = main(["--fixture", fixture_dir, "--lake", lake,
+                        "--num-buckets", "8", "--view"])
+    else:
+        tail = str(tmp_path / "tail")
+        os.makedirs(tail)
+        for f in sorted(glob.glob(f"{fixture_dir}/binlog/*.parquet")):
+            shutil.copy(f, tail)
+        open(os.path.join(tail, "_EOS"), "w").close()
+        summary = main(["--binlog-dir", tail, "--lake", lake, "--num-buckets", "8",
+                        "--lake-seed", f"{fixture_dir}/lake_seed.parquet",
+                        "--follow", "--view"])
+    assert summary["view_repos"] == view_of_state(lake_table(lake)).num_rows > 0
+    entries = sorted(os.listdir(os.path.join(lake, "view")))
+    assert entries[0] == "_CURRENT" and len(entries) == 2
+    assert entries[1].startswith("epoch=") and "junk" not in str(
+        pq.read_table(os.path.join(lake, "view", entries[1])).to_pydict()
+    )
 
 
 def test_replay_stream_refuses_unreadable_file(fixture_small, tmp_path):

@@ -118,6 +118,47 @@ def test_replicate_feed_lake_to_lake(fixture_small, tmp_path, ray_session):
     _assert_replica_equal(src.lake_root, rep2.lake_root)
 
 
+def test_export_and_replicate_a_window_without_changes(tmp_path, ray_session):
+    """A zero-row named epoch changes nothing: its export segment holds
+    one zero-row file that reads back with the feed schema (Ray writes
+    no file for an empty Dataset; the seal used to fail on the missing
+    directory), and replicating it seals an empty replica epoch whose
+    state hash still equals the source's."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from etl_reconciliate_ray.pipelines.replay import lake_changelog
+
+    binlog = tmp_path / "binlog"
+    binlog.mkdir()
+    events = pa.table({
+        "seq": pa.array([0, 1, 2], pa.int64()), "op": ["I", "I", "I"],
+        "repo": ["r0", "r1", "r2"], "path": ["a", "b", "c"],
+        "content": ["x", "y", "z"],
+    })
+    pq.write_table(events, str(binlog / "epoch=00000.parquet"))
+    src = ReplayConfig(lake_root=str(tmp_path / "src"), num_buckets=8)
+    replay_stream(str(binlog), src)
+    out = str(tmp_path / "feed_out")
+    assert export_changelog(src.lake_root, out, image_cols="all")["snapshot"]
+
+    pq.write_table(events.slice(0, 0), str(binlog / "epoch=00001.parquet"))
+    replay_stream(str(binlog), src)
+    m = export_changelog(src.lake_root, out, image_cols="all")
+    assert not m["skipped"] and not m["snapshot"]
+    files = glob.glob(os.path.join(m["segment"], "*.parquet"))
+    assert len(files) == 1 and pq.read_metadata(files[0]).num_rows == 0
+    want = lake_changelog(src.lake_root, from_epoch=m["from_epoch"],
+                          to_epoch=m["to_epoch"], image_cols="all").schema()
+    got = pq.read_schema(files[0])
+    assert got.names == want.names and got.types == want.types
+
+    rep = ReplayConfig(lake_root=str(tmp_path / "replica"), num_buckets=4)
+    r = replicate_feed(out, rep)
+    assert len(r["applied"]) == 2 and r["replica_head"] == 1
+    assert lake_state_hash(src.lake_root) == lake_state_hash(rep.lake_root)
+
+
 def test_replica_maintenance_epochs_interleave(
     fixture_small, tmp_path, ray_session
 ):
