@@ -189,7 +189,7 @@ labeled AS (
 """
 
 
-def q_reconcile_detail(sf_dir: str):
+def q_reconcile_statuses(sf_dir: str):
     """The central cogroup reconcile (J4-J8) over derived sides;
     detail rows (key + status)."""
     detail = reconcile_datasets(
@@ -1613,27 +1613,24 @@ def q_reconcile_rollup(sf_dir: str):
     """Group-level rollup with the reference's A3 priority cascade
     (ReconciliationService.java:194-201) over the reconcile detail,
     grouped on a coarser key than the match key (rollups re-aggregate
-    across finer partitions, SURVEY.md §4)."""
-    from ..pipelines.reconcile_run import rollup_group
+    across finer partitions, SURVEY.md §4). Each detail batch collapses
+    to (grp, status, n) counts map-side; the cascade is the engine's
+    own ``rollup_from_partials``."""
+    from ..pipelines.reconcile_run import rollup_from_partials
 
     detail = reconcile_datasets(
         None, None, key_cols=["orderkey"], value_col="val_cents", num_buckets=16,
         tagged_ds=_reconcile_sides_tagged(sf_dir, num_buckets=16),
     )
 
-    def add_grp(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["orderkey"].astype("int64")
-        out = df[["status"]].copy()
-        out.insert(0, "grp", key % 97)
-        return out
+    def grp_counts(df: pd.DataFrame) -> pd.DataFrame:
+        grp = df["orderkey"].astype("int64") % 97
+        return (
+            pd.DataFrame({"grp": grp, "status": df["status"]})
+            .groupby(["grp", "status"], sort=False).size().rename("n").reset_index()
+        )
 
-    rolled = detail.map_batches(add_grp, batch_format="pandas").groupby("grp").map_groups(
-        rollup_group, batch_format="pandas"
-    )
-    return rolled.map_batches(
-        lambda df: df.astype({"grp": "int64", "n_rows": "int64", "n_matched": "int64"}),
-        batch_format="pandas",
-    )
+    return rollup_from_partials(detail.map_batches(grp_counts, batch_format="pandas"), "grp")
 
 
 # ---------------------------------------------------------------- interval join
@@ -2932,13 +2929,13 @@ def q_postings_terms(sf_dir: str):
 
 
 def q_rollup_lineitem(sf_dir: str):
-    """GROUP BY ROLLUP (grouping-sets cascade, stages/agg.rollup_groupby):
+    """GROUP BY ROLLUP (grouping-sets cascade, stages/agg.group_by_rollup):
     the reference's A3 rollup cascade (`ReconciliationService.java`
     per-status → per-class → grand-total tallies) generalized to the
     SQL ROLLUP shape. Data is aggregated once; subtotal levels
     re-aggregate the aggregate. Quantities use the cents convention so
     every level is an exact integer sum on both sides."""
-    from ..stages.agg import rollup_groupby
+    from ..stages.agg import group_by_rollup
 
     ds = read_table(
         sf_dir, "lineitem", columns=["l_returnflag", "l_linestatus", "l_quantity"]
@@ -2952,7 +2949,7 @@ def q_rollup_lineitem(sf_dir: str):
             "qty_c": q,
         })
 
-    return rollup_groupby(
+    return group_by_rollup(
         ds.map_batches(to_cents, batch_format="pyarrow"),
         keys=["l_returnflag", "l_linestatus"],
         sums={"sum_qty_c": "qty_c"},
@@ -3945,7 +3942,7 @@ QUERIES = {
     # driver-green (rows+schema+hash) from r4 — cumulative coverage
     # stays complete.
     # The in-repo pytest oracle covers ALL entries every run.
-    "reconcile_detail": q_reconcile_detail,
+    "reconcile_detail": q_reconcile_statuses,
     "cdc_lww_events": q_cdc_lww_events,
     "envelope_replay": q_envelope_replay,
     "semantic_clusters": q_semantic_clusters,

@@ -19,7 +19,10 @@ detail + ``batchResults`` rollup) and the A3 rollup priority cascade
     else                -> "OK"            else -> "OK"
 
 The cascade ORDER is preserved bit-for-bit because the discrepancy
-class counts depend on it (SURVEY.md §7 hard part 6).
+class counts depend on it (SURVEY.md §7 hard part 6); it is written
+once, in ``rollup_from_partials``. There is one reconcile engine,
+``_reconcile``: ``reconcile_incremental`` runs it on the lake's kept
+state, ``reconcile_lake_vs_snapshot`` on a cleared one.
 """
 
 from __future__ import annotations
@@ -30,41 +33,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..stages.reconcile import (
-    STATUS_DUP_PREFIX,
-    STATUS_MATCHED,
-    reconcile_datasets,
-)
-from .replay import lake_dataset
+from ..stages.reconcile import STATUS_DUP_PREFIX, STATUS_MATCHED
 
 ROLLUP_ERROR = "ERROR"
 ROLLUP_DUP = "DUP_IN_RIGHT"
 ROLLUP_ROWS_WITH_ERRORS = "ROWS_WITH_ERRORS"
 ROLLUP_OK = "OK"
-
-
-def rollup_group(g: pd.DataFrame) -> pd.DataFrame:
-    """A3 cascade for one partition-key group (reference priority order,
-    ``ReconciliationService.java:194-201``)."""
-    statuses = g["status"]
-    has_right = statuses.ne("MISSING_RIGHT").any()
-    if not has_right:
-        status = ROLLUP_ERROR
-    elif statuses.str.startswith(STATUS_DUP_PREFIX).any():
-        status = ROLLUP_DUP
-    elif statuses.ne(STATUS_MATCHED).any():
-        status = ROLLUP_ROWS_WITH_ERRORS
-    else:
-        status = ROLLUP_OK
-    key = g.iloc[0][g.columns[0]]
-    return pd.DataFrame(
-        {
-            g.columns[0]: [key],
-            "n_rows": [len(g)],
-            "n_matched": [int(statuses.eq(STATUS_MATCHED).sum())],
-            "rollup_status": [status],
-        }
-    )
 
 
 def status_counts(detail_ds) -> pd.DataFrame:
@@ -87,7 +61,6 @@ def _spool_bucketed(ds, spool_dir: str, columns: list[str]) -> dict[int, list[tu
     bucket: one file per input block, one row group per bucket slice —
     the direct-write layout, so cogroup tasks later read exactly their
     bucket's row groups with no shuffle. Returns part -> [(file, rg)]."""
-    import pyarrow as pa
     import pyarrow.parquet as pq
 
     os.makedirs(spool_dir, exist_ok=True)
@@ -101,8 +74,6 @@ def _spool_bucketed(ds, spool_dir: str, columns: list[str]) -> dict[int, list[tu
         t = batch.select([c for c in columns + ["bucket"] if c in batch.column_names])
         t = t.sort_by([("bucket", "ascending")])
         gb = t["bucket"].to_numpy(zero_copy_only=False).astype("int64")
-        import numpy as np
-
         cuts = np.flatnonzero(np.diff(gb)) + 1
         starts = np.concatenate([[0], cuts]).astype(np.int64)
         ends = np.concatenate([cuts, [len(gb)]]).astype(np.int64)
@@ -127,15 +98,15 @@ def _spool_bucketed(ds, spool_dir: str, columns: list[str]) -> dict[int, list[tu
 
 
 def _make_cogroup_fn(spill: str, cols: list[str]):
-    """Per-bucket reconcile task body shared by the full and the
-    incremental phases: read the bucket's lake chain + spooled snapshot
-    row groups, reconcile vectorized, spill the wide detail rows
-    task-side (deterministic per-part file name — a retry or an
-    incremental recompute overwrites its own output idempotently), and
-    return only tiny (part, repo, status, n) partial-count rows."""
+    """Per-bucket task body of the one reconcile engine (``_reconcile``,
+    behind both the full and the incremental reconcile): read the
+    bucket's lake chain + spooled snapshot row groups, reconcile
+    vectorized, spill the wide detail rows task-side (deterministic
+    per-part file name — a retry or an incremental recompute overwrites
+    its own output idempotently), and return only tiny (part, repo,
+    status, n) partial-count rows."""
     import json as _json
 
-    import pyarrow as pa
     import pyarrow.parquet as pq
 
     from ..stages.merge import _pqfile, read_chain
@@ -179,135 +150,27 @@ def _make_cogroup_fn(spill: str, cols: list[str]):
     return cogroup_part
 
 
-def reconcile_lake_vs_snapshot(
-    lake_root: str,
-    snapshot_ds,
-    num_buckets: int = 32,
-    salt_for_repo: dict[str, int] | None = None,
-):
-    """Full reconciliation phase. Returns (detail_ds, rollup_ds,
-    counts_df); rollup re-aggregates across salted sub-buckets by
-    grouping on ``repo`` (SURVEY.md §4 'rollups re-aggregated across
-    salts'); counts are the exact per-status report (north rule:
-    'matching its match/discrepancy report counts exactly').
+def rollup_from_partials(partials_ds, key: str):
+    """The A3 cascade (reference priority order,
+    ``ReconciliationService.java:194-201``), the one definition: a
+    rollup per ``key`` from (key, status, n) partial-count rows. The
+    cascade's any()/all() terms are all sums of per-status counts, so
+    only O(keys x statuses) tiny rows are aggregated — the wide detail
+    never moves."""
+    from ray.data.aggregate import Sum
 
-    Shuffle-free bucket cogroup: the lake side is ALREADY partitioned
-    by bucket on disk (the commit-log chains), so only the snapshot is
-    spooled once into the same bucketed layout (an O(n) partitioned
-    write, not an all-to-all sort); then one task per bucket reads both
-    sides directly and reconciles vectorized."""
-    import json as _json
-    import shutil
-
-    import pyarrow as pa
-    import ray.data as rd
-
-    from ..state.commitlog import CommitLog
-    from .replay import _chains_payload
-
-    cols = ["repo", "path", "commit", "content_sha256"]
-    spool_dir = os.path.join(lake_root, "_snapshot_spool")
-    shutil.rmtree(spool_dir, ignore_errors=True)
-
-    retag = _make_retag(num_buckets, salt_for_repo)
-
-    # layout fence FIRST — before any O(snapshot) work: the snapshot
-    # MUST be bucketed exactly as the lake was written (same bucket
-    # count, salt map, hash impl) or keys land on different sides of
-    # the cogroup and every one reads as a missing/extra pair — a
-    # silent total mis-reconcile. The fingerprint is the SHARED
-    # definition (state.commitlog.layout_fingerprint), so writer and
-    # reader can never drift apart.
-    from ..state.commitlog import layout_fingerprint
-
-    log = CommitLog.open(lake_root)
-    log.check_layout(layout_fingerprint(num_buckets, salt_for_repo))
-
-    snap_map = _spool_bucketed(
-        snapshot_ds.map_batches(retag, batch_format="pyarrow"), spool_dir, cols
-    )
-
-    chains = _chains_payload(log, upto_epoch=log.latest_sealed_epoch())
-    parts = sorted(set(chains) | set(snap_map))
-    items = [
-        {
-            "part": p,
-            "chain": _json.dumps(chains.get(p, [])),
-            "snap": _json.dumps(snap_map.get(p, [])),
-        }
-        for p in parts
-    ]
-
-    # Task-side detail spill (same trick as replay's direct_write /
-    # task-side compaction): each cogroup task reconciles its bucket AND
-    # writes the wide detail rows straight to partitioned parquet —
-    # detail bytes never enter the object store and never shuffle. Only
-    # a tiny (repo, status, n) partial-count table leaves each task;
-    # rollup + exact status counts are derived from those partials, so
-    # the detail is written ONCE and re-read ZERO times in this call.
-    # File names are deterministic per bucket (tmp + atomic rename), so
-    # a retried task overwrites its own output idempotently.
-    spill = os.path.join(lake_root, "_reconcile_detail")
-    shutil.rmtree(spill, ignore_errors=True)
-    os.makedirs(spill, exist_ok=True)
-
-    cogroup_part = _make_cogroup_fn(spill, cols)
-
-    partials = (
-        rd.from_items(items, override_num_blocks=max(1, len(items)))
-        .map_batches(cogroup_part, batch_format="pyarrow", batch_size=1)
-        .materialize()  # tiny: O(repos x statuses) rows — both consumers
-        # below read it without re-running the reconcile
-    )
-    rollup = rollup_from_partials(partials, "repo")
-    pc_df = partials.to_pandas()
-    counts = (
-        pc_df.groupby("status", sort=True)["n"].sum().astype("int64").reset_index()
-        if len(pc_df)
-        else pd.DataFrame({"status": pd.Series([], dtype=str), "n": pd.Series([], dtype="int64")})
-    )
-    import glob as _glob
-
-    if _glob.glob(os.path.join(spill, "*.parquet")):
-        detail = rd.read_parquet(spill)
-    else:  # empty reconcile: keep the typed empty dataset contract
-        detail = _empty_detail_ds()
-    return detail, rollup, counts
-
-
-def _make_retag(num_buckets: int, salt_for_repo: dict[str, int] | None):
-    """ONE definition of the snapshot re-bucketing transform for the
-    full and incremental reconcile paths — this is the bucketing
-    contract ('must match the lake or every key reads as a
-    missing/extra pair'); two copies could silently desynchronize."""
-    from ..functions.hashing import bucket_of
-
-    def retag(batch: pa.Table) -> pa.Table:
-        # never trust an incoming bucket column
-        if "bucket" in batch.column_names:
-            batch = batch.drop_columns(["bucket"])
-        return batch.append_column(
-            "bucket", bucket_of(batch["repo"], batch["path"], num_buckets, salt_for_repo)
+    def widen(df: pd.DataFrame) -> pd.DataFrame:
+        s = df["status"]
+        n = df["n"].astype("int64")
+        return pd.DataFrame(
+            {
+                key: df[key],
+                "n_rows": n,
+                "n_matched": n.where(s.eq(STATUS_MATCHED), 0),
+                "n_dup": n.where(s.str.startswith(STATUS_DUP_PREFIX), 0),
+                "n_right": n.where(s.ne("MISSING_RIGHT"), 0),
+            }
         )
-
-    return retag
-
-
-def _empty_detail_ds():
-    """Typed empty detail dataset (the reconcile output contract when
-    nothing spilled) — one definition for both reconcile paths."""
-    import ray.data as rd
-
-    empty = pd.DataFrame(
-        columns=["repo", "path", "content_sha256_l", "commit_l",
-                 "content_sha256_r", "commit_r", "status"]
-    ).astype(str)
-    return rd.from_arrow(pa.Table.from_pandas(empty, preserve_index=False))
-
-
-def _cascade_fn(key: str):
-    """Vectorized A3 cascade over reduced per-key counters (shared by
-    the detail-scan and partial-count rollup paths)."""
 
     def cascade(df: pd.DataFrame) -> pd.DataFrame:
         status = np.where(
@@ -326,38 +189,37 @@ def _cascade_fn(key: str):
             }
         )
 
-    return cascade
-
-
-def rollup_from_partials(partials_ds, key: str):
-    """A3 cascade rollup from (key, status, n) partial-count rows (the
-    task-side spill path): the cascade's any()/all() terms are all sums
-    of per-status counts, so only O(keys x statuses) tiny rows are
-    aggregated — the wide detail never moves."""
-    from ray.data.aggregate import Sum
-
-    from ..stages.reconcile import STATUS_DUP_PREFIX, STATUS_MATCHED
-
-    def widen(df: pd.DataFrame) -> pd.DataFrame:
-        s = df["status"]
-        n = df["n"].astype("int64")
-        return pd.DataFrame(
-            {
-                key: df[key],
-                "n_rows": n,
-                "n_matched": n.where(s.eq(STATUS_MATCHED), 0),
-                "n_dup": n.where(s.str.startswith(STATUS_DUP_PREFIX), 0),
-                "n_right": n.where(s.ne("MISSING_RIGHT"), 0),
-            }
-        )
-
     red = partials_ds.map_batches(widen, batch_format="pandas").groupby(key).aggregate(
         Sum(on="n_rows", alias_name="n_rows"),
         Sum(on="n_matched", alias_name="n_matched"),
         Sum(on="n_dup", alias_name="n_dup"),
         Sum(on="n_right", alias_name="n_right"),
     )
-    return red.map_batches(_cascade_fn(key), batch_format="pandas")
+    return red.map_batches(cascade, batch_format="pandas")
+
+
+def reconcile_lake_vs_snapshot(
+    lake_root: str,
+    snapshot_ds,
+    num_buckets: int = 32,
+    salt_for_repo: dict[str, int] | None = None,
+):
+    """Full reconciliation phase. Returns (detail_ds, rollup_ds,
+    counts_df); rollup re-aggregates across salted sub-buckets by
+    grouping on ``repo`` (SURVEY.md §4 'rollups re-aggregated across
+    salts'); counts are the exact per-status report (north rule:
+    'matching its match/discrepancy report counts exactly').
+
+    There is one reconcile engine, and this is it run on an empty
+    state: ``<lake>/_reconcile_full`` is cleared first, so the snapshot
+    is always respooled and every part recomputed. That dir is not the
+    incremental ``_reconcile_state``, so a full run between two
+    ``reconcile_incremental`` calls costs the second one nothing."""
+    import shutil
+
+    state_dir = os.path.join(lake_root, "_reconcile_full")
+    shutil.rmtree(state_dir, ignore_errors=True)
+    return _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, None)[:3]
 
 
 def reconcile_incremental(
@@ -375,12 +237,7 @@ def reconcile_incremental(
     between reconcile runs, each epoch touching a subset of buckets —
     a full reconcile re-reads O(lake + snapshot) every run, this one
     reads O(changed buckets). State lives in
-    ``<lake>/_reconcile_state``: the bucketed snapshot spool (built
-    once, reused while ``snapshot_token`` matches) and, per part, the
-    chain fingerprint + its (repo, status, n) partial counts. Crash
-    safety: state.json is republished atomically AFTER the recomputed
-    parts' detail files — a crash in between just re-marks those parts
-    dirty on the next call (the per-part file overwrite is idempotent).
+    ``<lake>/_reconcile_state`` (see ``_reconcile``).
 
     ``snapshot_token``: any caller-chosen string identifying the
     snapshot's content/version (path + mtime, a manifest sha, ...). A
@@ -391,24 +248,51 @@ def reconcile_incremental(
     three exactly as ``reconcile_lake_vs_snapshot`` would produce for
     the same lake + snapshot; ``metrics`` reports the reuse:
     ``{"parts_total", "parts_recomputed", "snapshot_respooled"}``."""
+    state_dir = os.path.join(lake_root, "_reconcile_state")
+    return _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, snapshot_token)
+
+
+def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, snapshot_token):
+    """The reconcile engine. Shuffle-free bucket cogroup: the lake side
+    is ALREADY partitioned by bucket on disk (the commit-log chains), so
+    only the snapshot is spooled, once per ``snapshot_token``, into the
+    same bucketed layout (an O(n) partitioned write, not an all-to-all
+    sort); then one task per dirty bucket reads both sides directly,
+    reconciles vectorized and spills its detail rows task-side.
+
+    ``state_dir`` holds the spool, the per-part detail spill and
+    ``state.json``: per part, the fingerprint of its chain + spool row
+    groups and its (repo, status, n) partial counts. A part recomputes
+    only when its fingerprint moved; rollup and counts are built from
+    the stored partials, so the detail is written once and re-read zero
+    times here. Crash safety: state.json is republished atomically
+    AFTER the recomputed parts' detail files — a crash in between just
+    re-marks those parts dirty on the next call (the per-part file
+    overwrite is idempotent)."""
     import glob as _glob
     import hashlib
     import json as _json
     import shutil
 
-    import pyarrow as pa
     import ray.data as rd
 
+    from ..functions.hashing import bucket_of
     from ..state.commitlog import CommitLog, layout_fingerprint
     from .replay import _chains_payload
 
     cols = ["repo", "path", "commit", "content_sha256"]
-    state_dir = os.path.join(lake_root, "_reconcile_state")
     spool_dir = os.path.join(state_dir, "snap_spool")
     spill = os.path.join(state_dir, "detail")
     state_path = os.path.join(state_dir, "state.json")
     os.makedirs(state_dir, exist_ok=True)
 
+    # layout fence FIRST — before any O(snapshot) work: the snapshot
+    # MUST be bucketed exactly as the lake was written (same bucket
+    # count, salt map, hash impl) or keys land on different sides of
+    # the cogroup and every one reads as a missing/extra pair — a
+    # silent total mis-reconcile. The fingerprint is the SHARED
+    # definition (state.commitlog.layout_fingerprint), so writer and
+    # reader can never drift apart.
     log = CommitLog.open(lake_root)
     log.check_layout(layout_fingerprint(num_buckets, salt_for_repo))
 
@@ -428,16 +312,15 @@ def reconcile_incremental(
             and state.get("snapshot_token") != snapshot_token)
         or not state.get("snap_map")
     )
-    def publish_state() -> None:
-        tmp = state_path + ".tmp"
-        with open(tmp, "w") as fh:
-            _json.dump(state, fh, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, state_path)
 
     if respool:
-        retag = _make_retag(num_buckets, salt_for_repo)
+        def retag(batch: pa.Table) -> pa.Table:
+            # never trust an incoming bucket column
+            if "bucket" in batch.column_names:
+                batch = batch.drop_columns(["bucket"])
+            return batch.append_column(
+                "bucket", bucket_of(batch["repo"], batch["path"], num_buckets, salt_for_repo)
+            )
 
         # invalidate BEFORE destroying the spool/spill: a crash between
         # the rmtree and the new state publish must re-mark everything
@@ -455,7 +338,7 @@ def reconcile_incremental(
             "snap_map": {str(p): rgs for p, rgs in snap_map.items()},
             "parts": {},  # snapshot changed -> everything is dirty
         }
-        publish_state()
+        CommitLog._write_atomic(state_path, [state])
     snap_map = {int(p): [tuple(x) for x in rgs] for p, rgs in state["snap_map"].items()}
 
     chains = _chains_payload(log, upto_epoch=log.latest_sealed_epoch())
@@ -504,7 +387,7 @@ def reconcile_incremental(
         if os.path.exists(ghost_file):
             os.remove(ghost_file)
     if dirty or ghosts:
-        publish_state()
+        CommitLog._write_atomic(state_path, [state])
 
     rows = [
         {"part": int(p), "repo": r, "status": s, "n": int(n)}
@@ -512,15 +395,13 @@ def reconcile_incremental(
         for r, s, n in rec["partials"]
     ]
     pc_df = pd.DataFrame(rows, columns=["part", "repo", "status", "n"])
-    partials = rd.from_pandas(pc_df) if len(pc_df) else rd.from_items([])
     if len(pc_df):
-        rollup = rollup_from_partials(partials, "repo")
+        rollup = rollup_from_partials(rd.from_pandas(pc_df), "repo")
         counts = (
             pc_df.groupby("status", sort=True)["n"].sum().astype("int64").reset_index()
         )
     else:
-        # typed empty matching the full path's rollup schema — a
-        # schema-less from_items([]) broke callers selecting columns
+        # typed empty: the schema callers select columns by
         rollup = rd.from_arrow(pa.table({
             "repo": pa.array([], pa.string()),
             "n_rows": pa.array([], pa.int64()),
@@ -533,7 +414,11 @@ def reconcile_incremental(
     if _glob.glob(os.path.join(spill, "*.parquet")):
         detail = rd.read_parquet(spill)
     else:
-        detail = _empty_detail_ds()
+        empty = pd.DataFrame(
+            columns=["repo", "path", "content_sha256_l", "commit_l",
+                     "content_sha256_r", "commit_r", "status"]
+        ).astype(str)
+        detail = rd.from_arrow(pa.Table.from_pandas(empty, preserve_index=False))
     metrics = {
         "parts_total": len(parts),
         "parts_recomputed": len(dirty),

@@ -1487,8 +1487,9 @@ def vacuum(cfg_or_root, dry_run: bool = False) -> dict:
       files must survive until that epoch seals (single-writer
       assumption, same as the commit log: vacuum runs from the driver,
       never concurrently with an active writer).
-    - sidecar state (_reconcile_detail spill, _snapshot_spool,
-      lineage.json, commitlog*) is not lake data and is never touched.
+    - sidecar state (the reconcile state dirs _reconcile_state and
+      _reconcile_full, lineage.json, commitlog*) is not lake data and
+      is never touched.
 
     Returns ``{checked, deleted, bytes_freed, dry_run, files}``
     (``files`` lists the victims only under ``dry_run``)."""
@@ -1832,29 +1833,42 @@ def lake_table(cfg_or_root, as_of_epoch: int | None = None) -> pa.Table:
     return tbl if tbl is not None else pa.table({})
 
 
-def _payload_schema(log: CommitLog, upto_epoch: int | None) -> dict[str, pa.DataType]:
-    """The lake's unified logical payload schema at ``upto_epoch``, from
-    surviving entries' parquet FOOTERS only (O(files) metadata reads —
-    the same discipline as ``lake_schema_history``). Engine-internal
-    columns are elided; types that widened mid-stream unify via
-    ``_safe_widen`` (newest wins when no lossless widening exists,
-    matching what chain resolution itself produces)."""
+def _file_schemas(log: CommitLog, upto_epoch: int | None) -> list[tuple[int, pa.Schema]]:
+    """``(epoch, schema)`` of every distinct file the log's surviving
+    entries reference up to ``upto_epoch``, from parquet FOOTERS only,
+    in (epoch, part) order of each file's first reference. One read per
+    file: a direct-write delta file backs one entry per bucket it
+    holds."""
     import pyarrow.parquet as pq
 
-    out: dict[str, pa.DataType] = {}
+    seen: set[str] = set()
+    out = []
     for entry in sorted(log.all_entries(), key=lambda e: (e.epoch, e.part)):
         if upto_epoch is not None and entry.epoch > upto_epoch:
             continue
         for f in entry.files:
-            schema = pq.read_schema(f)
-            for name, typ in zip(schema.names, schema.types):
-                if name in ("bucket", "op", "seq", "ts", "epoch"):
-                    continue
-                prev = out.get(name)
-                if prev is None or prev.equals(typ):
-                    out[name] = typ
-                else:
-                    out[name] = _safe_widen(prev, typ) or typ
+            if f not in seen:
+                seen.add(f)
+                out.append((entry.epoch, pq.read_schema(f)))
+    return out
+
+
+def _payload_schema(log: CommitLog, upto_epoch: int | None) -> dict[str, pa.DataType]:
+    """The lake's unified logical payload schema at ``upto_epoch``, from
+    the surviving files' footers (``_file_schemas``). Engine-internal
+    columns are elided; types that widened mid-stream unify via
+    ``_safe_widen`` (newest wins when no lossless widening exists,
+    matching what chain resolution itself produces)."""
+    out: dict[str, pa.DataType] = {}
+    for _, schema in _file_schemas(log, upto_epoch):
+        for name, typ in zip(schema.names, schema.types):
+            if name in ("bucket", "op", "seq", "ts", "epoch"):
+                continue
+            prev = out.get(name)
+            if prev is None or prev.equals(typ):
+                out[name] = typ
+            else:
+                out[name] = _safe_widen(prev, typ) or typ
     return out
 
 
@@ -2080,10 +2094,7 @@ def export_changelog(
         # segment is durable and consumers may already have applied it
         # — heal the cursor file and export FROM it, never over it
         cur = sealed_cur
-        tmp = cursor_path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(f"{cur}\n")
-        os.replace(tmp, cursor_path)
+        _publish_cursor(out_dir, cur)
     if head is None or (cur is not None and head <= cur):
         return {"skipped": True, "cursor": cur, "head": head}
 
@@ -2100,10 +2111,7 @@ def export_changelog(
             root, from_epoch=cur, to_epoch=head, image_cols=image_cols
         )
     _write_segment(feed, seg)
-    tmp = cursor_path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(f"{head}\n")
-    os.replace(tmp, cursor_path)
+    _publish_cursor(out_dir, head)
     return {
         "skipped": False,
         "segment": seg,
@@ -2216,11 +2224,7 @@ def compact_feed(
         return {"skipped": True, "reason": "already compacted", "segment": seg}
     if name not in existing:  # retry after a crash-post-seal skips the build
         _write_segment(_snapshot_feed(log, root, head, image_cols), seg)
-    cursor_path = os.path.join(out_dir, "_CURSOR")
-    tmp = cursor_path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(f"{head}\n")
-    os.replace(tmp, cursor_path)
+    _publish_cursor(out_dir, head)
     if stop_before_delete:
         return {"skipped": False, "segment": seg, "deleted": 0, "head": head}
     deleted = 0
@@ -2229,6 +2233,12 @@ def compact_feed(
             _shutil.rmtree(s, ignore_errors=True)
             deleted += 1
     return {"skipped": False, "segment": seg, "deleted": deleted, "head": head}
+
+
+def _publish_cursor(out_dir: str, epoch: int) -> None:
+    """Durably advance ``<out_dir>/_CURSOR`` to ``epoch`` (tmp + fsync +
+    ``os.replace``, the commit log's publish)."""
+    CommitLog._write_atomic(os.path.join(out_dir, "_CURSOR"), [int(epoch)])
 
 
 def _sealed_to_epoch(out_dir: str) -> int | None:
@@ -2407,12 +2417,7 @@ def replicate_feed(
     def _publish_map() -> None:
         # durable intent, matching the commit log's discipline: the
         # reservation must survive the same crash the seal survives
-        tmp = map_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(feed_map, fh, indent=1)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, map_path)
+        CommitLog._write_atomic(map_path, [feed_map])
 
     for seg in segs:
         name = os.path.basename(seg)
@@ -2506,8 +2511,6 @@ def lake_schema_history(cfg_or_root) -> pa.Table:
     they are the merge machinery, not the table's logical schema.
     History truncated by compaction collapses into the base's epoch,
     like every other still-answerable read."""
-    import pyarrow.parquet as pq
-
     log = CommitLog.open(_root_of(cfg_or_root))
     head = log.latest_sealed_epoch()
     seen: dict[str, tuple[int, str]] = {}
@@ -2517,16 +2520,12 @@ def lake_schema_history(cfg_or_root) -> pa.Table:
             "column": pa.array([], pa.string()),
             "dtype": pa.array([], pa.string()),
         })
-    for entry in sorted(log.all_entries(), key=lambda e: (e.epoch, e.part)):
-        if entry.epoch > head:
-            continue
-        for f in entry.files:
-            schema = pq.read_schema(f)
-            for name, typ in zip(schema.names, schema.types):
-                if name in ("bucket", "op", "seq"):
-                    continue
-                if name not in seen:
-                    seen[name] = (entry.epoch, str(typ))
+    for epoch, schema in _file_schemas(log, head):
+        for name, typ in zip(schema.names, schema.types):
+            if name in ("bucket", "op", "seq"):
+                continue
+            if name not in seen:
+                seen[name] = (epoch, str(typ))
     rows = sorted(seen.items(), key=lambda kv: (kv[1][0], kv[0]))
     return pa.table({
         "epoch": pa.array([e for _, (e, _) in rows], pa.int64()),

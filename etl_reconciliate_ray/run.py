@@ -307,7 +307,7 @@ def main(argv: list[str] | None = None) -> dict:
         # Debezium-style JSONL feed: convert (resumable, atomic) into a
         # sidecar dir under the lake, then the standard discovery-based
         # replay runs on the converted binlog. Underscore-prefixed like
-        # the other sidecars (_reconcile_detail, _snapshot_spool) —
+        # the other sidecars (_reconcile_state, _reconcile_full) —
         # vacuum and lake scans only walk the lake root's epoch=* dirs,
         # so no sidecar (nor view/epoch=N) is taken for lake data.
         from .sources.cdc_envelope import convert_envelope_dir

@@ -137,7 +137,7 @@ def grouping_sets_groupby(
     return out
 
 
-def rollup_groupby(
+def group_by_rollup(
     ds,
     keys: Sequence[str],
     sums: Mapping[str, str] | None = None,

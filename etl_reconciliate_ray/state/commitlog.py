@@ -183,29 +183,29 @@ class CommitLog:
         # of records already in the snapshot are idempotent dict puts
         if os.path.exists(log.snapshot_path):
             log._apply_file(log.snapshot_path)
-        log._stale_tail = log._tail_is_stale()
+        log._stale_tail = log._tail_is_stale(log.path, log._tail_fence)
         if os.path.exists(log.path) and not log._stale_tail:
             log._apply_file(log.path, is_tail=True)
         return log
 
-    def _tail_is_stale(self) -> bool:
-        """True when the snapshot demands a tail generation the on-disk
-        tail does not open with — the crash-between-publish-and-truncate
-        window. Every tail a snapshot publishes opens with its stamp, so
-        a missing or empty tail under a fenced snapshot is stale too."""
-        if not self._tail_fence:
-            return False  # fence-less lake (no snapshot yet / legacy)
-        if not os.path.exists(self.path):
+    @staticmethod
+    def _tail_is_stale(path: str, fence: int) -> bool:
+        """True when the snapshot demands a tail generation ``fence``
+        the on-disk tail at ``path`` does not open with — the
+        crash-between-publish-and-truncate window. Every tail a snapshot
+        publishes opens with its stamp, so a missing or empty tail under
+        a fenced snapshot is stale too. Shared with the txn coordinator
+        log, which publishes the same way."""
+        if not fence:
+            return False  # fence-less log (no snapshot yet / legacy)
+        if not os.path.exists(path):
             return True
-        with open(self.path) as fh:
+        with open(path) as fh:
             first = fh.readline().strip()
         if not first:
             return True
         rec = json.loads(first)
-        return not (
-            rec.get("type") == "TAIL_OPEN"
-            and int(rec.get("fence", -1)) == self._tail_fence
-        )
+        return not (rec.get("type") == "TAIL_OPEN" and int(rec.get("fence", -1)) == fence)
 
     @property
     def seals_since_snapshot(self) -> int:

@@ -85,6 +85,15 @@ class TxnCoordinator:
     #: then dropped from the log — same growth bound as the lake logs'
     #: chains snapshot: O(in-doubt txns + 1), not O(all txns ever)
     _base_cut: dict[str, dict] = field(default_factory=dict)
+    #: tail generation, as ``CommitLog._tail_fence``: each snapshot
+    #: stamps a new one and its fresh tail opens with a matching
+    #: TAIL_OPEN. A pre-snapshot tail left by a crash between the two
+    #: publishes is ignored on open — replaying it would re-append its
+    #: txns AFTER the carried ones and regress the committed cut.
+    _tail_fence: int = 0
+    #: the on-disk tail is stale under the snapshot's fence; the first
+    #: append replaces it with a fresh stamped tail
+    _stale_tail: bool = False
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     @property
@@ -116,25 +125,30 @@ class TxnCoordinator:
                 elif rec["type"] == "TXN_SNAPSHOT":
                     self._base_cut = {k: dict(v) for k, v in rec["cut"].items()}
                     self._seq = max(self._seq, int(rec.get("seq", 0)))
+                    self._tail_fence = int(rec.get("tail_fence", 0))
 
     @classmethod
     def open(cls, root: str) -> "TxnCoordinator":
         co = cls(root=root)
         os.makedirs(root, exist_ok=True)
-        # snapshot first, then the tail — replaying a stale tail over the
-        # snapshot is idempotent (decided txns re-decide to the same state)
+        # snapshot first, then the tail — unless the tail is stale (a
+        # crash between the snapshot publish and the tail truncate):
+        # everything live in it was published in the snapshot
         if os.path.exists(co.snapshot_path):
             co._apply_file(co.snapshot_path)
-        if os.path.exists(co.path):
+        co._stale_tail = CommitLog._tail_is_stale(co.path, co._tail_fence)
+        if os.path.exists(co.path) and not co._stale_tail:
             co._apply_file(co.path)
         return co
 
     def write_snapshot(self) -> int:
         """Bound log growth: fold every DECIDED txn into the cumulative
         committed cut, keep in-doubt (prepared) txns verbatim, truncate
-        the tail. Crash-safe ordering as in ``CommitLog``: the snapshot
-        publishes atomically before the truncate. Returns the number of
-        in-doubt txns carried over."""
+        the tail. Crash-safe as ``CommitLog._publish_snapshot``: the
+        snapshot publishes atomically before the truncate, with a new
+        tail generation, and the fresh tail is written with its
+        TAIL_OPEN stamp already inside. Returns the number of in-doubt
+        txns carried over."""
         with self._lock:
             cut = dict(self._base_cut)
             carried: list[TxnRecord] = []
@@ -165,29 +179,32 @@ class TxnCoordinator:
                         carried.append(t)
                 elif t.status == "prepared":
                     carried.append(t)
-            recs: list[dict] = [{"type": "TXN_SNAPSHOT", "cut": cut, "seq": self._seq}]
+            self._tail_fence += 1
+            recs: list[dict] = [{
+                "type": "TXN_SNAPSHOT", "cut": cut, "seq": self._seq,
+                "tail_fence": self._tail_fence,
+            }]
             for t in carried:
                 recs.append(
                     {"type": "PREPARE", "txn_id": t.txn_id, "seq": self._seq, "tables": t.tables}
                 )
                 if t.status == "committed":
                     recs.append({"type": "COMMIT", "txn_id": t.txn_id})
-            tmp = self.snapshot_path + ".tmp"
-            with open(tmp, "w") as fh:
-                fh.write("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.snapshot_path)
-            with open(self.path + ".tmp", "w") as fh:
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(self.path + ".tmp", self.path)  # truncate tail
+            CommitLog._write_atomic(self.snapshot_path, recs)
+            self._write_tail()
             self._base_cut = cut
             self._txns = {t.txn_id: t for t in carried}
             self._order = [t.txn_id for t in carried]
             return len(carried)
 
+    def _write_tail(self) -> None:
+        """Truncate the tail to a fresh one of the current generation."""
+        CommitLog._write_atomic(self.path, [{"type": "TAIL_OPEN", "fence": self._tail_fence}])
+        self._stale_tail = False
+
     def _append(self, rec: dict) -> None:
+        if self._stale_tail:
+            self._write_tail()  # finish the crashed snapshot's truncate
         with open(self.path, "a") as fh:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
             fh.flush()

@@ -338,7 +338,7 @@ def test_rollup_levels_are_consistent(ray_session):
     the grand total must equal the raw input totals."""
     import ray.data as rd
 
-    from etl_reconciliate_ray.stages.agg import rollup_groupby
+    from etl_reconciliate_ray.stages.agg import group_by_rollup
 
     rng = np.random.default_rng(9)
     df = pd.DataFrame({
@@ -346,7 +346,7 @@ def test_rollup_levels_are_consistent(ray_session):
         "b": rng.choice(["p", "q", "r"], 500),
         "v": rng.integers(0, 100, 500),
     })
-    out = rollup_groupby(
+    out = group_by_rollup(
         rd.from_pandas(df).repartition(5), keys=["a", "b"],
         sums={"sv": "v"}, count_alias="n",
     ).to_pandas()

@@ -481,6 +481,42 @@ def test_changelog_diffs_only_changed_parts(tmp_path):
     }
 
 
+def test_payload_schema_reads_each_footer_once(tmp_path, monkeypatch):
+    """A direct-write file backs one entry per bucket it holds, so a
+    footer walk per entry re-reads the same file up to num_buckets
+    times. ``_payload_schema`` (run by every image-column changelog,
+    hence by every ``MaintainedView.advance``) reads each distinct
+    referenced file's footer at most once."""
+    from etl_reconciliate_ray.pipelines.replay import _payload_schema
+    from etl_reconciliate_ray.state.commitlog import CommitLog
+
+    binlog = tmp_path / "binlog"
+    binlog.mkdir()
+    for e in range(2):
+        n = 32
+        pq.write_table(pa.table({
+            "seq": pa.array(range(e * n, (e + 1) * n), pa.int64()),
+            "op": pa.array(["I" if e == 0 else "U"] * n),
+            "repo": pa.array([f"r{i}" for i in range(n)]),
+            "path": pa.array([f"p{i}" for i in range(n)]),
+            "content": pa.array([f"c{e}-{i}" for i in range(n)]),
+            "nbytes": pa.array(range(n), pa.int64()),
+        }), str(binlog / f"epoch={e:05d}.parquet"))
+    root = str(tmp_path / "lake")
+    replay_stream(str(binlog), ReplayConfig(lake_root=root, num_buckets=4))
+
+    log = CommitLog.open(root)
+    refs = [f for e in log.all_entries() for f in e.files]
+    assert len(refs) >= 2 * len(set(refs))  # >= 2 buckets per block
+
+    calls = []
+    real = pq.read_schema
+    monkeypatch.setattr(pq, "read_schema", lambda f, *a, **k: calls.append(f) or real(f, *a, **k))
+    schema = _payload_schema(log, None)
+    assert 0 < len(calls) <= len(set(refs))
+    assert str(schema["nbytes"]) == "int64"
+
+
 def test_maintained_view_empty_state_round_trip(tmp_path):
     """A view whose every group is retired publishes an empty state
     (Ray writes no file for it) that reads back as zero rows and

@@ -16,7 +16,7 @@ from etl_reconciliate_ray.pipelines.reconcile_run import (
     ROLLUP_ERROR,
     ROLLUP_OK,
     ROLLUP_ROWS_WITH_ERRORS,
-    rollup_group,
+    rollup_from_partials,
 )
 
 
@@ -91,17 +91,32 @@ def test_one_match_plus_unused_right_rows():
     assert sorted(out["status"]) == ["MATCHED", "MISSING_LEFT"]
 
 
-def test_rollup_cascade_priority_order():
-    # ERROR beats DUP beats ROWS_WITH_ERRORS beats OK (:194-201 order)
-    def roll(statuses):
-        g = pd.DataFrame({"repo": "r", "status": statuses})
-        return rollup_group(g)["rollup_status"].iloc[0]
+def test_rollup_cascade_priority_order(ray_session):
+    # ERROR beats DUP beats ROWS_WITH_ERRORS beats OK (:194-201 order);
+    # each case is one repo's statuses, fed as (repo, status, n) partials
+    import ray.data as rd
 
-    assert roll(["MISSING_RIGHT", "MISSING_RIGHT"]) == ROLLUP_ERROR
-    assert roll(["DUP_RIGHT_1", "DUP_RIGHT_2", "VALUE_DIFF"]) == ROLLUP_DUP
-    assert roll(["MATCHED", "VALUE_DIFF"]) == ROLLUP_ROWS_WITH_ERRORS
-    assert roll(["MATCHED", "MISSING_LEFT"]) == ROLLUP_ROWS_WITH_ERRORS
-    assert roll(["MATCHED", "MATCHED"]) == ROLLUP_OK
+    cases = [
+        (["MISSING_RIGHT", "MISSING_RIGHT"], ROLLUP_ERROR),
+        (["DUP_RIGHT_1", "DUP_RIGHT_2", "VALUE_DIFF"], ROLLUP_DUP),
+        (["MATCHED", "VALUE_DIFF"], ROLLUP_ROWS_WITH_ERRORS),
+        (["MATCHED", "MISSING_LEFT"], ROLLUP_ROWS_WITH_ERRORS),
+        (["MATCHED", "MATCHED"], ROLLUP_OK),
+    ]
+    partials = pd.concat(
+        [
+            pd.Series(statuses).value_counts().rename_axis("status")
+            .reset_index(name="n").assign(repo=f"r{i}")
+            for i, (statuses, _) in enumerate(cases)
+        ],
+        ignore_index=True,
+    )
+    got = rollup_from_partials(rd.from_pandas(partials), "repo").to_pandas()
+    got = got.set_index("repo")
+    for i, (statuses, want) in enumerate(cases):
+        assert got.loc[f"r{i}", "rollup_status"] == want, statuses
+        assert got.loc[f"r{i}", "n_rows"] == len(statuses)
+        assert got.loc[f"r{i}", "n_matched"] == statuses.count("MATCHED")
 
 
 def test_bucket_tag_spreads_strided_integer_keys(ray_session):
@@ -371,4 +386,71 @@ def test_incremental_reconcile_lost_state_recomputes(fixture_small, tmp_path):
         salt_for_repo=manifest["salt_hot_repos"], snapshot_token="tokA",
     )
     assert m2["snapshot_respooled"] and m2["parts_recomputed"] == m2["parts_total"]
+    pd.testing.assert_frame_equal(c2, c1)
+
+
+def test_full_reconcile_of_empty_inputs_is_typed(ray_session, tmp_path):
+    """An empty lake against an empty snapshot: the full reconcile's
+    rollup has the incremental one's typed schema (the full path once
+    returned a schema-less rollup here), and its counts are empty."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from etl_reconciliate_ray.pipelines.reconcile_run import (
+        reconcile_incremental,
+        reconcile_lake_vs_snapshot,
+    )
+    from etl_reconciliate_ray.state.commitlog import CommitLog, layout_fingerprint
+
+    root = str(tmp_path / "lake")
+    CommitLog.open(root).ensure_layout(layout_fingerprint(4, None))
+    cols = ["repo", "path", "commit", "content_sha256"]
+
+    def snap():
+        return rd.from_arrow(pa.table({c: pa.array([], pa.string()) for c in cols}))
+
+    detail, rollup, counts = reconcile_lake_vs_snapshot(root, snap(), num_buckets=4)
+    _, rollup_inc, counts_inc, _ = reconcile_incremental(root, snap(), num_buckets=4)
+    assert rollup.schema() is not None
+    assert rollup.schema() == rollup_inc.schema()
+    assert rollup.schema().names == ["repo", "n_rows", "n_matched", "rollup_status"]
+    assert rollup.count() == 0 and detail.count() == 0
+    assert len(counts) == 0 and list(counts.columns) == ["status", "n"]
+    pd.testing.assert_frame_equal(counts, counts_inc)
+
+
+def test_full_reconcile_between_incrementals_keeps_their_state(fixture_small, tmp_path):
+    """The interleaving the benchmark runs: incremental, full, then
+    incremental again with the same token. The full reconcile runs on
+    its own cleared state, so the last call recomputes nothing and
+    returns the first call's counts."""
+    import ray.data as rd
+
+    from etl_reconciliate_ray.pipelines.replay import ReplayConfig, replay
+    from etl_reconciliate_ray.pipelines.reconcile_run import (
+        reconcile_incremental,
+        reconcile_lake_vs_snapshot,
+    )
+    from etl_reconciliate_ray.stages.normalize import make_normalizer
+
+    fixture_dir, cfg_gen, manifest = fixture_small
+    salt = manifest["salt_hot_repos"]
+    cfg = ReplayConfig(lake_root=str(tmp_path / "lake_mix"), num_buckets=8, salt_for_repo=salt)
+    replay(fixture_dir, cfg)
+
+    def snap():
+        return rd.read_parquet(f"{fixture_dir}/snapshot.parquet").map_batches(
+            make_normalizer(num_buckets=8), batch_format="pyarrow"
+        )
+
+    _, _, c1, m1 = reconcile_incremental(
+        cfg.lake_root, snap(), num_buckets=8, salt_for_repo=salt, snapshot_token="tok"
+    )
+    assert m1["parts_recomputed"] == m1["parts_total"] > 0
+    _, _, cf = reconcile_lake_vs_snapshot(cfg.lake_root, snap(), num_buckets=8, salt_for_repo=salt)
+    pd.testing.assert_frame_equal(cf, c1)
+    _, _, c2, m2 = reconcile_incremental(
+        cfg.lake_root, snap(), num_buckets=8, salt_for_repo=salt, snapshot_token="tok"
+    )
+    assert m2["parts_recomputed"] == 0 and not m2["snapshot_respooled"]
     pd.testing.assert_frame_equal(c2, c1)

@@ -230,7 +230,8 @@ def test_coordinator_snapshot_bounds_log_growth(two_lakes):
     cut_before = co.snapshot_epochs()
     carried = co.write_snapshot()
     assert carried == 0  # all txns finished -> all folded
-    assert os.path.getsize(co.path) == 0  # tail truncated
+    with open(co.path) as fh:  # tail truncated to its generation stamp
+        assert [json.loads(line)["type"] for line in fh] == ["TAIL_OPEN"]
     with open(co.snapshot_path) as fh:
         assert sum(1 for _ in fh) == 1  # one cumulative-cut record
     co2 = TxnCoordinator.open(co.root)
@@ -323,3 +324,48 @@ def test_coordinator_snapshot_preserves_txn_order(two_lakes):
     # txn2 decided later: the cut must pin orders at ITS epoch (2),
     # never regress to txn1's epoch 1
     assert cut["orders"]["epoch"] == 2
+
+
+def test_crash_before_txn_tail_truncate_keeps_committed_cut(two_lakes, monkeypatch):
+    """write_snapshot publishes the snapshot, then truncates the tail.
+    Crash at the truncate's os.replace: the pre-snapshot tail stays on
+    disk. Txn A commits orders@1, C stays in doubt on files, B commits
+    orders@2, so the snapshot carries C and B after the folded A.
+    Replaying the old tail on reopen would re-append A after B and
+    regress orders to epoch 1, older than B's durable COMMIT."""
+    fixture_dir, cfgs, co = two_lakes
+    a = co.begin()
+    a.stage("orders", cfgs["orders"], _events_ds(fixture_dir, 0))
+    a.commit()
+    c = co.begin()
+    c.stage("files", cfgs["files"], _events_ds(fixture_dir, 0))
+    c.prepare()
+    b = co.begin()
+    b.stage("orders", cfgs["orders"], _events_ds(fixture_dir, 1))
+    b.commit()
+    assert co.snapshot_epochs()["orders"]["epoch"] == 2
+
+    real_replace = os.replace
+    calls = []
+
+    def crash_at_second(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError("simulated crash before the tail truncate")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash_at_second)
+    with pytest.raises(OSError, match="simulated crash"):
+        co.write_snapshot()
+    monkeypatch.undo()
+    assert calls == [co.snapshot_path, co.path]
+
+    co2 = TxnCoordinator.open(co.root)
+    assert co2.snapshot_epochs()["orders"]["epoch"] == 2
+    assert co2.in_doubt() == [c.txn_id]
+    # the first append replaces the stale tail; the decision survives
+    co2.abort_prepared(c.txn_id)
+    co3 = TxnCoordinator.open(co.root)
+    assert co3.in_doubt() == []
+    assert co3.snapshot_epochs()["orders"]["epoch"] == 2
+    assert "files" not in co3.snapshot_epochs()
