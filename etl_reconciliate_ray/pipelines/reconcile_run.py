@@ -310,7 +310,10 @@ def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, sn
         # silently negating the incremental path
         or (snapshot_token is not None
             and state.get("snapshot_token") != snapshot_token)
-        or not state.get("snap_map")
+        # a lost state.json forgets which spool it described; an EMPTY
+        # snap_map is a valid state (an empty snapshot) and must not
+        # force a respool + all-parts recompute on every call
+        or not os.path.exists(state_path)
     )
 
     if respool:

@@ -7,11 +7,13 @@ Replaces the reference's 4-step Spring Batch job lifecycle
 lifecycle of SURVEY.md §3:
 
     for each window of up to ``pipeline_epochs`` epochs:
-        read binlog slices           read_parquet (pruned, unified schema)
-        normalize + tag epoch        map_batches (stateless tasks)
-        LWW + direct delta write     map_batches: each task writes its
-                                     block's per-(epoch, bucket) winners
-                                     straight to the lake (no shuffle)
+        read binlog slices           read_parquet (pruned, unified schema;
+                                     blocks sized by CPUs and footer bytes)
+        bucket + tag epoch           map_batches (stateless tasks)
+        LWW + sha256 + direct write  map_batches: each task hashes and
+                                     writes its block's per-(epoch,
+                                     bucket) winners straight to the
+                                     lake (no shuffle)
         fold long chains             parts past ``delta_threshold`` links
                                      resolve into one full base
         commit + seal, in order      commit-log append (driver, fenced)
@@ -39,9 +41,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import table_state_sha256
+from ..functions.hashing import bucket_of, sha256_hex_array, table_state_sha256
 from ..stages.merge import LAKE_COLS, _unify_concat, read_chain
-from ..stages.normalize import make_normalizer
+from ..stages.normalize import bind_null_strings
 from ..stages.writer import write_piece_local
 from ..state.commitlog import CommitLog, PartEntry
 
@@ -61,16 +63,22 @@ class ReplayConfig:
     # writer actor pool left to size (kept so existing configs and
     # callers that still pass it construct unchanged)
     writer_concurrency: int = 4
-    # None = one batch per block, which lets Ray FUSE the whole chain
-    # ReadParquet->normalize->tag->write into ONE task pipeline — no
+    # batch size of the epoch-tag step. None = one batch per block,
+    # which lets Ray FUSE the whole chain ReadParquet->tag->write into
+    # ONE task pipeline (when the read is not split) — no
     # object-store transit between stages (a fixed serial cost that
     # capped scaling). Set a number only if per-batch peak memory must
     # be bounded below the block size.
     normalize_batch_size: int | None = None
-    # split each epoch's parquet into this many read blocks so the
-    # normalize/hash stage parallelizes across the whole pool (a single
-    # one-row-group file would otherwise read as 1-3 blocks and
-    # serialize the pipeline); None = Ray's automatic choice
+    # read blocks per binlog window. None = the engine's rule
+    # (``_read_blocks``): max(ceil(bytes / target_max_block_size),
+    # min(cluster CPUs, ceil(bytes / target_min_block_size))), bytes
+    # from the parquet footers. A window splits only to feed CPUs that
+    # exist or to cap the block size, so a small single-file epoch
+    # reads as ONE block and its LWW winners land as exactly one piece
+    # per (epoch, bucket) link. A number forces that many blocks: each
+    # block then writes its own partial-winner piece per link, so a
+    # link has up to that many pieces (same resolved state, more bytes)
     read_parallelism: int | None = None
     # merge-on-read chain bound, on every write path: an epoch writes
     # O(events) DELTAS, and before a window commits, each part whose
@@ -458,7 +466,7 @@ def replay_multiplexed(
     instead of raising, so a poll that races the producer's copy still
     ingests every complete earlier file.
     """
-    import ray.data as rd
+    import pyarrow.dataset as pads
 
     from ..state.txn import TxnCoordinator
 
@@ -486,10 +494,8 @@ def replay_multiplexed(
         txn = co.begin()
         for name in sorted(todo):
             cfg = todo[name]
-            import pyarrow.dataset as pads
-
-            slice_ds = rd.read_parquet(
-                ep["file"], filter=pads.field(table_col) == name
+            slice_ds = _scan(
+                [ep["file"]], cfg, filter=pads.field(table_col) == name
             ).drop_columns([table_col])
             txn.stage(
                 name, cfg, slice_ds, epoch=engine_epoch,
@@ -639,7 +645,18 @@ def _safe_widen(a: pa.DataType, b: pa.DataType) -> pa.DataType | None:
 
 
 def _binlog_scan_schema(files: list[str], drop: tuple[str, ...] = ("ts",)) -> "pa.Schema":
-    """Unified scan schema across binlog files — the schema-evolution
+    """Unified scan schema across binlog files (see ``_binlog_footers``)."""
+    return _binlog_footers(files, drop)[0]
+
+
+def _binlog_footers(
+    files: list[str], drop: tuple[str, ...] = ("ts",)
+) -> tuple["pa.Schema", int]:
+    """One footer read per binlog file, for the scan schema and the
+    window's bytes (the sum of its row groups' ``total_byte_size``,
+    which sizes the read blocks — ``_read_blocks``; no data is read).
+
+    Unified scan schema across binlog files — the schema-evolution
     contract: a payload column ADDED mid-stream appears in the unified
     schema (older files surface it as nulls via the explicit
     ``schema=`` read); a column absent from later files likewise reads
@@ -659,8 +676,11 @@ def _binlog_scan_schema(files: list[str], drop: tuple[str, ...] = ("ts",)) -> "p
     import pyarrow.parquet as _pq
 
     fields: dict[str, pa.Field] = {}
+    nbytes = 0
     for f in files:
-        for fld in _pq.read_schema(f):
+        meta = _pq.read_metadata(f)
+        nbytes += sum(meta.row_group(i).total_byte_size for i in range(meta.num_row_groups))
+        for fld in meta.schema.to_arrow_schema():
             if fld.name in drop:
                 continue
             prev = fields.get(fld.name)
@@ -680,13 +700,33 @@ def _binlog_scan_schema(files: list[str], drop: tuple[str, ...] = ("ts",)) -> "p
                             "no lossless promotion; rewrite upstream, refusing"
                         )
                     fields[fld.name] = pa.field(fld.name, wide)
-    return pa.schema(list(fields.values()))
+    return pa.schema(list(fields.values())), nbytes
 
 
-def _scan(paths: list[str], cfg: ReplayConfig):
+def _read_blocks(nbytes: int) -> int:
+    """Read blocks for a binlog window of ``nbytes`` (footer bytes):
+    ``max(ceil(bytes / target_max_block_size), min(cluster CPUs,
+    ceil(bytes / target_min_block_size)))``, at least 1. A window is
+    split only to give work to CPUs that exist or to cap the block
+    size — never to reach Ray's own floors (2 x CPUs, 200 blocks),
+    which split even a tiny epoch, and each extra block writes its own
+    partial-winner piece into every (epoch, bucket) link it touches."""
+    import ray
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else os.cpu_count()
+    by_size = -(-nbytes // ctx.target_max_block_size) if ctx.target_max_block_size else 1
+    by_cpu = min(cpus or 1, -(-nbytes // ctx.target_min_block_size))
+    return max(1, by_size, by_cpu)
+
+
+def _scan(paths: list[str], cfg: ReplayConfig, filter=None):
     """The binlog scan of one window: every parquet file under
     ``paths`` (a path may be an epoch directory), ``ts`` pruned, one
-    unified schema across the files (see ``_binlog_scan_schema``)."""
+    unified schema across the files (see ``_binlog_footers``), and
+    ``cfg.read_parallelism`` blocks or, when that is None, the
+    ``_read_blocks`` count. ``filter``: a pushed-down row filter."""
     import glob as _g
 
     import ray.data as rd
@@ -695,8 +735,11 @@ def _scan(paths: list[str], cfg: ReplayConfig):
         f for p in paths
         for f in (sorted(_g.glob(os.path.join(p, "*.parquet"))) if os.path.isdir(p) else [p])
     ]
-    kwargs = {"override_num_blocks": cfg.read_parallelism} if cfg.read_parallelism else {}
-    return rd.read_parquet(files, schema=_binlog_scan_schema(files), **kwargs)
+    schema, nbytes = _binlog_footers(files)
+    return rd.read_parquet(
+        files, schema=schema, filter=filter,
+        override_num_blocks=cfg.read_parallelism or _read_blocks(nbytes),
+    )
 
 
 def _run_epoch_batch(
@@ -729,10 +772,14 @@ def _apply_epochs(
     seq bound exceeds its seq, the last epoch taking the rest (so a
     window of one needs no range).
 
-    Normalize + epoch-tag + direct write run fused in one task per read
-    block; the driver then folds parts whose chains would outgrow
-    ``cfg.delta_threshold`` (``_fold_long_chains``) and commits (and,
-    with ``seal``, seals) the epochs strictly in order."""
+    Epoch-tag (string binding, bucket, epoch) + direct write run fused
+    in one task per read block; the driver then folds parts whose chains
+    would outgrow ``cfg.delta_threshold`` (``_fold_long_chains``) and
+    commits (and, with ``seal``, seals) the epochs strictly in order.
+    Each epoch's metrics carry ``read_blocks``, the number of non-empty
+    blocks the window's write saw: every block writes its own piece
+    into each (epoch, bucket) link it touches, so that is the bound on
+    a link's pieces."""
     import hashlib
 
     import pyarrow.parquet as pq
@@ -745,6 +792,12 @@ def _apply_epochs(
     lake_root = cfg.lake_root
 
     def tag_epoch(batch: pa.Table) -> pa.Table:
+        batch = bind_null_strings(batch)
+        if "bucket" not in batch.column_names:
+            batch = batch.append_column(
+                "bucket",
+                bucket_of(batch["repo"], batch["path"], cfg.num_buckets, cfg.salt_for_repo),
+            )
         if "epoch" in batch.column_names:
             # hive-partitioned layouts (binlog/epoch=N/...) surface a
             # partition column; the engine epoch is derived from seq
@@ -760,7 +813,9 @@ def _apply_epochs(
         no object-store round trip). One file per (task, epoch) with
         one row group per bucket slice so chain readers prune by the
         ``bucket`` filter; file names are content-addressed, so a
-        retried task rewrites byte-identical bytes — idempotent.
+        retried task rewrites byte-identical bytes — idempotent. With
+        the default block rule a single-file epoch is one block, so
+        this writes exactly one piece per (epoch, bucket) link.
 
         The LWW winner per (epoch, bucket, repo, path) is computed
         as an index permutation over the SMALL columns only (int64
@@ -769,7 +824,12 @@ def _apply_epochs(
         A full-table ``sort_by`` would copy every event's content
         bytes before dropping the losers — on this
         memory-bandwidth-bound stage that copy was the scaling
-        bottleneck (BENCH/BASELINE.md)."""
+        bottleneck (BENCH/BASELINE.md).
+
+        ``content_sha256`` is derived right after that ``take``, for
+        the winners only (sha256 per row is the stage's dominant cost,
+        and losers would be hashed only to be dropped); an input that
+        already carries the column (a replicated feed) keeps it."""
         if batch.num_rows == 0:
             return pa.table({})
         ge0 = batch["epoch"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -793,6 +853,8 @@ def _apply_epochs(
         g = gid[perm]
         winners = perm[np.flatnonzero(np.append(g[1:] != g[:-1], True))]
         t = batch.take(pa.array(winners))  # the ONE content gather
+        if "content_sha256" not in t.column_names:
+            t = t.append_column("content_sha256", sha256_hex_array(t["content"]))
         t = t.drop_columns([c for c in ("ts", "epoch") if c in t.column_names])
         extras = sorted(
             c for c in t.column_names if c not in LAKE_COLS + ["bucket", "op", "seq"]
@@ -835,19 +897,19 @@ def _apply_epochs(
                 rows.append({
                     "epoch": ep_id, "part": part, "file": fname, "rg": rg,
                     "rows": sl.num_rows, "state_sha256": sha, "kind": "delta",
+                    "block": int(not rows),  # 1 on each block's first piece
                 })
         return pa.Table.from_pylist(rows)
 
     rows_ds = (
         events_ds.map_batches(
-            make_normalizer(cfg.num_buckets, cfg.salt_for_repo),
-            batch_format="pyarrow",
-            batch_size=cfg.normalize_batch_size,
+            tag_epoch, batch_format="pyarrow", batch_size=cfg.normalize_batch_size
         )
-        .map_batches(tag_epoch, batch_format="pyarrow")
         .map_batches(direct_write, batch_format="pyarrow", batch_size=None)
     )
-    rows, folded = _fold_long_chains([dict(r) for r in rows_ds.take_all()], epochs[0], cfg, log)
+    rows = [dict(r) for r in rows_ds.take_all()]
+    read_blocks = sum(int(r["block"]) for r in rows)
+    rows, folded = _fold_long_chains(rows, epochs[0], cfg, log)
     sec = time.monotonic() - t0
 
     by_epoch: dict[int, list[dict]] = {}
@@ -865,6 +927,7 @@ def _apply_epochs(
             "mode": "delta",
             "parts_committed": committed,
             "pieces": len(mine),
+            "read_blocks": read_blocks,
             "rows_written": sum(int(r["rows"]) for r in mine),
             "folded": sum(1 for e, _ in folded if e == engine_epoch),
             "sec": round(sec / len(epochs), 4),

@@ -19,7 +19,10 @@ Ray's retry model (SURVEY.md §4), and needs no stateful writer:
   never committed twice.
 
 Epoch deltas are written by ``replay._apply_epochs`` (one file per
-task and epoch, one row group per bucket); full bases — compaction,
+task and epoch, one row group per bucket, holding that block's LWW
+winners with ``content_sha256`` derived after LWW; the binlog read sizes
+its blocks by CPUs and bytes, so a small single-file epoch is one task
+and each (epoch, bucket) link one piece); full bases — compaction,
 the pre-commit chain fold, rebucketing — go through
 ``write_piece_local``.
 """

@@ -454,3 +454,40 @@ def test_full_reconcile_between_incrementals_keeps_their_state(fixture_small, tm
     )
     assert m2["parts_recomputed"] == 0 and not m2["snapshot_respooled"]
     pd.testing.assert_frame_equal(c2, c1)
+
+
+def test_incremental_reconcile_against_empty_snapshot_reuses_state(fixture_small, tmp_path):
+    """An empty snapshot is a valid spooled state: a second call with
+    the same token recomputes nothing and respools nothing (an empty
+    snap map once forced both on every call). A deleted state.json
+    still forces the respool and a full recompute."""
+    import os
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from etl_reconciliate_ray.pipelines.replay import ReplayConfig, replay
+    from etl_reconciliate_ray.pipelines.reconcile_run import reconcile_incremental
+
+    fixture_dir, cfg_gen, manifest = fixture_small
+    salt = manifest["salt_hot_repos"]
+    cfg = ReplayConfig(lake_root=str(tmp_path / "lake_empty_snap"), num_buckets=8, salt_for_repo=salt)
+    replay(fixture_dir, cfg)
+    cols = ["repo", "path", "commit", "content_sha256"]
+
+    def call():
+        snap = rd.from_arrow(pa.table({c: pa.array([], pa.string()) for c in cols}))
+        return reconcile_incremental(
+            cfg.lake_root, snap, num_buckets=8, salt_for_repo=salt, snapshot_token="empty"
+        )[2:]
+
+    c1, m1 = call()
+    assert m1["snapshot_respooled"] and m1["parts_recomputed"] == m1["parts_total"] > 0
+    assert int(c1["n"].sum()) == manifest["final_rows"]
+    c2, m2 = call()
+    assert m2["parts_recomputed"] == 0 and m2["snapshot_respooled"] is False
+    pd.testing.assert_frame_equal(c2, c1)
+    os.remove(os.path.join(cfg.lake_root, "_reconcile_state", "state.json"))
+    c3, m3 = call()
+    assert m3["snapshot_respooled"] and m3["parts_recomputed"] == m3["parts_total"]
+    pd.testing.assert_frame_equal(c3, c1)

@@ -656,7 +656,6 @@ def test_follow_stream_on_batch_hook_spools_feed(fixture_small, tmp_path):
     import os
     import shutil
     import threading
-    import time as _time
 
     import pandas as pd
     import pyarrow.parquet as _pq
@@ -671,13 +670,19 @@ def test_follow_stream_on_batch_hook_spools_feed(fixture_small, tmp_path):
         shutil.copy(f, os.path.join(tail_dir, os.path.basename(f)))
     out = str(tmp_path / "hook_feed")
     calls = []
+    first_batch = threading.Event()
 
     def on_batch(c):
         calls.append(1)
         export_changelog(c.lake_root, out)
+        first_batch.set()
 
     def complete_later():
-        _time.sleep(0.6)
+        # the rest lands only after the first batch is sealed and
+        # spooled, so there are always two batches, however fast the
+        # first one runs (the timeout only keeps a broken hook from
+        # hanging the test; the assertions then fail)
+        first_batch.wait(timeout=120)
         for f in files[2:]:
             shutil.copy(f, os.path.join(tail_dir, os.path.basename(f)))
         open(os.path.join(tail_dir, "_EOS"), "w").close()
@@ -685,8 +690,9 @@ def test_follow_stream_on_batch_hook_spools_feed(fixture_small, tmp_path):
     t = threading.Thread(target=complete_later)
     t.start()
     cfg = _cfg(tmp_path, "lake_hook", manifest)
+    # only _EOS ends the loop: idle polls never run out before it lands
     follow_stream(tail_dir, cfg, lake_seed=f"{fixture_dir}/lake_seed.parquet",
-                  poll_sec=0.05, on_batch=on_batch)
+                  poll_sec=0.05, idle_polls=10**6, on_batch=on_batch)
     t.join()
     assert len(calls) >= 2  # one per fresh batch
     segs = sorted(glob.glob(os.path.join(out, "feed", "epochs=*")))
