@@ -189,28 +189,43 @@ labeled AS (
 """
 
 
+def _reconcile_detail(sf_dir: str):
+    return reconcile_datasets(
+        None, None, key_cols=["orderkey"], value_col="val_cents", num_buckets=16,
+        tagged_ds=_reconcile_sides_tagged(sf_dir, num_buckets=16),
+    )
+
+
+def _reconcile_partials(sf_dir: str) -> pa.Table:
+    """(grp, status, n) partial counts of the reconcile detail, with
+    ``grp = orderkey % 97``: each detail batch collapses to them
+    map-side, and only those small tables reach the driver."""
+
+    def count(t: pa.Table) -> pa.Table:
+        grp = pa.array(t["orderkey"].to_numpy(zero_copy_only=False) % 97, pa.int64())
+        g = pa.table({"grp": grp, "status": t["status"]}).group_by(["grp", "status"]).aggregate(
+            [([], "count_all")]
+        )
+        return pa.table({"grp": g["grp"], "status": g["status"], "n": g["count_all"]})
+
+    rows = _reconcile_detail(sf_dir).map_batches(count, batch_format="pyarrow").take_all()
+    return pa.Table.from_pylist(rows, schema=pa.schema(
+        [("grp", pa.int64()), ("status", pa.string()), ("n", pa.int64())]
+    ))
+
+
 def q_reconcile_statuses(sf_dir: str):
     """The central cogroup reconcile (J4-J8) over derived sides;
     detail rows (key + status)."""
-    detail = reconcile_datasets(
-        None, None, key_cols=["orderkey"], value_col="val_cents", num_buckets=16,
-        tagged_ds=_reconcile_sides_tagged(sf_dir, num_buckets=16),
-    )
-    return detail.map_batches(
-        lambda df: df[["orderkey", "status"]], batch_format="pandas"
-    )
+    return _reconcile_detail(sf_dir).select_columns(["orderkey", "status"])
 
 
 def q_reconcile_counts(sf_dir: str):
-    """Exact per-status report counts (north rule exactness gate) —
-    map-side partial counts, only tiny (status, n) rows shuffle."""
+    """Exact per-status report counts (north rule exactness gate),
+    summed from the map-side partial counts."""
     from ..pipelines.reconcile_run import status_counts
 
-    detail = reconcile_datasets(
-        None, None, key_cols=["orderkey"], value_col="val_cents", num_buckets=16,
-        tagged_ds=_reconcile_sides_tagged(sf_dir, num_buckets=16),
-    )
-    return status_counts(detail)
+    return status_counts(_reconcile_partials(sf_dir))
 
 
 # ---------------------------------------------------------------- CDC LWW
@@ -1618,19 +1633,7 @@ def q_reconcile_rollup(sf_dir: str):
     own ``rollup_from_partials``."""
     from ..pipelines.reconcile_run import rollup_from_partials
 
-    detail = reconcile_datasets(
-        None, None, key_cols=["orderkey"], value_col="val_cents", num_buckets=16,
-        tagged_ds=_reconcile_sides_tagged(sf_dir, num_buckets=16),
-    )
-
-    def grp_counts(df: pd.DataFrame) -> pd.DataFrame:
-        grp = df["orderkey"].astype("int64") % 97
-        return (
-            pd.DataFrame({"grp": grp, "status": df["status"]})
-            .groupby(["grp", "status"], sort=False).size().rename("n").reset_index()
-        )
-
-    return rollup_from_partials(detail.map_batches(grp_counts, batch_format="pandas"), "grp")
+    return rollup_from_partials(_reconcile_partials(sf_dir), "grp")
 
 
 # ---------------------------------------------------------------- interval join

@@ -32,28 +32,30 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..stages.reconcile import STATUS_DUP_PREFIX, STATUS_MATCHED
+from ..stages.reconcile import STATUS_DUP_PREFIX, STATUS_MATCHED, STATUS_MISSING_RIGHT
 
 ROLLUP_ERROR = "ERROR"
 ROLLUP_DUP = "DUP_IN_RIGHT"
 ROLLUP_ROWS_WITH_ERRORS = "ROWS_WITH_ERRORS"
 ROLLUP_OK = "OK"
 
+#: the (part, repo, status, n) partial counts each cogroup task returns
+_PARTIALS_SCHEMA = pa.schema(
+    [("part", pa.int64()), ("repo", pa.string()), ("status", pa.string()), ("n", pa.int64())]
+)
 
-def status_counts(detail_ds) -> pd.DataFrame:
-    """Exact per-status counts WITHOUT shuffling the wide detail rows:
-    each batch collapses to a tiny (status, n) table map-side, and only
-    those few rows go through the final groupby — the full-detail
-    ``groupby(status).count()`` would sort-shuffle every row."""
-    part = detail_ds.map_batches(
-        lambda df: df["status"].value_counts().rename_axis("status").reset_index(name="n"),
-        batch_format="pandas",
-    )
-    out = part.groupby("status").sum("n").to_pandas()
-    out = out.rename(columns={"sum(n)": "n"}).sort_values("status").reset_index(drop=True)
-    out["n"] = out["n"].astype("int64")
-    return out
+
+def status_counts(partials: pa.Table) -> pd.DataFrame:
+    """Exact per-status counts from (…, status, n) partial-count rows —
+    O(keys x statuses) of them, summed on the driver: the wide detail
+    rows are counted where they are produced and never move."""
+    red = partials.group_by("status").aggregate([("n", "sum")]).sort_by("status")
+    return pd.DataFrame({
+        "status": red["status"].to_pandas(),
+        "n": red["n_sum"].to_pandas().astype("int64"),
+    })
 
 
 def _spool_bucketed(ds, spool_dir: str, columns: list[str]) -> dict[int, list[tuple[str, int]]]:
@@ -100,11 +102,11 @@ def _spool_bucketed(ds, spool_dir: str, columns: list[str]) -> dict[int, list[tu
 def _make_cogroup_fn(spill: str, cols: list[str]):
     """Per-bucket task body of the one reconcile engine (``_reconcile``,
     behind both the full and the incremental reconcile): read the
-    bucket's lake chain + spooled snapshot row groups, reconcile
-    vectorized, spill the wide detail rows task-side (deterministic
-    per-part file name — a retry or an incremental recompute overwrites
-    its own output idempotently), and return only tiny (part, repo,
-    status, n) partial-count rows."""
+    bucket's lake chain + spooled snapshot row groups, reconcile them
+    with the Arrow kernel, spill the wide detail rows task-side
+    (deterministic per-part file name — a retry or an incremental
+    recompute overwrites its own output idempotently), and return only
+    tiny (part, repo, status, n) partial-count rows."""
     import json as _json
 
     import pyarrow.parquet as pq
@@ -112,90 +114,79 @@ def _make_cogroup_fn(spill: str, cols: list[str]):
     from ..stages.merge import _pqfile, read_chain
     from ..stages.reconcile import reconcile_pair_pdf
 
-    def cogroup_part(batch: pa.Table) -> pd.DataFrame:
-        out = []
+    def cogroup_part(batch: pa.Table) -> pa.Table:
+        out = [_PARTIALS_SCHEMA.empty_table()]
         for rec in batch.to_pylist():
             part = int(rec["part"])
-            lake_t = read_chain(_json.loads(rec["chain"]), columns=cols, part=part)
-            left = lake_t.to_pandas() if lake_t is not None else pd.DataFrame(columns=cols)
-            snaps = [
-                _pqfile(f).read_row_group(rg, columns=cols).to_pandas()
-                for f, rg in _json.loads(rec["snap"])
-            ]
-            right = pd.concat(snaps, ignore_index=True) if snaps else pd.DataFrame(columns=cols)
+            lake = read_chain(_json.loads(rec["chain"]), columns=cols, part=part)
+            snaps = [_pqfile(f).read_row_group(rg, columns=cols)
+                     for f, rg in _json.loads(rec["snap"])]
+            sides = [t for t in [lake, *snaps] if t is not None]
             fname = os.path.join(spill, f"detail-part{part:05d}.parquet")
-            if len(left) == 0 and len(right) == 0:
+            if not any(t.num_rows for t in sides):
                 # a recomputed part may have become empty: drop its
                 # stale detail spill instead of leaving ghost rows
                 if os.path.exists(fname):
                     os.remove(fname)
                 continue
+            empty = sides[0].schema.empty_table()
+            right = pa.concat_tables(snaps, promote_options="permissive") if snaps else empty
             det = reconcile_pair_pdf(
-                left, right, ["repo", "path"], "content_sha256", attr_cols=["commit"]
+                lake if lake is not None else empty, right,
+                ["repo", "path"], "content_sha256", attr_cols=["commit"],
             )
-            pq.write_table(pa.Table.from_pandas(det, preserve_index=False), fname + ".tmp")
+            pq.write_table(det, fname + ".tmp")
             os.replace(fname + ".tmp", fname)
-            # dropna=False: a null-repo detail row (supported — bucket_of
-            # routes nulls via a sentinel, reconcile_pair_pdf groups with
-            # dropna=False) must COUNT too, or counts silently diverge
-            # from the detail spill
-            p = (det.groupby(["repo", "status"], sort=False, dropna=False)
-                 .size().rename("n").reset_index())
-            p.insert(0, "part", part)
-            out.append(p)
-        if not out:
-            return pd.DataFrame(columns=["part", "repo", "status", "n"])
-        return pd.concat(out, ignore_index=True)
+            # Arrow's group_by keeps a null repo as its own group, so a
+            # null-repo detail row counts too, as the detail spill holds it
+            p = det.group_by(["repo", "status"]).aggregate([([], "count_all")])
+            out.append(pa.table({
+                "part": pa.array([part] * p.num_rows, pa.int64()),
+                "repo": p["repo"], "status": p["status"], "n": p["count_all"],
+            }).cast(_PARTIALS_SCHEMA))
+        return pa.concat_tables(out)
 
     return cogroup_part
 
 
-def rollup_from_partials(partials_ds, key: str):
+def rollup_from_partials(partials: pa.Table, key: str):
     """The A3 cascade (reference priority order,
     ``ReconciliationService.java:194-201``), the one definition: a
-    rollup per ``key`` from (key, status, n) partial-count rows. The
-    cascade's any()/all() terms are all sums of per-status counts, so
-    only O(keys x statuses) tiny rows are aggregated — the wide detail
-    never moves."""
-    from ray.data.aggregate import Sum
+    rollup Dataset per ``key`` from a table of (key, status, n)
+    partial-count rows. The cascade's any()/all() terms are all sums of
+    per-status counts, so only O(keys x statuses) tiny rows are
+    aggregated, on the driver — the wide detail never moves."""
+    import ray.data as rd
 
-    def widen(df: pd.DataFrame) -> pd.DataFrame:
-        s = df["status"]
-        n = df["n"].astype("int64")
-        return pd.DataFrame(
-            {
-                key: df[key],
-                "n_rows": n,
-                "n_matched": n.where(s.eq(STATUS_MATCHED), 0),
-                "n_dup": n.where(s.str.startswith(STATUS_DUP_PREFIX), 0),
-                "n_right": n.where(s.ne("MISSING_RIGHT"), 0),
-            }
-        )
+    s, n = partials["status"], partials["n"]
+    zero = pa.scalar(0, pa.int64())
+    red = pa.table({
+        key: partials[key],
+        "n_rows": n,
+        "n_matched": pc.if_else(pc.equal(s, STATUS_MATCHED), n, zero),
+        "n_dup": pc.if_else(pc.starts_with(s, STATUS_DUP_PREFIX), n, zero),
+        "n_right": pc.if_else(pc.not_equal(s, STATUS_MISSING_RIGHT), n, zero),
+    }).group_by(key).aggregate(
+        [(c, "sum") for c in ("n_rows", "n_matched", "n_dup", "n_right")]
+    ).sort_by(key)
 
-    def cascade(df: pd.DataFrame) -> pd.DataFrame:
-        status = np.where(
-            df["n_right"] == 0, ROLLUP_ERROR,
-            np.where(
-                df["n_dup"] > 0, ROLLUP_DUP,
-                np.where(df["n_matched"] < df["n_rows"], ROLLUP_ROWS_WITH_ERRORS, ROLLUP_OK),
-            ),
-        )
-        return pd.DataFrame(
-            {
-                key: df[key],
-                "n_rows": df["n_rows"].astype("int64"),
-                "n_matched": df["n_matched"].astype("int64"),
-                "rollup_status": status,
-            }
-        )
+    def label(cond, yes: str, no):
+        return pc.if_else(cond, pa.scalar(yes, pa.string()), no)
 
-    red = partials_ds.map_batches(widen, batch_format="pandas").groupby(key).aggregate(
-        Sum(on="n_rows", alias_name="n_rows"),
-        Sum(on="n_matched", alias_name="n_matched"),
-        Sum(on="n_dup", alias_name="n_dup"),
-        Sum(on="n_right", alias_name="n_right"),
+    status = label(
+        pc.equal(red["n_right_sum"], 0), ROLLUP_ERROR,
+        label(
+            pc.greater(red["n_dup_sum"], 0), ROLLUP_DUP,
+            label(pc.less(red["n_matched_sum"], red["n_rows_sum"]),
+                  ROLLUP_ROWS_WITH_ERRORS, pa.scalar(ROLLUP_OK, pa.string())),
+        ),
     )
-    return red.map_batches(cascade, batch_format="pandas")
+    return rd.from_arrow(pa.table({
+        key: red[key],
+        "n_rows": red["n_rows_sum"],
+        "n_matched": red["n_matched_sum"],
+        "rollup_status": status,
+    }))
 
 
 def reconcile_lake_vs_snapshot(
@@ -277,6 +268,7 @@ def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, sn
     import ray.data as rd
 
     from ..functions.hashing import bucket_of
+    from ..stages.reconcile import reconcile_pair_pdf
     from ..state.commitlog import CommitLog, layout_fingerprint
     from .replay import _chains_payload
 
@@ -371,10 +363,10 @@ def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, sn
         fresh = (
             rd.from_items(items, override_num_blocks=max(1, len(items)))
             .map_batches(_make_cogroup_fn(spill, cols), batch_format="pyarrow", batch_size=1)
-            .to_pandas()  # aggregate-sized: O(dirty parts x repos x statuses)
+            .take_all()  # aggregate-sized: O(dirty parts x repos x statuses)
         )
         by_part = {p: [] for p in dirty}
-        for _, r in fresh.iterrows():
+        for r in fresh:
             by_part[int(r["part"])].append([r["repo"], r["status"], int(r["n"])])
         for p in dirty:
             state["parts"][str(p)] = {"fp": fps[p], "partials": by_part[p]}
@@ -392,36 +384,23 @@ def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, sn
     if dirty or ghosts:
         CommitLog._write_atomic(state_path, [state])
 
-    rows = [
-        {"part": int(p), "repo": r, "status": s, "n": int(n)}
-        for p, rec in state["parts"].items()
-        for r, s, n in rec["partials"]
-    ]
-    pc_df = pd.DataFrame(rows, columns=["part", "repo", "status", "n"])
-    if len(pc_df):
-        rollup = rollup_from_partials(rd.from_pandas(pc_df), "repo")
-        counts = (
-            pc_df.groupby("status", sort=True)["n"].sum().astype("int64").reset_index()
-        )
-    else:
-        # typed empty: the schema callers select columns by
-        rollup = rd.from_arrow(pa.table({
-            "repo": pa.array([], pa.string()),
-            "n_rows": pa.array([], pa.int64()),
-            "n_matched": pa.array([], pa.int64()),
-            "rollup_status": pa.array([], pa.string()),
-        }))
-        counts = pd.DataFrame(
-            {"status": pd.Series([], dtype=str), "n": pd.Series([], dtype="int64")}
-        )
+    partials = pa.Table.from_pylist(
+        [
+            {"part": int(p), "repo": r, "status": s, "n": int(n)}
+            for p, rec in state["parts"].items()
+            for r, s, n in rec["partials"]
+        ],
+        schema=_PARTIALS_SCHEMA,
+    )
+    rollup = rollup_from_partials(partials, "repo")
+    counts = status_counts(partials)
     if _glob.glob(os.path.join(spill, "*.parquet")):
         detail = rd.read_parquet(spill)
     else:
-        empty = pd.DataFrame(
-            columns=["repo", "path", "content_sha256_l", "commit_l",
-                     "content_sha256_r", "commit_r", "status"]
-        ).astype(str)
-        detail = rd.from_arrow(pa.Table.from_pandas(empty, preserve_index=False))
+        empty = pa.schema([(c, pa.string()) for c in cols]).empty_table()
+        detail = rd.from_arrow(reconcile_pair_pdf(
+            empty, empty, ["repo", "path"], "content_sha256", attr_cols=["commit"]
+        ))
     metrics = {
         "parts_total": len(parts),
         "parts_recomputed": len(dirty),

@@ -44,6 +44,12 @@ import pyarrow.compute as pc
 from ..functions.hashing import bucket_of, sha256_hex_array, table_state_sha256
 from ..stages.merge import LAKE_COLS, _unify_concat, read_chain
 from ..stages.normalize import bind_null_strings
+from ..stages.reconcile import (
+    STATUS_MATCHED,
+    STATUS_MISSING_LEFT,
+    STATUS_MISSING_RIGHT,
+    reconcile_pair_pdf,
+)
 from ..stages.writer import write_piece_local
 from ..state.commitlog import CommitLog, PartEntry
 
@@ -1935,6 +1941,15 @@ def _payload_schema(log: CommitLog, upto_epoch: int | None) -> dict[str, pa.Data
     return out
 
 
+def _same(a, b):
+    """Null-safe equality of two image columns; NaN equals NaN, so an
+    unchanged NaN image is no change."""
+    same = pc.or_kleene(pc.equal(a, b), pc.and_(pc.is_null(a), pc.is_null(b)))
+    if pa.types.is_floating(a.type):
+        same = pc.or_kleene(same, pc.and_(pc.is_nan(a), pc.is_nan(b)))
+    return pc.fill_null(same, False)
+
+
 def lake_changelog(
     cfg_or_root,
     from_epoch: int,
@@ -1963,7 +1978,9 @@ def lake_changelog(
 
     Scale shape: both states' chains share the SAME bucket layout, so
     the diff is one task per partition over its own two chains — no
-    shuffle, no driver materialization; pandas outer-merge per bucket.
+    shuffle, no driver materialization; per bucket, the reconcile
+    kernel (``stages.reconcile.reconcile_pair_pdf``) outer-diffs the
+    old state (left) against the new one (right).
     Only partitions whose chain differs between the two epochs are
     diffed (equal chains resolve to equal states), so the cost is
     O(changed partitions' chains); a window that changed none returns
@@ -1998,109 +2015,67 @@ def lake_changelog(
     if image_cols == "all":
         image_cols = sorted(sch)
     images = [c for c in (image_cols or []) if c not in ("repo", "path")]
-    cols = ["repo", "path", "content_sha256"] + [
-        c for c in images if c != "content_sha256"
-    ]
+    attrs = [c for c in images if c != "content_sha256"]
+    cols = ["repo", "path", "content_sha256"] + attrs
     img_types = {c: sch.get(c, pa.string()) for c in images}
 
-    def empty_feed() -> pa.Table:
-        empty: dict[str, pa.Array] = {
-            c: pa.array([], pa.string())
-            for c in ("repo", "path", "change", "content_sha256")
-        }
-        for c in images:
-            empty[f"{c}_old"] = pa.array([], img_types[c])
-            empty[f"{c}_new"] = pa.array([], img_types[c])
-        return pa.table(empty)
-
+    feed_schema = pa.schema(
+        [pa.field(c, pa.string()) for c in ("repo", "path", "change", "content_sha256")]
+        + [pa.field(f"{c}_{s}", img_types[c]) for c in images for s in ("old", "new")]
+    )
     if not items:
-        return rd.from_arrow(empty_feed())
+        return rd.from_arrow(feed_schema.empty_table())
+
+    # both states at the feed's types, so the two sides and every diff
+    # block share one schema
+    state_schema = pa.schema(
+        [feed_schema.field(c) for c in ("repo", "path", "content_sha256")]
+        + [pa.field(c, img_types[c]) for c in attrs]
+    )
+
+    def state(chain_json: str, part: int) -> pa.Table:
+        t = read_chain(json.loads(chain_json), columns=cols, part=part)
+        if t is None:
+            return state_schema.empty_table()
+        t = t.filter(pc.is_valid(t["repo"]))
+        for c in cols:
+            if c not in t.column_names:
+                t = t.append_column(c, pa.nulls(t.num_rows, state_schema.field(c).type))
+        return t.select(cols).cast(state_schema, safe=False)
 
     def diff_part(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        out = []
+        out = [feed_schema.empty_table()]
         for rec in batch.to_pylist():
             part = int(rec["part"])
-
-            def state(chain_json: str) -> "pd.DataFrame":
-                t = read_chain(json.loads(chain_json), columns=cols, part=part)
-                if t is None or t.num_rows == 0:
-                    return pd.DataFrame(columns=cols)
-                t = t.filter(pa.compute.is_valid(t["repo"]))
-                for c in cols:
-                    if c not in t.column_names:
-                        t = t.append_column(
-                            c, pa.nulls(t.num_rows, img_types.get(c, pa.string()))
-                        )
-                return t.select(cols).to_pandas()
-
-            a, b = state(rec["old"]), state(rec["new"])
-            m = a.merge(
-                b, on=["repo", "path"], how="outer", suffixes=("_old", "_new"),
-                indicator=True,
+            # old state left, new state right: MISSING_LEFT is an insert,
+            # MISSING_RIGHT a delete, VALUE_DIFF an update
+            d = reconcile_pair_pdf(
+                state(rec["old"], part), state(rec["new"], part),
+                ["repo", "path"], "content_sha256", attrs,
             )
-            ins = m["_merge"] == "right_only"
-            del_ = m["_merge"] == "left_only"
-            changed = m["content_sha256_old"] != m["content_sha256_new"]
+            st = d["status"]
+            ins, dele = pc.equal(st, STATUS_MISSING_LEFT), pc.equal(st, STATUS_MISSING_RIGHT)
             # sha covers `content` only — a payload/image column can
             # change under an unchanged content (e.g. a mid-stream
             # added column landing its first value). A feed that
             # carries images must surface those as 'U' too, or image
             # consumers (IVM views, replicas) silently miss the change.
+            changed = pc.not_equal(st, STATUS_MATCHED)
+            for c in attrs:
+                changed = pc.or_(changed, pc.invert(_same(d[f"{c}_l"], d[f"{c}_r"])))
+            f = {
+                "repo": d["repo"],
+                "path": d["path"],
+                "change": pc.if_else(ins, "I", pc.if_else(dele, "D", "U")),
+                "content_sha256": pc.if_else(
+                    dele, d["content_sha256_l"], d["content_sha256_r"]
+                ),
+            }
             for c in images:
-                a, b = m[f"{c}_old"], m[f"{c}_new"]
-                changed |= (a != b) & ~(a.isna() & b.isna())
-            upd = (m["_merge"] == "both") & changed
-            frames = []
-            for mask, tag, sha_col in (
-                (ins, "I", "content_sha256_new"),
-                (upd, "U", "content_sha256_new"),
-                (del_, "D", "content_sha256_old"),
-            ):
-                sel = m[mask]
-                if len(sel):
-                    f = pd.DataFrame({
-                        "repo": sel["repo"],
-                        "path": sel["path"],
-                        "change": tag,
-                        "content_sha256": sel[sha_col],
-                    })
-                    for c in images:
-                        # outer-merge already nulled the absent side
-                        # (old on 'I', new on 'D'); pass both through
-                        f[f"{c}_old"] = sel[f"{c}_old"].to_numpy()
-                        f[f"{c}_new"] = sel[f"{c}_new"].to_numpy()
-                    frames.append(f)
-            if frames:
-                t = pa.Table.from_pandas(
-                    pd.concat(frames, ignore_index=True), preserve_index=False
-                )
-                if images:
-                    # pandas' outer merge floats nulled numeric images
-                    # (missing side AND genuine lake nulls both become
-                    # NaN); restore null-ness BEFORE casting back to
-                    # the lake's own types — a bare safe=False cast
-                    # would turn NaN into garbage ints. (Caveat: a
-                    # genuine NaN float payload is indistinguishable
-                    # from null after pandas and surfaces as null.)
-                    for c in images:
-                        typ = img_types[c]
-                        for side in (f"{c}_old", f"{c}_new"):
-                            i = t.column_names.index(side)
-                            col = t[side]
-                            if pa.types.is_floating(col.type):
-                                col = pc.if_else(
-                                    pc.is_nan(col),
-                                    pa.scalar(None, col.type),
-                                    col,
-                                )
-                            t = t.set_column(
-                                i, side, pc.cast(col, typ, safe=False)
-                            )
-                out.append(t)
-        if not out:
-            return empty_feed()
+                # the outer diff already nulled the absent side (old on
+                # 'I', new on 'D')
+                f[f"{c}_old"], f[f"{c}_new"] = d[f"{c}_l"], d[f"{c}_r"]
+            out.append(pa.table(f).filter(changed).cast(feed_schema))
         return pa.concat_tables(out)
 
     return rd.from_items(items, override_num_blocks=len(items)).map_batches(

@@ -5,9 +5,12 @@ Reimplements the reference's ``ReconciliationService`` per-message
 cogroup (J4-J8, ``service/ReconciliationService.java:107-171``) as a
 distributed hash-cogroup: both sides are bucketed on the salted key
 hash, unioned with a side tag, shuffled ONCE by bucket, and each bucket
-is reconciled vectorized (pandas merge + groupby transforms — no
-per-key Python loop; the reference's per-message ``Map<DTO,Boolean>``
-"used" flags at ``:113-114`` become a boolean matched mask).
+is reconciled vectorized by one Arrow kernel, ``reconcile_pair_pdf``:
+dense key codes (``functions.grouping.group_codes``), one stable sort
+of the right rows, and statuses read off the per-key run boundaries —
+no per-key Python loop; the reference's per-message
+``Map<DTO,Boolean>`` "used" flags at ``:113-114`` become a boolean
+matched mask.
 
 Status taxonomy (north_star) and its reference lineage:
 
@@ -40,9 +43,10 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from ..functions.grouping import group_codes
 from ..functions.hashing import bucket_of
 
 STATUS_MATCHED = "MATCHED"
@@ -52,87 +56,87 @@ STATUS_VALUE_DIFF = "VALUE_DIFF"
 STATUS_DUP_PREFIX = "DUP_RIGHT_"
 
 
-def reconcile_group_pdf(
-    df: pd.DataFrame,
-    key_cols: Sequence[str],
-    value_col: str = "content_sha256",
-    attr_cols: Sequence[str] = (),
-) -> pd.DataFrame:
-    """Reconcile one bucket (all its keys at once, vectorized).
-
-    ``df`` holds both sides with a ``side`` column ("L"/"R"). Output is
-    full-outer-join-shaped (reference ``ReconciliationTransactionResult``
-    ``dto/ReconciliationTransactionResult.java:10-21``: left cols +
-    right cols + status).
-    """
-    key_cols = list(key_cols)
-    keep = key_cols + [value_col] + [c for c in attr_cols]
-    left = df.loc[df["side"] == "L", keep]
-    right = df.loc[df["side"] == "R", keep]
-    return reconcile_pair_pdf(left, right, key_cols, value_col, attr_cols)
-
-
 def reconcile_pair_pdf(
-    left: pd.DataFrame,
-    right: pd.DataFrame,
+    left: pa.Table,
+    right: pa.Table,
     key_cols: Sequence[str],
     value_col: str = "content_sha256",
     attr_cols: Sequence[str] = (),
-) -> pd.DataFrame:
-    """Core of ``reconcile_group_pdf`` taking the two sides directly —
-    callers that already hold left/right separately (the bucket cogroup
-    tasks) skip the tag-concat-split round trip."""
+) -> pa.Table:
+    """Reconcile two keyed sides (all their keys at once, vectorized):
+    the one keyed outer diff behind the engine's cogroup tasks, the
+    catalog's ``reconcile_datasets`` and ``lake_changelog``.
+
+    Output is full-outer-join-shaped (reference
+    ``ReconciliationTransactionResult``,
+    ``dto/ReconciliationTransactionResult.java:10-21``): the key
+    columns, ``{c}_l`` and ``{c}_r`` for the value and attr columns,
+    and ``status``. Null keys group together; null values never match.
+    ``left`` must be key-unique (``ValueError`` otherwise). Sides whose
+    types differ only in width (``string`` vs ``large_string``) are cast
+    to their common type first."""
     key_cols = list(key_cols)
-    keep = key_cols + [value_col] + [c for c in attr_cols]
-    left = left[keep]
-    right = right[keep]
-    m = left.merge(right, on=key_cols, how="outer", suffixes=("_l", "_r"), indicator=True)
-    # deterministic right-row order inside each key group -> stable ordinals
-    sort_cols = key_cols + [f"{value_col}_r"] + [f"{c}_r" for c in attr_cols]
-    m = m.sort_values(sort_cols, kind="stable", na_position="last").reset_index(drop=True)
+    vals = [value_col] + list(attr_cols)
+    left, right = left.select(key_cols + vals), right.select(key_cols + vals)
+    schema = pa.unify_schemas([left.schema, right.schema], promote_options="permissive")
+    left, right = left.cast(schema), right.cast(schema)
+    nl, nr = left.num_rows, right.num_rows
+    codes, _, g = group_codes(pa.concat_tables([left, right]), key_cols)
+    lc, rc = codes[:nl], codes[nl:]
+    if nl and np.bincount(lc).max() > 1:
+        raise ValueError("reconcile: the left side holds a duplicate key")
+    left_of = np.full(g, -1, np.int64)
+    left_of[lc] = np.arange(nl)
 
-    both = m["_merge"] == "both"
-    matched = both & (m[f"{value_col}_l"] == m[f"{value_col}_r"])
-    n_match = matched.groupby([m[c] for c in key_cols], dropna=False).transform("sum")
-    # ordinal among *matching* right rows of a key (1-based)
-    match_ord = matched.groupby([m[c] for c in key_cols], dropna=False).cumsum()
-    # ordinal among non-matching "both" rows of a key (to pick the VALUE_DIFF carrier)
-    nonmatch = both & ~matched
-    nonmatch_ord = nonmatch.groupby([m[c] for c in key_cols], dropna=False).cumsum()
+    # right rows ordered by (key, value, attrs): deterministic ordinals,
+    # and each key's rows form one run
+    order = pc.sort_indices(
+        right.append_column("_code", pa.array(rc, pa.int64())),
+        sort_keys=[("_code", "ascending")] + [(c, "ascending") for c in vals],
+        null_placement="at_end",
+    ).to_numpy().astype(np.int64)
+    code = rc[order]
+    lrow = left_of[code]
+    has_left = lrow >= 0
+    lidx = pa.array(lrow, mask=~has_left)
+    match = pc.fill_null(
+        pc.equal(left[value_col].take(lidx), right[value_col].take(order)), False
+    ).to_numpy(zero_copy_only=False)
+    start = np.ones(nr, bool)
+    start[1:] = code[1:] != code[:-1]
+    run = np.cumsum(start) - 1
+    cum = np.cumsum(match)
+    match_ord = cum - (cum - match)[start][run]  # 1-based, among the key's matches
+    n_match = np.bincount(code[match], minlength=g)[code]
+    dup = match & (n_match > 1)
 
-    status = np.full(len(m), "", dtype=object)
-    status[(m["_merge"] == "left_only").to_numpy()] = STATUS_MISSING_RIGHT
-    status[(m["_merge"] == "right_only").to_numpy()] = STATUS_MISSING_LEFT
-    one = (matched & (n_match == 1)).to_numpy()
-    status[one] = STATUS_MATCHED
-    dupm = (matched & (n_match > 1)).to_numpy()
-    if dupm.any():
-        ords = match_ord.to_numpy()[dupm]
-        status[dupm] = [f"{STATUS_DUP_PREFIX}{int(o)}" for o in ords]
-    # key matched, value differs: first non-matching right row carries
-    # VALUE_DIFF when nothing matched; all other unused right rows are
-    # MISSING_LEFT (reference: unused rights -> "NO EN SWIFT", :154-171)
-    vd = (nonmatch & (n_match == 0) & (nonmatch_ord == 1)).to_numpy()
-    status[vd] = STATUS_VALUE_DIFF
-    rest = (nonmatch.to_numpy()) & (status == "")
-    status[rest] = STATUS_MISSING_LEFT
+    # status codes index `labels`; DUP_RIGHT_i is code 3 + i
+    labels = [STATUS_MATCHED, STATUS_MISSING_LEFT, STATUS_MISSING_RIGHT, STATUS_VALUE_DIFF] + [
+        f"{STATUS_DUP_PREFIX}{i}" for i in range(1, int(match_ord[dup].max(initial=0)) + 1)
+    ]
+    # an unused right row, or one with no left key, is MISSING_LEFT
+    # (reference: unused rights -> "NO EN SWIFT", :154-171)
+    status = np.ones(nr, np.int64)
+    status[match & (n_match == 1)] = 0
+    status[dup] = 3 + match_ord[dup]
+    # key matched, value differs: the key's first right row carries
+    # VALUE_DIFF when none of its rows matched
+    status[has_left & (n_match == 0) & start] = 3
+    lonly = np.flatnonzero(np.bincount(rc, minlength=g)[lc] == 0)
 
-    out = m.drop(columns=["_merge"])
-    out["status"] = status
-    return out
-
-
-def make_reconcile_bucket_fn(
-    key_cols: Sequence[str], value_col: str, attr_cols: Sequence[str] = ()
-):
-    """map_groups fn over the bucketed union of both sides."""
-    key_cols, attr_cols = list(key_cols), list(attr_cols)
-
-    def reconcile_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        out = reconcile_group_pdf(df, key_cols, value_col, attr_cols)
-        return out.drop(columns=[c for c in ("bucket",) if c in out.columns])
-
-    return reconcile_bucket
+    lt = left.take(pa.array(np.concatenate([lrow, lonly]),
+                            mask=np.concatenate([~has_left, np.zeros(len(lonly), bool)])))
+    rt = right.take(pa.array(np.concatenate([order, np.zeros(len(lonly), np.int64)]),
+                             mask=np.arange(nr + len(lonly)) >= nr))
+    keys = pa.concat_tables([right.select(key_cols).take(order),
+                             left.select(key_cols).take(lonly)])
+    out = {c: keys[c] for c in key_cols}
+    out.update({f"{c}_l": lt[c] for c in vals})
+    out.update({f"{c}_r": rt[c] for c in vals})
+    out["status"] = pa.array(labels, pa.string()).take(
+        np.concatenate([status, np.full(len(lonly), 2, np.int64)])
+    )
+    return pa.table(out)
 
 
 def bucket_tag(batch: pa.Table, key_cols: Sequence[str], num_buckets: int,
@@ -199,6 +203,10 @@ def reconcile_datasets(
         tagged = left_ds.map_batches(tag("L"), batch_format="pyarrow").union(
             right_ds.map_batches(tag("R"), batch_format="pyarrow")
         )
-    return tagged.groupby("bucket").map_groups(
-        make_reconcile_bucket_fn(key_cols, value_col, attr_cols), batch_format="pandas"
-    )
+    def reconcile_bucket(t: pa.Table) -> pa.Table:
+        is_left = pc.equal(t["side"], "L")
+        return reconcile_pair_pdf(
+            t.filter(is_left), t.filter(pc.invert(is_left)), key_cols, value_col, attr_cols
+        )
+
+    return tagged.groupby("bucket").map_groups(reconcile_bucket, batch_format="pyarrow")

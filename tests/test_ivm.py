@@ -210,6 +210,47 @@ def test_numeric_image_columns_typed_and_nulled(tmp_path):
     assert (feed.loc["a", "nbytes_old"], feed.loc["a", "nbytes_new"]) == (10, 11)
 
 
+def test_nan_image_stays_nan_in_changelog(tmp_path):
+    """A NaN float image is a value, not a null: an inserted key whose
+    image is NaN shows NaN in ``{c}_new``, and a key re-written with
+    unchanged content and an unchanged NaN image emits no row."""
+    import math
+
+    binlog = tmp_path / "binlog"
+    binlog.mkdir()
+    nan = float("nan")
+    e0 = pa.table({
+        "seq": pa.array([1, 2, 3], pa.int64()),
+        "op": pa.array(["I"] * 3),
+        "repo": pa.array(["r"] * 3),
+        "path": pa.array(["a", "b", "c"]),
+        "content": pa.array(["x", "y", "z"]),
+        "score": pa.array([1.0, 2.0, nan], pa.float64()),
+    })
+    e1 = pa.table({
+        "seq": pa.array([4, 5, 6], pa.int64()),
+        "op": pa.array(["I", "U", "U"]),
+        "repo": pa.array(["r"] * 3),
+        "path": pa.array(["d", "c", "b"]),
+        "content": pa.array(["w", "z", "yy"]),
+        "score": pa.array([nan, nan, 3.0], pa.float64()),
+    })
+    pq.write_table(e0, str(binlog / "epoch=00000.parquet"))
+    pq.write_table(e1, str(binlog / "epoch=00001.parquet"))
+    root = str(tmp_path / "lake")
+    replay_stream(str(binlog), ReplayConfig(lake_root=root, num_buckets=1))
+
+    ds = lake_changelog(root, from_epoch=1, to_epoch=2, image_cols=["score"])
+    sch = ds.schema()
+    assert dict(zip(sch.names, sch.types))["score_new"] == pa.float64()
+    feed = {r["path"]: r for r in ds.take_all()}
+    assert sorted(feed) == ["b", "d"]  # c: same content, NaN -> NaN
+    assert feed["d"]["change"] == "I" and feed["d"]["score_old"] is None
+    assert feed["d"]["score_new"] is not None and math.isnan(feed["d"]["score_new"])
+    assert feed["b"]["change"] == "U"
+    assert (feed["b"]["score_old"], feed["b"]["score_new"]) == (2.0, 3.0)
+
+
 def test_mismatched_feed_refused_not_absorbed():
     """A feed that doesn't correspond to the base (here: the same
     delete applied twice, as a duplicated/replayed feed would) must

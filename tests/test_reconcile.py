@@ -8,9 +8,12 @@ DUP_RIGHT_n / VALUE_DIFF.
 
 from __future__ import annotations
 
-import pandas as pd
+from collections import Counter
 
-from etl_reconciliate_ray.stages.reconcile import reconcile_group_pdf
+import pandas as pd
+import pyarrow as pa
+
+from etl_reconciliate_ray.stages.reconcile import reconcile_pair_pdf
 from etl_reconciliate_ray.pipelines.reconcile_run import (
     ROLLUP_DUP,
     ROLLUP_ERROR,
@@ -20,15 +23,12 @@ from etl_reconciliate_ray.pipelines.reconcile_run import (
 )
 
 
-def _df(left_rows, right_rows):
-    rows = [
-        {"repo": r, "path": p, "content_sha256": v, "commit": c, "side": "L"}
-        for (r, p, v, c) in left_rows
-    ] + [
-        {"repo": r, "path": p, "content_sha256": v, "commit": c, "side": "R"}
-        for (r, p, v, c) in right_rows
-    ]
-    return pd.DataFrame(rows)
+def _sides(left_rows, right_rows):
+    cols = ["repo", "path", "content_sha256", "commit"]
+    return tuple(
+        pa.table({c: pa.array([r[i] for r in rows], pa.string()) for i, c in enumerate(cols)})
+        for rows in (left_rows, right_rows)
+    )
 
 
 KEYS = ["repo", "path"]
@@ -39,23 +39,23 @@ def _statuses(out):
 
 
 def test_matched_and_value_diff():
-    out = reconcile_group_pdf(
-        _df(
+    out = reconcile_pair_pdf(
+        *_sides(
             [("r", "a", "h1", "c1"), ("r", "b", "h2", "c2")],
             [("r", "a", "h1", "c9"), ("r", "b", "DIFFER", "c8")],
         ),
         KEYS,
         attr_cols=["commit"],
-    )
+    ).to_pandas()
     assert _statuses(out) == ["MATCHED", "VALUE_DIFF"]
 
 
 def test_missing_left_and_right():
-    out = reconcile_group_pdf(
-        _df([("r", "only_left", "h", "c")], [("r", "only_right", "h", "c")]),
+    out = reconcile_pair_pdf(
+        *_sides([("r", "only_left", "h", "c")], [("r", "only_right", "h", "c")]),
         KEYS,
         attr_cols=["commit"],
-    )
+    ).to_pandas()
     got = dict(zip(out["path"], out["status"]))
     assert got == {"only_left": "MISSING_RIGHT", "only_right": "MISSING_LEFT"}
 
@@ -63,14 +63,14 @@ def test_missing_left_and_right():
 def test_duplicate_right_ordinals():
     # one left row matching k=3 right rows -> 3 ordinal DUP rows,
     # mirroring J8 ReconciliationService.java:137-144
-    out = reconcile_group_pdf(
-        _df(
+    out = reconcile_pair_pdf(
+        *_sides(
             [("r", "a", "h", "c0")],
             [("r", "a", "h", "c1"), ("r", "a", "h", "c2"), ("r", "a", "h", "c3")],
         ),
         KEYS,
         attr_cols=["commit"],
-    )
+    ).to_pandas()
     assert sorted(out["status"]) == ["DUP_RIGHT_1", "DUP_RIGHT_2", "DUP_RIGHT_3"]
     # deterministic ordinal assignment: ordered by (value, commit)
     ordered = out.sort_values("status")["commit_r"].tolist()
@@ -80,22 +80,20 @@ def test_duplicate_right_ordinals():
 def test_one_match_plus_unused_right_rows():
     # k rights, only one matches: MATCHED + unused rights MISSING_LEFT
     # (reference: unused rights -> "NO EN SWIFT", :154-171)
-    out = reconcile_group_pdf(
-        _df(
+    out = reconcile_pair_pdf(
+        *_sides(
             [("r", "a", "h", "c0")],
             [("r", "a", "h", "c1"), ("r", "a", "ZZZ", "c2")],
         ),
         KEYS,
         attr_cols=["commit"],
-    )
+    ).to_pandas()
     assert sorted(out["status"]) == ["MATCHED", "MISSING_LEFT"]
 
 
 def test_rollup_cascade_priority_order(ray_session):
     # ERROR beats DUP beats ROWS_WITH_ERRORS beats OK (:194-201 order);
     # each case is one repo's statuses, fed as (repo, status, n) partials
-    import ray.data as rd
-
     cases = [
         (["MISSING_RIGHT", "MISSING_RIGHT"], ROLLUP_ERROR),
         (["DUP_RIGHT_1", "DUP_RIGHT_2", "VALUE_DIFF"], ROLLUP_DUP),
@@ -103,15 +101,12 @@ def test_rollup_cascade_priority_order(ray_session):
         (["MATCHED", "MISSING_LEFT"], ROLLUP_ROWS_WITH_ERRORS),
         (["MATCHED", "MATCHED"], ROLLUP_OK),
     ]
-    partials = pd.concat(
-        [
-            pd.Series(statuses).value_counts().rename_axis("status")
-            .reset_index(name="n").assign(repo=f"r{i}")
-            for i, (statuses, _) in enumerate(cases)
-        ],
-        ignore_index=True,
-    )
-    got = rollup_from_partials(rd.from_pandas(partials), "repo").to_pandas()
+    partials = pa.Table.from_pylist([
+        {"repo": f"r{i}", "status": status, "n": n}
+        for i, (statuses, _) in enumerate(cases)
+        for status, n in Counter(statuses).items()
+    ])
+    got = rollup_from_partials(partials, "repo").to_pandas()
     got = got.set_index("repo")
     for i, (statuses, want) in enumerate(cases):
         assert got.loc[f"r{i}", "rollup_status"] == want, statuses
