@@ -100,51 +100,45 @@ def _spool_bucketed(ds, spool_dir: str, columns: list[str]) -> dict[int, list[tu
 
 
 def _make_cogroup_fn(spill: str, cols: list[str]):
-    """Per-bucket task body of the one reconcile engine (``_reconcile``,
+    """Per-bucket body of the one reconcile engine (``_reconcile``,
     behind both the full and the incremental reconcile): read the
     bucket's lake chain + spooled snapshot row groups, reconcile them
     with the Arrow kernel, spill the wide detail rows task-side
     (deterministic per-part file name — a retry or an incremental
     recompute overwrites its own output idempotently), and return only
     tiny (part, repo, status, n) partial-count rows."""
-    import json as _json
-
     import pyarrow.parquet as pq
 
     from ..stages.merge import _pqfile, read_chain
     from ..stages.reconcile import reconcile_pair_pdf
 
-    def cogroup_part(batch: pa.Table) -> pa.Table:
-        out = [_PARTIALS_SCHEMA.empty_table()]
-        for rec in batch.to_pylist():
-            part = int(rec["part"])
-            lake = read_chain(_json.loads(rec["chain"]), columns=cols, part=part)
-            snaps = [_pqfile(f).read_row_group(rg, columns=cols)
-                     for f, rg in _json.loads(rec["snap"])]
-            sides = [t for t in [lake, *snaps] if t is not None]
-            fname = os.path.join(spill, f"detail-part{part:05d}.parquet")
-            if not any(t.num_rows for t in sides):
-                # a recomputed part may have become empty: drop its
-                # stale detail spill instead of leaving ghost rows
-                if os.path.exists(fname):
-                    os.remove(fname)
-                continue
-            empty = sides[0].schema.empty_table()
-            right = pa.concat_tables(snaps, promote_options="permissive") if snaps else empty
-            det = reconcile_pair_pdf(
-                lake if lake is not None else empty, right,
-                ["repo", "path"], "content_sha256", attr_cols=["commit"],
-            )
-            pq.write_table(det, fname + ".tmp")
-            os.replace(fname + ".tmp", fname)
-            # Arrow's group_by keeps a null repo as its own group, so a
-            # null-repo detail row counts too, as the detail spill holds it
-            p = det.group_by(["repo", "status"]).aggregate([([], "count_all")])
-            out.append(pa.table({
-                "part": pa.array([part] * p.num_rows, pa.int64()),
-                "repo": p["repo"], "status": p["status"], "n": p["count_all"],
-            }).cast(_PARTIALS_SCHEMA))
-        return pa.concat_tables(out)
+    def cogroup_part(item: dict) -> pa.Table:
+        part = int(item["part"])
+        lake = read_chain(item["chain"], columns=cols, part=part)
+        snaps = [_pqfile(f).read_row_group(rg, columns=cols) for f, rg in item["snap"]]
+        sides = [t for t in [lake, *snaps] if t is not None]
+        fname = os.path.join(spill, f"detail-part{part:05d}.parquet")
+        if not any(t.num_rows for t in sides):
+            # a recomputed part may have become empty: drop its stale
+            # detail spill instead of leaving ghost rows
+            if os.path.exists(fname):
+                os.remove(fname)
+            return _PARTIALS_SCHEMA.empty_table()
+        empty = sides[0].schema.empty_table()
+        right = pa.concat_tables(snaps, promote_options="permissive") if snaps else empty
+        det = reconcile_pair_pdf(
+            lake if lake is not None else empty, right,
+            ["repo", "path"], "content_sha256", attr_cols=["commit"],
+        )
+        pq.write_table(det, fname + ".tmp")
+        os.replace(fname + ".tmp", fname)
+        # Arrow's group_by keeps a null repo as its own group, so a
+        # null-repo detail row counts too, as the detail spill holds it
+        p = det.group_by(["repo", "status"]).aggregate([([], "count_all")])
+        return pa.table({
+            "part": pa.array([part] * p.num_rows, pa.int64()),
+            "repo": p["repo"], "status": p["status"], "n": p["count_all"],
+        }).cast(_PARTIALS_SCHEMA)
 
     return cogroup_part
 
@@ -248,8 +242,9 @@ def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, sn
     is ALREADY partitioned by bucket on disk (the commit-log chains), so
     only the snapshot is spooled, once per ``snapshot_token``, into the
     same bucketed layout (an O(n) partitioned write, not an all-to-all
-    sort); then one task per dirty bucket reads both sides directly,
-    reconciles vectorized and spills its detail rows task-side.
+    sort); then the dirty buckets fan out over the cluster's CPUs
+    (``replay._per_part``), each read from both sides directly,
+    reconciled vectorized and its detail rows spilled task-side.
 
     ``state_dir`` holds the spool, the per-part detail spill and
     ``state.json``: per part, the fingerprint of its chain + spool row
@@ -270,7 +265,7 @@ def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, sn
     from ..functions.hashing import bucket_of
     from ..stages.reconcile import reconcile_pair_pdf
     from ..state.commitlog import CommitLog, layout_fingerprint
-    from .replay import _chains_payload
+    from .replay import _chains_payload, _per_part
 
     cols = ["repo", "path", "commit", "content_sha256"]
     spool_dir = os.path.join(state_dir, "snap_spool")
@@ -353,18 +348,11 @@ def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, sn
     ]
     if dirty:
         items = [
-            {
-                "part": p,
-                "chain": _json.dumps(chains.get(p, [])),
-                "snap": _json.dumps(snap_map.get(p, [])),
-            }
+            {"part": p, "chain": chains.get(p, []), "snap": snap_map.get(p, [])}
             for p in dirty
         ]
-        fresh = (
-            rd.from_items(items, override_num_blocks=max(1, len(items)))
-            .map_batches(_make_cogroup_fn(spill, cols), batch_format="pyarrow", batch_size=1)
-            .take_all()  # aggregate-sized: O(dirty parts x repos x statuses)
-        )
+        # aggregate-sized: O(dirty parts x repos x statuses)
+        fresh = _per_part(items, _make_cogroup_fn(spill, cols)).take_all()
         by_part = {p: [] for p in dirty}
         for r in fresh:
             by_part[int(r["part"])].append([r["repo"], r["status"], int(r["n"])])

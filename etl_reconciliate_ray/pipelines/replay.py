@@ -42,7 +42,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import bucket_of, sha256_hex_array, table_state_sha256
-from ..stages.merge import LAKE_COLS, _unify_concat, read_chain
+from ..stages.merge import LAKE_COLS, _file_schema, _unify_concat, key_codes, read_chain
 from ..stages.normalize import bind_null_strings
 from ..stages.reconcile import (
     STATUS_MATCHED,
@@ -717,14 +717,57 @@ def _read_blocks(nbytes: int) -> int:
     size — never to reach Ray's own floors (2 x CPUs, 200 blocks),
     which split even a tiny epoch, and each extra block writes its own
     partial-winner piece into every (epoch, bucket) link it touches."""
-    import ray
     from ray.data import DataContext
 
     ctx = DataContext.get_current()
-    cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else os.cpu_count()
     by_size = -(-nbytes // ctx.target_max_block_size) if ctx.target_max_block_size else 1
-    by_cpu = min(cpus or 1, -(-nbytes // ctx.target_min_block_size))
+    by_cpu = min(_cluster_cpus(), -(-nbytes // ctx.target_min_block_size))
     return max(1, by_size, by_cpu)
+
+
+def _cluster_cpus() -> int:
+    """The Ray cluster's CPUs (this host's when Ray is not running)."""
+    import ray
+
+    if ray.is_initialized():
+        return int(ray.cluster_resources().get("CPU", 1)) or 1
+    return os.cpu_count() or 1
+
+
+def _per_part(items: list[dict], part_fn):
+    """THE per-part fan-out (fold and compaction bases, salt planning,
+    merge-on-read scans, the changelog diff, the reconcile cogroup): a
+    Dataset of ``min(len(items), cluster CPUs)`` tasks over JSON-able
+    per-part descriptors, dealt round-robin — item ``i`` goes to task
+    ``i % tasks``, so a salted repo's consecutive bucket ids land in
+    different tasks instead of stacking its hot buckets in one. A task
+    calls ``part_fn(item)`` for each of its items in turn and yields
+    every non-empty table it returns (Ray packs them into the task's
+    output block); a task whose parts all came back empty yields the
+    first one, so its block keeps the typed schema. One task per CPU,
+    not per part: per-task start-up is a fixed cost that dominated
+    small reconciles and compactions."""
+    import ray.data as rd
+
+    n = max(1, min(len(items), _cluster_cpus()))
+
+    def run(batch: pa.Table):
+        for dealt in batch["items"].to_pylist():
+            yielded, empty = False, None
+            for item in json.loads(dealt):
+                t = part_fn(item)
+                if t.num_rows:
+                    yielded = True
+                    yield t
+                elif empty is None:
+                    empty = t
+            if not yielded and empty is not None:
+                yield empty
+
+    blocks = [{"items": json.dumps(items[i::n])} for i in range(n)]
+    return rd.from_items(blocks, override_num_blocks=n).map_batches(
+        run, batch_format="pyarrow", batch_size=None
+    )
 
 
 def _scan(paths: list[str], cfg: ReplayConfig, filter=None):
@@ -790,8 +833,6 @@ def _apply_epochs(
 
     import pyarrow.parquet as pq
 
-    from ..functions.hashing import key_strings
-
     t0 = time.monotonic()
     epochs = list(input_seqs)
     bounds = [int(input_seqs[e][1]) for e in epochs[:-1]]
@@ -841,14 +882,7 @@ def _apply_epochs(
         ge0 = batch["epoch"].to_numpy(zero_copy_only=False).astype(np.int64)
         gb0 = batch["bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
         seq0 = batch["seq"].to_numpy(zero_copy_only=False).astype(np.int64)
-        keys = key_strings(batch["repo"], batch["path"])
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        codes = (
-            pc.dictionary_encode(keys)
-            .indices.to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
+        codes = key_codes(batch["repo"], batch["path"])
         ncodes = int(codes.max()) + 1
         nb = int(gb0.max()) + 1
         gid = (ge0 * nb + gb0) * ncodes + codes
@@ -995,58 +1029,50 @@ def _fold_long_chains(
 def _write_bases(cfg: ReplayConfig, items: list[tuple[int, int, list[dict]]]) -> list[dict]:
     """Resolve each ``(epoch, part, chain)`` item and write the part's
     state as a full base at ``epoch`` — the one per-bucket body of
-    ``compact`` and the pre-commit fold. One Ray task per part via a
-    Dataset over descriptors, each reading ONLY its own chain (no
-    shuffle); the task already holds the resolved state, so it writes
-    it itself (``write_piece_local``: content-addressed, so retries
-    are idempotent; the driver's commit-log fence does the rest).
-    Returns the manifest rows."""
-    import ray.data as rd
-
+    ``compact`` and the pre-commit fold. The parts fan out over the
+    cluster's CPUs (``_per_part``), each part reading ONLY its own
+    chain (no shuffle); the task already holds the resolved state, so
+    it writes it itself (``write_piece_local``: content-addressed, so
+    retries are idempotent; the driver's commit-log fence does the
+    rest). Returns the manifest rows."""
     lake_root = cfg.lake_root
     target = cfg.compact_target_bytes
 
-    def write_base(batch: pa.Table) -> pa.Table:
-        rows = []
-        for rec in batch.to_pylist():
-            epoch, part = int(rec["epoch"]), int(rec["part"])
-            state = read_chain(json.loads(rec["chain"]), part=part)
-            if state is None or state.num_rows == 0:
-                # an emptied part still commits a (0-row) base, or the
-                # chain would carry its stale state forward;
-                # write_piece_local strips this all-null marker row
-                cols = {c: pa.array([None], pa.string()) for c in LAKE_COLS}
-                cols["bucket"] = pa.array([part], pa.int32())
-                state = pa.table(cols)
-            # rewritten bases are SORTED by key: parquet row-group
-            # min/max stats then prune point/repo lookups to O(one row
-            # group) (read_chain key_filter), pieces sliced below get
-            # tight disjoint key ranges, and sorted content compresses
-            # better. All state digests are order-insensitive
-            # (table_state_sha256 canonicalizes), so this is free.
-            if state.num_rows > 1:
-                state = state.sort_by([("repo", "ascending"), ("path", "ascending")])
-            # target-size split: slice the rewritten base into ~equal
-            # row ranges sized by in-memory bytes; each slice is its own
-            # content-addressed piece, folded into ONE multi-file part
-            # entry by _commit_manifest_rows (readers are unchanged —
-            # read_chain reads every file of a link). Deterministic
-            # given the chain, so retries stay idempotent.
-            n_pieces = 1
-            if target and state.num_rows and state.nbytes > target:
-                n_pieces = min(state.num_rows, -(-state.nbytes // target))
-            step = -(-state.num_rows // n_pieces)
-            for off in range(0, state.num_rows, step):
-                rows.append(write_piece_local(
-                    lake_root, epoch, part, state.slice(off, step), "full"
-                ))
-        return pa.Table.from_pylist(rows)
+    def write_base(item: dict) -> pa.Table:
+        epoch, part = int(item["epoch"]), int(item["part"])
+        state = read_chain(item["chain"], part=part)
+        if state is None or state.num_rows == 0:
+            # an emptied part still commits a (0-row) base, or the
+            # chain would carry its stale state forward;
+            # write_piece_local strips this all-null marker row
+            cols = {c: pa.array([None], pa.string()) for c in LAKE_COLS}
+            cols["bucket"] = pa.array([part], pa.int32())
+            state = pa.table(cols)
+        # rewritten bases are SORTED by key: parquet row-group min/max
+        # stats then prune point/repo lookups to O(one row group)
+        # (read_chain key_filter), pieces sliced below get tight
+        # disjoint key ranges, and sorted content compresses better.
+        # All state digests are order-insensitive (table_state_sha256
+        # canonicalizes), so this is free.
+        if state.num_rows > 1:
+            state = state.sort_by([("repo", "ascending"), ("path", "ascending")])
+        # target-size split: slice the rewritten base into ~equal row
+        # ranges sized by in-memory bytes; each slice is its own
+        # content-addressed piece, folded into ONE multi-file part
+        # entry by _commit_manifest_rows (readers are unchanged —
+        # read_chain reads every file of a link). Deterministic given
+        # the chain, so retries stay idempotent.
+        n_pieces = 1
+        if target and state.num_rows and state.nbytes > target:
+            n_pieces = min(state.num_rows, -(-state.nbytes // target))
+        step = -(-state.num_rows // n_pieces)
+        return pa.Table.from_pylist([
+            write_piece_local(lake_root, epoch, part, state.slice(off, step), "full")
+            for off in range(0, state.num_rows, step)
+        ])
 
-    recs = [{"epoch": e, "part": p, "chain": json.dumps(c)} for e, p, c in items]
-    rows_ds = rd.from_items(recs, override_num_blocks=len(recs)).map_batches(
-        write_base, batch_format="pyarrow", batch_size=1
-    )
-    return [dict(r) for r in rows_ds.take_all()]
+    items = [{"epoch": e, "part": p, "chain": c} for e, p, c in items]
+    return [dict(r) for r in _per_part(items, write_base).take_all()]
 
 
 def compact(cfg: ReplayConfig, log: CommitLog | None = None) -> dict:
@@ -1054,10 +1080,11 @@ def compact(cfg: ReplayConfig, log: CommitLog | None = None) -> dict:
     merge-on-read chain is longer than 1 file is resolved and rewritten
     as a single base file, committed as a new (maintenance) epoch.
 
-    One Ray task per bucket (``_write_bases``) — each task reads ONLY
-    its own chain (no shuffle). NOTE: the maintenance epoch takes the
-    next epoch number, so call this at a stream checkpoint/end, not
-    between fixture epochs with fixed numbering.
+    The buckets fan out over the cluster's CPUs (``_write_bases``) —
+    each bucket reads ONLY its own chain (no shuffle). NOTE: the
+    maintenance epoch takes the next epoch number, so call this at a
+    stream checkpoint/end, not between fixture epochs with fixed
+    numbering.
 
     Refuses while a feed apply is IN FLIGHT on this lake: a replica's
     ``feed_map.json`` reserves a segment's epoch durably BEFORE the
@@ -1237,12 +1264,12 @@ def auto_salt_plan(cfg_or_root, skew_threshold: float = 2.0,
                    max_salt: int = 64) -> dict:
     """Threshold-triggered salt proposal from MEASURED skew: when
     ``bucket_stats`` reports max/mean chain rows above
-    ``skew_threshold``, read ONLY the hot buckets' chains (one task per
-    hot part — never the whole lake), find each one's dominant repo,
-    and propose a ``salt_for_repo`` split sized to flatten it
-    (current_salt x ceil(hot_rows / mean_rows), capped). A repo is
-    proposed only when it DOMINATES its bucket (>50% of the bucket's
-    RESOLVED rows — chain rows double-count superseded keys on
+    ``skew_threshold``, read ONLY the hot buckets' chains (fanned out
+    over the cluster's CPUs — never the whole lake), find each one's
+    dominant repo, and propose a ``salt_for_repo`` split sized to
+    flatten it (current_salt x ceil(hot_rows / mean_rows), capped). A
+    repo is proposed only when it DOMINATES its bucket (>50% of the
+    bucket's RESOLVED rows — chain rows double-count superseded keys on
     update-heavy buckets) — salting a minority repo cannot fix the
     bucket.
 
@@ -1251,8 +1278,6 @@ def auto_salt_plan(cfg_or_root, skew_threshold: float = 2.0,
     fence makes salt immutable in place, so applying it is an explicit
     ``auto_rebucket``/``rebucket`` migration."""
     import math
-
-    import ray.data as rd
 
     root = _root_of(cfg_or_root)
     stats = bucket_stats(root)
@@ -1272,45 +1297,33 @@ def auto_salt_plan(cfg_or_root, skew_threshold: float = 2.0,
     cur_salt = (log.layout or {}).get("salt", {})
     chains = _chains_payload(log, upto_epoch=log.latest_sealed_epoch())
 
-    def repo_counts(batch: pa.Table) -> pa.Table:
-        # one hot part per task: resolve its chain, count rows per repo
-        import pyarrow.compute as pc
-
-        tbls = []
-        for rec in batch.to_pylist():
-            part = int(rec["part"])
-            state = read_chain(json.loads(rec["chain"]), columns=["repo"], part=part)
-            if state is None or state.num_rows == 0:
-                continue
-            red = (
-                pa.table({"repo": state["repo"]})
-                .group_by(["repo"], use_threads=False)
-                .aggregate([([], "count_all")])
-            )
-            tbls.append(pa.table({
-                "part": pa.array([part] * red.num_rows, pa.int64()),
-                "repo": red["repo"],
-                "rows": pc.cast(red["count_all"], pa.int64()),
-                # the part's RESOLVED row total — dominance must compare
-                # resolved-to-resolved; chain rows count superseded keys
-                # per delta layer, so update-heavy hot buckets would
-                # spuriously fail a resolved-vs-chain comparison
-                "part_rows": pa.array([state.num_rows] * red.num_rows, pa.int64()),
-            }))
-        return (
-            pa.concat_tables(tbls) if tbls
-            else pa.table({"part": pa.array([], pa.int64()),
-                           "repo": pa.array([], pa.string()),
-                           "rows": pa.array([], pa.int64()),
-                           "part_rows": pa.array([], pa.int64())})
+    def repo_counts(item: dict) -> pa.Table:
+        # one hot part: resolve its chain, count rows per repo
+        part = int(item["part"])
+        state = read_chain(item["chain"], columns=["repo"], part=part)
+        if state is None or state.num_rows == 0:
+            return pa.table({"part": pa.array([], pa.int64()),
+                             "repo": pa.array([], pa.string()),
+                             "rows": pa.array([], pa.int64()),
+                             "part_rows": pa.array([], pa.int64())})
+        red = (
+            pa.table({"repo": state["repo"]})
+            .group_by(["repo"], use_threads=False)
+            .aggregate([([], "count_all")])
         )
+        return pa.table({
+            "part": pa.array([part] * red.num_rows, pa.int64()),
+            "repo": red["repo"],
+            "rows": pc.cast(red["count_all"], pa.int64()),
+            # the part's RESOLVED row total — dominance must compare
+            # resolved-to-resolved; chain rows count superseded keys
+            # per delta layer, so update-heavy hot buckets would
+            # spuriously fail a resolved-vs-chain comparison
+            "part_rows": pa.array([state.num_rows] * red.num_rows, pa.int64()),
+        })
 
-    items = [{"part": p, "chain": json.dumps(chains[p])} for p, _ in hot]
-    counts = (
-        rd.from_items(items, override_num_blocks=max(1, len(items)))
-        .map_batches(repo_counts, batch_format="pyarrow", batch_size=1)
-        .to_pandas()
-    )
+    items = [{"part": p, "chain": chains[p]} for p, _ in hot]
+    counts = _per_part(items, repo_counts).to_pandas()
     for (part, chain_rows) in hot:
         mine = counts[counts["part"] == part]
         if mine.empty:
@@ -1661,9 +1674,10 @@ def lake_dataset(
 
     Fully-compacted lakes (every chain is one base file) read as a
     plain pruned ``read_parquet``. Lakes with merge-on-read deltas are
-    resolved DISTRIBUTED: one task per bucket reads + LWW-resolves its
-    own chain (no shuffle — the chain is already partitioned by
-    bucket), streaming resolved blocks downstream.
+    resolved DISTRIBUTED: the buckets fan out over the cluster's CPUs
+    (``_per_part``), each bucket read + LWW-resolved from its own chain
+    (no shuffle — the chain is already partitioned by bucket), streaming
+    resolved tables downstream.
 
     Pass ``columns`` to prune at the read; restrict to pre-evolution
     columns when files span a schema change (Ray unifies blocks lazily,
@@ -1722,29 +1736,23 @@ def lake_dataset(
             )
         return ds
 
-    items = [{"part": p, "chain": json.dumps(c)} for p, c in sorted(chains.items())]
+    items = [{"part": p, "chain": c} for p, c in sorted(chains.items())]
+    empty = pa.table({c: pa.array([], pa.string()) for c in (columns or ["repo", "path"])})
 
-    def resolve_part(batch: pa.Table) -> pa.Table:
-        out = []
-        for rec in batch.to_pylist():
-            t = read_chain(json.loads(rec["chain"]), columns=read_cols, part=int(rec["part"]))
-            if t is not None and t.num_rows > 0:
-                t = t.filter(pa.compute.is_valid(t["repo"]))
-                if repo_set is not None:
-                    t = repo_prune(t)
-                elif columns is not None:
-                    t = t.select([c for c in columns if c in t.column_names])
-                if t.num_rows:
-                    out.append(t)
-        if not out:
-            return pa.table({c: pa.array([], pa.string()) for c in (columns or ["repo", "path"])})
-        return _unify_concat(out)
+    def resolve_part(item: dict) -> pa.Table:
+        t = read_chain(item["chain"], columns=read_cols, part=int(item["part"]))
+        if t is None or t.num_rows == 0:
+            return empty
+        t = t.filter(pa.compute.is_valid(t["repo"]))
+        if repo_set is not None:
+            return repo_prune(t)
+        if columns is not None:
+            return t.select([c for c in columns if c in t.column_names])
+        return t
 
     if not items:
-        return rd.from_arrow(pa.table({c: pa.array([], pa.string()) for c in (columns or ["repo", "path"])}))
-    return rd.from_items(items, override_num_blocks=max(1, len(items))).map_batches(
-        resolve_part, batch_format="pyarrow", batch_size=1
-    )
+        return rd.from_arrow(empty)
+    return _per_part(items, resolve_part)
 
 
 def _layout_of(log: CommitLog) -> tuple[int, dict[str, int]]:
@@ -1837,7 +1845,7 @@ def key_history(cfg_or_root, repo: str, path: str, columns: list[str] | None = N
     import pyarrow.parquet as pq
 
     from ..functions.hashing import buckets_for_key
-    from ..stages.merge import _pqfile, _schema_names
+    from ..stages.merge import _pqfile
 
     log = CommitLog.open(_root_of(cfg_or_root))
     num_buckets, salt = _layout_of(log)
@@ -1849,7 +1857,7 @@ def key_history(cfg_or_root, repo: str, path: str, columns: list[str] | None = N
     for entry in log.entries_for_part(part):
         rgs = entry.rgs or (-1,) * len(entry.files)
         for f, rg in zip(entry.files, rgs):
-            cols = [c for c in _schema_names(f) if c in need]
+            cols = [c for c in _file_schema(f).names if c in need]
             if rg is not None and int(rg) >= 0:
                 t = _pqfile(f).read_row_group(int(rg), columns=cols)
             else:
@@ -1905,11 +1913,11 @@ def lake_table(cfg_or_root, as_of_epoch: int | None = None) -> pa.Table:
 def _file_schemas(log: CommitLog, upto_epoch: int | None) -> list[tuple[int, pa.Schema]]:
     """``(epoch, schema)`` of every distinct file the log's surviving
     entries reference up to ``upto_epoch``, from parquet FOOTERS only,
-    in (epoch, part) order of each file's first reference. One read per
-    file: a direct-write delta file backs one entry per bucket it
-    holds."""
-    import pyarrow.parquet as pq
-
+    in (epoch, part) order of each file's first reference. Each footer
+    is read once per process (``merge._file_schema``, shared with chain
+    reads), so a repeated call — every image-carrying changelog, hence
+    every ``MaintainedView.advance`` — reads only the files new since
+    the last one."""
     seen: set[str] = set()
     out = []
     for entry in sorted(log.all_entries(), key=lambda e: (e.epoch, e.part)):
@@ -1918,7 +1926,7 @@ def _file_schemas(log: CommitLog, upto_epoch: int | None) -> list[tuple[int, pa.
         for f in entry.files:
             if f not in seen:
                 seen.add(f)
-                out.append((entry.epoch, pq.read_schema(f)))
+                out.append((entry.epoch, _file_schema(f)))
     return out
 
 
@@ -1952,7 +1960,7 @@ def _same(a, b):
 
 def lake_changelog(
     cfg_or_root,
-    from_epoch: int,
+    from_epoch: int | None,
     to_epoch: int | None = None,
     image_cols: list[str] | str | None = None,
 ):
@@ -1962,6 +1970,11 @@ def lake_changelog(
     both states with differing content sha; 'D' rows carry the OLD
     sha). The downstream-consumer side of the engine's own ingest
     surface (Debezium-style outbound feed / incremental-view input).
+
+    ``from_epoch=None`` diffs from the EMPTY lake: every live key at
+    ``to_epoch`` as an 'I' — the snapshot an export spool bootstraps
+    from (``export_changelog``, ``compact_feed``). The empty state
+    predates every retention floor, so it is always answerable.
 
     ``image_cols``: lake payload columns to carry as before/after
     images — each requested column ``c`` is emitted as ``{c}_old``
@@ -1977,34 +1990,32 @@ def lake_changelog(
     segment.
 
     Scale shape: both states' chains share the SAME bucket layout, so
-    the diff is one task per partition over its own two chains — no
-    shuffle, no driver materialization; per bucket, the reconcile
-    kernel (``stages.reconcile.reconcile_pair_pdf``) outer-diffs the
-    old state (left) against the new one (right).
+    each partition is diffed over its own two chains, the partitions
+    fanned out over the cluster's CPUs (``_per_part``) — no shuffle,
+    no driver materialization; per bucket, the reconcile kernel
+    (``stages.reconcile.reconcile_pair_pdf``) outer-diffs the old
+    state (left) against the new one (right).
     Only partitions whose chain differs between the two epochs are
     diffed (equal chains resolve to equal states), so the cost is
     O(changed partitions' chains); a window that changed none returns
-    a typed empty feed without reading any data. Subject to the same
-    retention-floor refusal as time travel (``_as_of_upto``)."""
+    a typed empty feed without reading any data. A past ``from_epoch``
+    is subject to the same retention-floor refusal as time travel
+    (``_as_of_upto``)."""
     import ray.data as rd
 
     log = CommitLog.open(_root_of(cfg_or_root))
     upto_to = _as_of_upto(log, to_epoch)
-    upto_from = _as_of_upto(log, from_epoch)
-    if upto_to is None or upto_from > upto_to:
+    upto_from = None if from_epoch is None else _as_of_upto(log, from_epoch)
+    if upto_to is None or (upto_from is not None and upto_from > upto_to):
         raise ValueError(
             f"from_epoch={from_epoch} must be <= to_epoch "
             f"({upto_to}): an inverted changelog would feed a consumer "
             "reversed I/D semantics"
         )
-    old = _chains_payload(log, upto_epoch=upto_from)
+    old = {} if upto_from is None else _chains_payload(log, upto_epoch=upto_from)
     new = _chains_payload(log, upto_epoch=upto_to)
     items = [
-        {
-            "part": p,
-            "old": json.dumps(old.get(p, [])),
-            "new": json.dumps(new.get(p, [])),
-        }
+        {"part": p, "old": old.get(p, []), "new": new.get(p, [])}
         for p in sorted(set(old) | set(new))
         if old.get(p) != new.get(p)
     ]
@@ -2033,8 +2044,8 @@ def lake_changelog(
         + [pa.field(c, img_types[c]) for c in attrs]
     )
 
-    def state(chain_json: str, part: int) -> pa.Table:
-        t = read_chain(json.loads(chain_json), columns=cols, part=part)
+    def state(chain: list[dict], part: int) -> pa.Table:
+        t = read_chain(chain, columns=cols, part=part)
         if t is None:
             return state_schema.empty_table()
         t = t.filter(pc.is_valid(t["repo"]))
@@ -2043,44 +2054,39 @@ def lake_changelog(
                 t = t.append_column(c, pa.nulls(t.num_rows, state_schema.field(c).type))
         return t.select(cols).cast(state_schema, safe=False)
 
-    def diff_part(batch: pa.Table) -> pa.Table:
-        out = [feed_schema.empty_table()]
-        for rec in batch.to_pylist():
-            part = int(rec["part"])
-            # old state left, new state right: MISSING_LEFT is an insert,
-            # MISSING_RIGHT a delete, VALUE_DIFF an update
-            d = reconcile_pair_pdf(
-                state(rec["old"], part), state(rec["new"], part),
-                ["repo", "path"], "content_sha256", attrs,
-            )
-            st = d["status"]
-            ins, dele = pc.equal(st, STATUS_MISSING_LEFT), pc.equal(st, STATUS_MISSING_RIGHT)
-            # sha covers `content` only — a payload/image column can
-            # change under an unchanged content (e.g. a mid-stream
-            # added column landing its first value). A feed that
-            # carries images must surface those as 'U' too, or image
-            # consumers (IVM views, replicas) silently miss the change.
-            changed = pc.not_equal(st, STATUS_MATCHED)
-            for c in attrs:
-                changed = pc.or_(changed, pc.invert(_same(d[f"{c}_l"], d[f"{c}_r"])))
-            f = {
-                "repo": d["repo"],
-                "path": d["path"],
-                "change": pc.if_else(ins, "I", pc.if_else(dele, "D", "U")),
-                "content_sha256": pc.if_else(
-                    dele, d["content_sha256_l"], d["content_sha256_r"]
-                ),
-            }
-            for c in images:
-                # the outer diff already nulled the absent side (old on
-                # 'I', new on 'D')
-                f[f"{c}_old"], f[f"{c}_new"] = d[f"{c}_l"], d[f"{c}_r"]
-            out.append(pa.table(f).filter(changed).cast(feed_schema))
-        return pa.concat_tables(out)
+    def diff_part(item: dict) -> pa.Table:
+        part = int(item["part"])
+        # old state left, new state right: MISSING_LEFT is an insert,
+        # MISSING_RIGHT a delete, VALUE_DIFF an update
+        d = reconcile_pair_pdf(
+            state(item["old"], part), state(item["new"], part),
+            ["repo", "path"], "content_sha256", attrs,
+        )
+        st = d["status"]
+        ins, dele = pc.equal(st, STATUS_MISSING_LEFT), pc.equal(st, STATUS_MISSING_RIGHT)
+        # sha covers `content` only — a payload/image column can change
+        # under an unchanged content (e.g. a mid-stream added column
+        # landing its first value). A feed that carries images must
+        # surface those as 'U' too, or image consumers (IVM views,
+        # replicas) silently miss the change.
+        changed = pc.not_equal(st, STATUS_MATCHED)
+        for c in attrs:
+            changed = pc.or_(changed, pc.invert(_same(d[f"{c}_l"], d[f"{c}_r"])))
+        f = {
+            "repo": d["repo"],
+            "path": d["path"],
+            "change": pc.if_else(ins, "I", pc.if_else(dele, "D", "U")),
+            "content_sha256": pc.if_else(
+                dele, d["content_sha256_l"], d["content_sha256_r"]
+            ),
+        }
+        for c in images:
+            # the outer diff already nulled the absent side (old on
+            # 'I', new on 'D')
+            f[f"{c}_old"], f[f"{c}_new"] = d[f"{c}_l"], d[f"{c}_r"]
+        return pa.table(f).filter(changed).cast(feed_schema)
 
-    return rd.from_items(items, override_num_blocks=len(items)).map_batches(
-        diff_part, batch_format="pyarrow", batch_size=1
-    )
+    return _per_part(items, diff_part)
 
 
 def export_changelog(
@@ -2097,11 +2103,13 @@ def export_changelog(
     marker, then atomically advances ``<out_dir>/_CURSOR``. Folding all
     sealed segments in plain name order reproduces the lake state.
 
-    First call bootstraps Debezium-style: the FULL current state spools
-    as one ``'I'`` snapshot segment (a consumer needs a base to apply
-    deltas to). Later calls spool only the per-key diff between sealed
-    states — work O(changed buckets' chains), never a rescan of
-    unchanged history.
+    Every segment is one ``lake_changelog`` from the cursor to the head.
+    The first call bootstraps Debezium-style from the empty lake
+    (``from_epoch=None``): the FULL current state spools as one
+    ``'I'`` snapshot segment (a consumer needs a base to apply deltas
+    to). Later calls spool only the per-key diff between sealed states
+    — work O(changed buckets' chains), never a rescan of unchanged
+    history.
 
     Exactly-once under crash/retry, mirroring the lake's own publish
     discipline: segments are derived deterministically from SEALED
@@ -2136,19 +2144,15 @@ def export_changelog(
     if head is None or (cur is not None and head <= cur):
         return {"skipped": True, "cursor": cur, "head": head}
 
-    if cur is None:
-        # "0-snapshot": the '-' byte sorts below every digit, so the
-        # bootstrap segment is FIRST in name order regardless of later
-        # delta names — dumb consumers can fold the feed with a plain
-        # lexicographic walk (snapshot, then deltas, in apply order)
-        seg = os.path.join(out_dir, "feed", f"epochs=0-snapshot-{head:05d}")
-        feed = _snapshot_feed(log, root, head, image_cols)
-    else:
-        seg = os.path.join(out_dir, "feed", f"epochs={cur:05d}-{head:05d}")
-        feed = lake_changelog(
-            root, from_epoch=cur, to_epoch=head, image_cols=image_cols
-        )
-    _write_segment(feed, seg)
+    # "0-snapshot": the '-' byte sorts below every digit, so the
+    # bootstrap segment is FIRST in name order regardless of later delta
+    # names — dumb consumers can fold the feed with a plain
+    # lexicographic walk (snapshot, then deltas, in apply order)
+    name = f"epochs=0-snapshot-{head:05d}" if cur is None else f"epochs={cur:05d}-{head:05d}"
+    seg = os.path.join(out_dir, "feed", name)
+    _write_segment(
+        lake_changelog(root, from_epoch=cur, to_epoch=head, image_cols=image_cols), seg
+    )
     _publish_cursor(out_dir, head)
     return {
         "skipped": False,
@@ -2179,42 +2183,6 @@ def _write_segment(feed, seg: str) -> None:
         fh.write("ok\n")
 
 
-def _snapshot_feed(log: CommitLog, root: str, head: int, image_cols):
-    """The full current state as an 'I'-changes feed Dataset — the
-    bootstrap/compaction snapshot body shared by ``export_changelog``
-    and ``compact_feed``."""
-    sch = _payload_schema(log, head)
-    if image_cols == "all":
-        image_cols = sorted(sch)
-    images = [c for c in (image_cols or []) if c not in ("repo", "path")]
-    cols = ["repo", "path", "content_sha256"] + [
-        c for c in images if c != "content_sha256"
-    ]
-    img_types = {c: sch.get(c, pa.string()) for c in images}
-
-    def as_inserts(t: pa.Table) -> pa.Table:
-        out: dict[str, object] = {
-            "repo": t["repo"],
-            "path": t["path"],
-            "change": pa.repeat(pa.scalar("I"), t.num_rows),
-            "content_sha256": t["content_sha256"],
-        }
-        for c in images:
-            typ = img_types[c]
-            col = (
-                pc.cast(t[c], typ, safe=False)
-                if c in t.column_names
-                else pa.nulls(t.num_rows, typ)
-            )
-            out[f"{c}_old"] = pa.nulls(t.num_rows, typ)
-            out[f"{c}_new"] = col
-        return pa.table(out)
-
-    return lake_dataset(root, columns=cols, as_of_epoch=head).map_batches(
-        as_inserts, batch_format="pyarrow"
-    )
-
-
 def compact_feed(
     cfg_or_root,
     out_dir: str,
@@ -2225,7 +2193,9 @@ def compact_feed(
     sealed segment with ONE fresh snapshot of the source lake at its
     sealed head. Without this a long-lived feed grows O(total changes
     ever) and a new consumer must fold the whole history; after
-    compaction a bootstrap is one snapshot read.
+    compaction a bootstrap is one snapshot read. The snapshot is the
+    changelog from the empty lake (``lake_changelog(from_epoch=None)``),
+    the same body as the ``export_changelog`` bootstrap.
 
     Crash-safe protocol (each step idempotent, fold correct at every
     crash point):
@@ -2261,7 +2231,8 @@ def compact_feed(
     if existing == [name]:
         return {"skipped": True, "reason": "already compacted", "segment": seg}
     if name not in existing:  # retry after a crash-post-seal skips the build
-        _write_segment(_snapshot_feed(log, root, head, image_cols), seg)
+        snap = lake_changelog(root, from_epoch=None, to_epoch=head, image_cols=image_cols)
+        _write_segment(snap, seg)
     _publish_cursor(out_dir, head)
     if stop_before_delete:
         return {"skipped": False, "segment": seg, "deleted": 0, "head": head}

@@ -130,6 +130,23 @@ def _narrow_offsets(t: pa.Table, names: list[str],
     return t
 
 
+def key_codes(repo, path) -> np.ndarray:
+    """One int64 code per row of the merge key ``(repo, path)``, equal
+    codes for equal keys: the LWW grouping of both the write path
+    (``replay.direct_write``) and chain resolution. Null-safe: repo and
+    path are null-filled SEPARATELY before joining, so (null, 'a'),
+    (null, 'b') and ('a', null) stay distinct keys (Arrow's
+    ``group_by`` null-group semantics) and no code is null; the
+    sentinel holds a NUL byte, which no real repo or path may hold
+    (documented key contract)."""
+    keys = key_strings(pc.fill_null(repo, "\x00N"), pc.fill_null(path, "\x00N"))
+    if isinstance(keys, pa.ChunkedArray):
+        # joined keys can near the cap even when repo/path alone
+        # don't; combine_chunks concatenates, so widen first
+        keys = _widen_array(keys).combine_chunks()
+    return pc.dictionary_encode(keys).indices.to_numpy(zero_copy_only=False).astype(np.int64)
+
+
 def resolve_chain_tables(tables_by_epoch: list[tuple[int, pa.Table]]) -> pa.Table:
     """Resolve a merge-on-read chain (base + deltas, each tagged with
     its commit epoch) to the partition's current state.
@@ -178,22 +195,7 @@ def resolve_chain_tables(tables_by_epoch: list[tuple[int, pa.Table]]) -> pa.Tabl
         )
     else:
         seq = np.zeros(n, dtype=np.int64)
-    # null-fill repo/path SEPARATELY before joining so (null, 'a') and
-    # (null, 'b') stay distinct keys (matching the old
-    # group_by(['repo','path']) null-group semantics) and dictionary
-    # codes stay integral; the sentinel contains a NUL byte, which no
-    # real repo/path may contain (documented key contract)
-    keys = key_strings(
-        pc.fill_null(merged["repo"], "\x00N"),
-        pc.fill_null(merged["path"], "\x00N"),
-    )
-    if isinstance(keys, pa.ChunkedArray):
-        # joined keys can near the cap even when repo/path alone
-        # don't; combine_chunks concatenates, so widen first
-        keys = _widen_array(keys).combine_chunks()
-    codes = (
-        pc.dictionary_encode(keys).indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    )
+    codes = key_codes(merged["repo"], merged["path"])
     # stable lexsort by (code, epoch, seq): the last row of each code
     # run is the max-(epoch, seq) winner, ties resolved to the later
     # concat position — exactly the stable-sort + "last" semantics.
@@ -224,8 +226,13 @@ def _pqfile(path: str) -> pq.ParquetFile:
 
 
 @lru_cache(maxsize=4096)
-def _schema_names(path: str) -> tuple[str, ...]:
-    return tuple(_pqfile(path).schema_arrow.names)
+def _file_schema(path: str) -> pa.Schema:
+    """A lake file's Arrow schema from its parquet footer, read once per
+    path per process: chain reads prune columns with it, and the
+    changelog's payload schema unifies it over every live file. Safe
+    to cache for the same reason as ``_pqfile``: lake file names are
+    content-addressed (``erase_key`` writes new names)."""
+    return pq.read_schema(path)
 
 
 def read_chain(
@@ -277,7 +284,7 @@ def read_chain(
         for f, rg in zip(link["files"], rgs):
             cols = None
             if need is not None:
-                avail = _schema_names(f)
+                avail = _file_schema(f).names
                 cols = [c for c in avail if c in need or c == "bucket"]
             if rg is not None and int(rg) >= 0:
                 # direct-mode delta: this partition's rows are exactly

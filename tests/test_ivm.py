@@ -558,6 +558,40 @@ def test_payload_schema_reads_each_footer_once(tmp_path, monkeypatch):
     assert str(schema["nbytes"]) == "int64"
 
 
+def test_changelog_reads_each_footer_once_across_calls(tmp_path, monkeypatch):
+    """Lake file names are content-addressed, so a footer read once
+    serves every later call: two image-carrying changelogs (as two
+    ``MaintainedView.advance`` calls make) read each live file's footer
+    once in all, not once per call."""
+    from collections import Counter
+
+    from etl_reconciliate_ray.state.commitlog import CommitLog
+
+    binlog = tmp_path / "binlog"
+    binlog.mkdir()
+    for e in range(2):
+        n = 16
+        pq.write_table(pa.table({
+            "seq": pa.array(range(e * n, (e + 1) * n), pa.int64()),
+            "op": pa.array(["I" if e == 0 else "U"] * n),
+            "repo": pa.array([f"r{i}" for i in range(n)]),
+            "path": pa.array([f"p{i}" for i in range(n)]),
+            "content": pa.array([f"c{e}-{i}" for i in range(n)]),
+            "nbytes": pa.array(range(n), pa.int64()),
+        }), str(binlog / f"epoch={e:05d}.parquet"))
+    root = str(tmp_path / "lake")
+    replay_stream(str(binlog), ReplayConfig(lake_root=root, num_buckets=4))
+    files = {f for e in CommitLog.open(root).all_entries() for f in e.files}
+
+    calls = Counter()
+    real = pq.read_schema
+    monkeypatch.setattr(pq, "read_schema", lambda f, *a, **k: calls.update([f]) or real(f, *a, **k))
+    lake_changelog(root, from_epoch=1, to_epoch=2, image_cols=["nbytes"])
+    lake_changelog(root, from_epoch=1, to_epoch=2, image_cols="all")
+    assert set(calls) == files
+    assert max(calls.values()) == 1
+
+
 def test_maintained_view_empty_state_round_trip(tmp_path):
     """A view whose every group is retired publishes an empty state
     (Ray writes no file for it) that reads back as zero rows and

@@ -276,3 +276,27 @@ def test_read_chain_refuses_length_skewed_manifest_link(tmp_path):
     pq.write_table(t, f2)
     with pytest.raises(ValueError, match="row-group ordinals"):
         read_chain([{"epoch": 0, "files": [f1, f2], "rgs": [0]}])
+
+
+def test_replay_keeps_half_null_keys_distinct(tmp_path):
+    """The write path's per-(epoch, bucket) LWW codes keys null-safely,
+    as chain resolution does: two keys with a null path and different
+    repos in one epoch and one bucket are two lake rows, not one
+    winner."""
+    import pyarrow.parquet as pq
+
+    from etl_reconciliate_ray.pipelines.replay import ReplayConfig, lake_table, replay_stream
+
+    binlog = tmp_path / "binlog"
+    binlog.mkdir()
+    pq.write_table(pa.table({
+        "seq": pa.array([0, 1, 2], pa.int64()),
+        "op": ["I", "I", "I"],
+        "repo": ["r1", "r2", "r1"],
+        "path": pa.array([None, None, "p"], pa.string()),
+        "content": ["a", "b", "c"],
+    }), str(binlog / "epoch=00000.parquet"))
+    cfg = ReplayConfig(lake_root=str(tmp_path / "lake"), num_buckets=1)
+    replay_stream(str(binlog), cfg)
+    got = {(r["repo"], r["path"], r["content"]) for r in lake_table(cfg.lake_root).to_pylist()}
+    assert got == {("r1", None, "a"), ("r2", None, "b"), ("r1", "p", "c")}
