@@ -118,10 +118,9 @@ def run_bench() -> dict:
         lake_root=lake_root,
         num_buckets=num_buckets,
         salt_for_repo=man["salt_hot_repos"],
-        normalize_batch_size=None,  # full read->write operator fusion
         read_parallelism=2 * ncpu,
-        # merge-on-read: binlog epochs batch through ONE streaming
-        # execution; map tasks write partial deltas straight to the
+        # merge-on-read: binlog epochs batch through ONE fan-out of
+        # read-block tasks that write partial deltas straight to the
         # lake (no shuffle, no object-store hop); the final state
         # materializes in one distributed compaction pass
         pipeline_epochs=4,

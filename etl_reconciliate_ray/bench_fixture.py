@@ -22,13 +22,14 @@ _POOL_SIZE = 1024
 
 
 def _write_sharded(df: pd.DataFrame, out_dir: str, rows_per_file: int = 50_000) -> None:
-    """Write a directory of parquet shards (min 8) so Ray's read stage
-    gets one task per file instead of one serialized read. A one-file
-    'epoch' reads as 1 read task: ``override_num_blocks`` above 1 only
-    splits that task's OUTPUT (Ray's SplitBlocks), which also stops the
-    read from fusing with the write. The replay scan's default block
-    rule (``replay._read_blocks``) gives a small one-file epoch exactly
-    1 block; ``bench.py`` forces ``read_parallelism`` instead."""
+    """Write a directory of parquet shards (min 8, 8192-row row groups)
+    so the replay scan has many (file, row group) fragments to deal to
+    its read blocks, each block reading only its own share. With fewer
+    row groups than blocks the scan splits rows instead, and every
+    block holding a share of a row group decodes that whole row group.
+    The default block rule (``replay._read_blocks``) gives a small
+    one-file epoch exactly 1 block; ``bench.py`` forces
+    ``read_parallelism`` instead."""
     os.makedirs(out_dir, exist_ok=True)
     n_files = max(8, (len(df) + rows_per_file - 1) // rows_per_file)
     per = (len(df) + n_files - 1) // n_files

@@ -265,7 +265,7 @@ def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, sn
     from ..functions.hashing import bucket_of
     from ..stages.reconcile import reconcile_pair_pdf
     from ..state.commitlog import CommitLog, layout_fingerprint
-    from .replay import _chains_payload, _per_part
+    from .replay import _chains_payload, _gather, _per_part
 
     cols = ["repo", "path", "commit", "content_sha256"]
     spool_dir = os.path.join(state_dir, "snap_spool")
@@ -352,7 +352,7 @@ def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, sn
             for p in dirty
         ]
         # aggregate-sized: O(dirty parts x repos x statuses)
-        fresh = _per_part(items, _make_cogroup_fn(spill, cols)).take_all()
+        fresh = _gather(_per_part(items, _make_cogroup_fn(spill, cols))).to_pylist()
         by_part = {p: [] for p in dirty}
         for r in fresh:
             by_part[int(r["part"])].append([r["repo"], r["status"], int(r["n"])])

@@ -7,16 +7,26 @@ Replaces the reference's 4-step Spring Batch job lifecycle
 lifecycle of SURVEY.md §3:
 
     for each window of up to ``pipeline_epochs`` epochs:
-        read binlog slices           read_parquet (pruned, unified schema;
-                                     blocks sized by CPUs and footer bytes)
-        bucket + tag epoch           map_batches (stateless tasks)
-        LWW + sha256 + direct write  map_batches: each task hashes and
-                                     writes its block's per-(epoch,
-                                     bucket) winners straight to the
-                                     lake (no shuffle)
+        plan read blocks             parquet footers only: a unified
+                                     schema, and the window's (file, row
+                                     group) fragments dealt to blocks
+                                     sized by CPUs and bytes (``_scan``)
+        read + tag + LWW + write     one Ray task per block (``_per_part``)
+                                     reads its own fragments, tags bucket
+                                     and epoch, hashes the LWW winners
+                                     and writes its per-(epoch, bucket)
+                                     pieces straight to the lake (no
+                                     shuffle)
         fold long chains             parts past ``delta_threshold`` links
                                      resolve into one full base
         commit + seal, in order      commit-log append (driver, fenced)
+
+The engine's own work — epoch windows, folds, compaction, salt
+planning, erasure, the reconcile cogroup and the chain resolves behind
+``lake_dataset``/``lake_changelog`` — runs as plain Ray tasks through
+that one fan-out. Ray Data runs only where a Dataset crosses the API:
+an epoch given as a caller's Dataset (``run_epoch``, txn staging), the
+reconcile snapshot spool, and the Datasets the read surface returns.
 
 Exactly-once needs no stateful sink: data files are content-addressed
 (a retried task rewrites the same bytes under the same name) and the
@@ -32,6 +42,7 @@ Ray session ownership: these functions NEVER call ray.init/shutdown
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -69,15 +80,8 @@ class ReplayConfig:
     # writer actor pool left to size (kept so existing configs and
     # callers that still pass it construct unchanged)
     writer_concurrency: int = 4
-    # batch size of the epoch-tag step. None = one batch per block,
-    # which lets Ray FUSE the whole chain ReadParquet->tag->write into
-    # ONE task pipeline (when the read is not split) — no
-    # object-store transit between stages (a fixed serial cost that
-    # capped scaling). Set a number only if per-batch peak memory must
-    # be bounded below the block size.
-    normalize_batch_size: int | None = None
-    # read blocks per binlog window. None = the engine's rule
-    # (``_read_blocks``): max(ceil(bytes / target_max_block_size),
+    # read blocks per binlog window, one task each. None = the engine's
+    # rule (``_read_blocks``): max(ceil(bytes / target_max_block_size),
     # min(cluster CPUs, ceil(bytes / target_min_block_size))), bytes
     # from the parquet footers. A window splits only to feed CPUs that
     # exist or to cap the block size, so a small single-file epoch
@@ -92,13 +96,12 @@ class ReplayConfig:
     # at the epoch where it would, so no sealed epoch's chain exceeds
     # max(1, delta_threshold) links.
     delta_threshold: int = 8
-    # binlog epochs per Dataset execution (a window): each event is
-    # tagged with its epoch, so per-epoch LWW stays exact while the
-    # streaming executor pipelines the whole window with no driver
-    # barrier between epochs (per-epoch barriers dominate at 10^4+
-    # epochs). Epochs commit + seal in order after each execution; a
-    # crash redoes at most one window (idempotent). 1 = one epoch per
-    # execution.
+    # binlog epochs per write (a window): each event is tagged with its
+    # epoch, so per-epoch LWW stays exact while one fan-out of read
+    # blocks writes the whole window with no driver barrier between
+    # epochs (per-epoch barriers dominate at 10^4+ epochs). Epochs
+    # commit + seal in order after each write; a crash redoes at most
+    # one window (idempotent). 1 = one epoch per write.
     pipeline_epochs: int = 1
     # run a distributed compaction after the last epoch so readers see
     # chain length 1 everywhere (end-of-stream housekeeping).
@@ -187,24 +190,27 @@ def _skipped(epoch: int) -> dict:
 
 
 def run_epoch(
-    events_ds,
+    events,
     epoch: int,
     cfg: ReplayConfig,
     log: CommitLog | None = None,
     input_seq: tuple[int, int] | None = None,
     seal: bool = True,
 ) -> dict:
-    """Apply one epoch (a ``ray.data.Dataset`` of binlog events) to the
-    lake: a window of one through the shared epoch kernel, every event
-    tagged with ``epoch``. Idempotent: a sealed epoch is skipped; a
-    partially-committed epoch re-runs and the (epoch, part) fence keeps
-    its already-committed partitions. ``seal=False`` commits without
-    publishing (multi-table txn staging)."""
+    """Apply one epoch to the lake: a window of one through the shared
+    epoch kernel, every event tagged with ``epoch``. ``events`` is a
+    ``ray.data.Dataset`` of binlog events, executed once with the
+    kernel's per-block write as its one ``map_batches`` (so it streams),
+    or the engine's own read blocks (``_scan``), written by plain tasks.
+    Idempotent: a sealed epoch is skipped; a partially-committed epoch
+    re-runs and the (epoch, part) fence keeps its already-committed
+    partitions. ``seal=False`` commits without publishing (multi-table
+    txn staging)."""
     log = log or CommitLog.open(cfg.lake_root)
     log.ensure_layout(cfg.layout())
     if log.is_sealed(epoch):
         return _skipped(epoch)
-    return _apply_epochs(events_ds, {epoch: input_seq}, cfg, log, seal=seal)[0]
+    return _apply_epochs(events, {epoch: input_seq}, cfg, log, seal=seal)[0]
 
 
 def _write_lineage(lake_root: str, log: CommitLog, last_metrics: dict) -> None:
@@ -237,8 +243,8 @@ def bootstrap(
     log = log or CommitLog.open(cfg.lake_root)
     if log.is_sealed(0):  # skip before the scan: follow polls re-enter
         return _skipped(0)
-    ds = _scan([lake_seed_path], cfg).map_batches(_seed_as_insert, batch_format="pyarrow")
-    return run_epoch(ds, 0, cfg, log=log, input_seq=(-1, -1))
+    scan = _scan([lake_seed_path], cfg, prep=_seed_as_insert)
+    return run_epoch(scan, 0, cfg, log=log, input_seq=(-1, -1))
 
 
 def replay(
@@ -251,7 +257,7 @@ def replay(
     the chaos tests; calling again resumes from the commit log.
 
     Epochs run in windows of ``cfg.pipeline_epochs``, one Dataset
-    execution each (an epoch's deltas read no previous state); the
+    write each (an epoch's deltas read no previous state); the
     driver commits and seals each window's epochs strictly in order, so
     a crash leaves a prefix of sealed epochs + fenced partial commits
     that a restart completes idempotently."""
@@ -451,7 +457,7 @@ def replay_multiplexed(
     the transaction coordinator (``state/txn.py``).
 
     Per epoch file: each table's slice stages UNSEALED through the
-    normal replay engine (``read_parquet`` with a pushed-down
+    normal replay engine (the engine's own scan with a pushed-down
     ``table_col == name`` filter — a table-sorted epoch file prunes at
     row-group granularity, so N tables do not mean N full scans), then
     ONE coordinator COMMIT flips all N lakes together. A reader joining
@@ -500,11 +506,12 @@ def replay_multiplexed(
         txn = co.begin()
         for name in sorted(todo):
             cfg = todo[name]
-            slice_ds = _scan(
-                [ep["file"]], cfg, filter=pads.field(table_col) == name
-            ).drop_columns([table_col])
+            rows = _scan(
+                [ep["file"]], cfg, filter=pads.field(table_col) == name,
+                prep=lambda t: t.drop_columns([table_col]),
+            )
             txn.stage(
-                name, cfg, slice_ds, epoch=engine_epoch,
+                name, cfg, rows, epoch=engine_epoch,
                 input_seq=tuple(ep["seq_range"]) if ep.get("seq_range") else None,
                 resume=True,  # un-prepared crash leftovers: fence skips them
             )
@@ -657,10 +664,12 @@ def _binlog_scan_schema(files: list[str], drop: tuple[str, ...] = ("ts",)) -> "p
 
 def _binlog_footers(
     files: list[str], drop: tuple[str, ...] = ("ts",)
-) -> tuple["pa.Schema", int]:
-    """One footer read per binlog file, for the scan schema and the
+) -> tuple["pa.Schema", int, list[tuple[str, int, int]]]:
+    """One footer read per binlog file, for the scan schema, the
     window's bytes (the sum of its row groups' ``total_byte_size``,
-    which sizes the read blocks — ``_read_blocks``; no data is read).
+    which sizes the read blocks — ``_read_blocks``) and its non-empty
+    ``(file, row group, rows)`` fragments, which ``_scan`` deals to
+    the blocks. No data is read.
 
     Unified scan schema across binlog files — the schema-evolution
     contract: a payload column ADDED mid-stream appears in the unified
@@ -676,16 +685,21 @@ def _binlog_footers(
     orders on seq) are pruned at the scan. Field order is
     first-appearance, so the pre-evolution prefix stays stable.
 
-    Without this, ``read_parquet(files)`` infers the schema from the
-    FIRST fragment and a column added in a later epoch of the same
-    chunk would be silently dropped."""
+    Without this, a scan that infers the schema from the FIRST file
+    would silently drop a column added in a later epoch of the same
+    chunk."""
     import pyarrow.parquet as _pq
 
     fields: dict[str, pa.Field] = {}
     nbytes = 0
+    frags = []
     for f in files:
         meta = _pq.read_metadata(f)
-        nbytes += sum(meta.row_group(i).total_byte_size for i in range(meta.num_row_groups))
+        for i in range(meta.num_row_groups):
+            rg = meta.row_group(i)
+            nbytes += rg.total_byte_size
+            if rg.num_rows:
+                frags.append((f, i, rg.num_rows))
         for fld in meta.schema.to_arrow_schema():
             if fld.name in drop:
                 continue
@@ -706,17 +720,17 @@ def _binlog_footers(
                             "no lossless promotion; rewrite upstream, refusing"
                         )
                     fields[fld.name] = pa.field(fld.name, wide)
-    return pa.schema(list(fields.values())), nbytes
+    return pa.schema(list(fields.values())), nbytes, frags
 
 
 def _read_blocks(nbytes: int) -> int:
     """Read blocks for a binlog window of ``nbytes`` (footer bytes):
     ``max(ceil(bytes / target_max_block_size), min(cluster CPUs,
-    ceil(bytes / target_min_block_size)))``, at least 1. A window is
+    ceil(bytes / target_min_block_size)))``, at least 1 (the two
+    targets are Ray Data's ``DataContext`` block sizes). A window is
     split only to give work to CPUs that exist or to cap the block
-    size — never to reach Ray's own floors (2 x CPUs, 200 blocks),
-    which split even a tiny epoch, and each extra block writes its own
-    partial-winner piece into every (epoch, bucket) link it touches."""
+    size, because each extra block writes its own partial-winner piece
+    into every (epoch, bucket) link it touches."""
     from ray.data import DataContext
 
     ctx = DataContext.get_current()
@@ -734,61 +748,117 @@ def _cluster_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _per_part(items: list[dict], part_fn):
-    """THE per-part fan-out (fold and compaction bases, salt planning,
-    merge-on-read scans, the changelog diff, the reconcile cogroup): a
-    Dataset of ``min(len(items), cluster CPUs)`` tasks over JSON-able
-    per-part descriptors, dealt round-robin — item ``i`` goes to task
-    ``i % tasks``, so a salted repo's consecutive bucket ids land in
-    different tasks instead of stacking its hot buckets in one. A task
-    calls ``part_fn(item)`` for each of its items in turn and yields
-    every non-empty table it returns (Ray packs them into the task's
-    output block); a task whose parts all came back empty yields the
-    first one, so its block keeps the typed schema. One task per CPU,
-    not per part: per-task start-up is a fixed cost that dominated
-    small reconciles and compactions."""
-    import ray.data as rd
+def _per_part(items: list, part_fn) -> list:
+    """THE task fan-out for the engine's own work (epoch windows, fold
+    and compaction bases, salt planning, erasure, merge-on-read scans,
+    the changelog diff, the reconcile cogroup): ``min(len(items),
+    cluster CPUs)`` plain Ray tasks, items dealt round-robin — item
+    ``i`` goes to task ``i % tasks``, so a salted repo's consecutive
+    bucket ids land in different tasks instead of stacking its hot
+    buckets in one. A task calls ``part_fn(item)`` for each of its
+    items in turn and returns ONE Arrow table: its non-empty results
+    concatenated, or, when all came back empty, the first of them, so
+    it keeps the typed schema. Returns the tasks' object refs (none for
+    no items): ``_gather`` collects them on the driver, and
+    ``rd.from_arrow_refs`` turns them into a Dataset. One task per CPU,
+    not per part, and no Dataset execution: per-task start-up and a
+    Ray Data launch are fixed costs that dominated small operations."""
+    import ray
 
-    n = max(1, min(len(items), _cluster_cpus()))
-
-    def run(batch: pa.Table):
-        for dealt in batch["items"].to_pylist():
-            yielded, empty = False, None
-            for item in json.loads(dealt):
-                t = part_fn(item)
-                if t.num_rows:
-                    yielded = True
-                    yield t
-                elif empty is None:
-                    empty = t
-            if not yielded and empty is not None:
-                yield empty
-
-    blocks = [{"items": json.dumps(items[i::n])} for i in range(n)]
-    return rd.from_items(blocks, override_num_blocks=n).map_batches(
-        run, batch_format="pyarrow", batch_size=None
-    )
+    n = min(len(items), _cluster_cpus())
+    fn = ray.put(part_fn)
+    return [_parts_task().remote(fn, items[i::n]) for i in range(n)]
 
 
-def _scan(paths: list[str], cfg: ReplayConfig, filter=None):
-    """The binlog scan of one window: every parquet file under
+@functools.cache
+def _parts_task():
+    import ray
+
+    return ray.remote(_run_parts)
+
+
+def _run_parts(part_fn, items: list) -> pa.Table:
+    """``part_fn`` over ``items``, in turn: the non-empty results
+    concatenated (schemas unified), else the first result, which keeps
+    its typed schema, else an empty table. One ``_per_part`` task's
+    body, and with ``ray.get`` over the refs, the driver's gather."""
+    tables = [part_fn(item) for item in items]
+    full = [t for t in tables if t.num_rows]
+    if full:
+        return _unify_concat(full)
+    return tables[0] if tables else pa.table({})
+
+
+def _gather(refs: list) -> pa.Table:
+    """The driver-side table of a ``_per_part`` fan-out."""
+    import ray
+
+    return _run_parts(ray.get, refs)
+
+
+@dataclass
+class _Scan:
+    """The engine's own read of one binlog window, planned from the
+    footers (``_scan``): each block is a list of ``(file, row group,
+    first row, end row)`` fragments. ``read`` runs inside the block's
+    task, so a block reads only its own share of the window."""
+
+    schema: pa.Schema
+    blocks: list[list[tuple]]
+    filter: object = None
+    prep: object = None
+
+    def read(self, block: list[tuple]) -> pa.Table:
+        """The block's rows at the window's unified schema (the parquet
+        scanner null-fills absent columns and casts narrower types up)
+        and through ``filter`` (pushed down to the row-group
+        statistics), then ``prep``. A row range slices the FILTERED
+        row group: every block sharing the row group filters it the
+        same way, so their ranges still split its rows disjointly."""
+        import pyarrow.dataset as pads
+        from pyarrow.fs import LocalFileSystem
+
+        fmt, fs = pads.ParquetFileFormat(), LocalFileSystem()
+        t = pa.concat_tables([
+            fmt.make_fragment(f, fs, row_groups=[rg]).to_table(
+                schema=self.schema, columns=self.schema.names, filter=self.filter,
+            ).slice(lo, hi - lo)
+            for f, rg, lo, hi in block
+        ])
+        return self.prep(t) if self.prep is not None else t
+
+
+def _scan(paths: list[str], cfg: ReplayConfig, filter=None, prep=None) -> _Scan:
+    """Plan the binlog read of one window: every parquet file under
     ``paths`` (a path may be an epoch directory), ``ts`` pruned, one
     unified schema across the files (see ``_binlog_footers``), and
     ``cfg.read_parallelism`` blocks or, when that is None, the
-    ``_read_blocks`` count. ``filter``: a pushed-down row filter."""
+    ``_read_blocks`` count. The window's (file, row group) fragments
+    are dealt to the blocks in contiguous runs, so the blocks are
+    disjoint and together read every fragment once. Only when there
+    are fewer row groups than blocks are rows split: each row group
+    then gets about ``blocks / row groups`` row ranges, and each range's
+    block decodes that row group (parquet cannot seek to a row).
+    ``filter``: a row filter; ``prep``: a per-block transform applied
+    after the read."""
     import glob as _g
 
-    import ray.data as rd
-
     files = [
-        f for p in paths
+        os.path.abspath(f) for p in paths
         for f in (sorted(_g.glob(os.path.join(p, "*.parquet"))) if os.path.isdir(p) else [p])
     ]
-    schema, nbytes = _binlog_footers(files)
-    return rd.read_parquet(
-        files, schema=schema, filter=filter,
-        override_num_blocks=cfg.read_parallelism or _read_blocks(nbytes),
-    )
+    schema, nbytes, frags = _binlog_footers(files)
+    k = cfg.read_parallelism or _read_blocks(nbytes)
+    nf = len(frags)
+    if nf >= k:
+        cuts = [nf * i // k for i in range(k + 1)]
+        blocks = [[(f, rg, 0, n) for f, rg, n in frags[a:b]] for a, b in zip(cuts, cuts[1:])]
+    else:  # fewer row groups than blocks: about k / nf row ranges each
+        blocks = []
+        for j, (f, rg, n) in enumerate(frags):
+            m = min(n, k // nf + (j < k % nf))
+            blocks += [[(f, rg, n * i // m, n * (i + 1) // m)] for i in range(m)]
+    return _Scan(schema=schema, blocks=blocks, filter=filter, prep=prep)
 
 
 def _run_epoch_batch(
@@ -797,19 +867,17 @@ def _run_epoch_batch(
     log: CommitLog,
     prep_fn=None,
 ) -> list[dict]:
-    """ONE Dataset execution over a window of binlog epochs: every
-    event is tagged with its engine epoch from the descriptors' per-
-    epoch seq ranges, so the per-(epoch, bucket) deltas are exactly
-    those of the epochs applied one at a time."""
-    ds = _scan([ep["file"] for _, ep in chunk], cfg)
-    if prep_fn is not None:
-        ds = ds.map_batches(prep_fn, batch_format="pyarrow")
+    """ONE write over a window of binlog epochs: every event is tagged
+    with its engine epoch from the descriptors' per-epoch seq ranges,
+    so the per-(epoch, bucket) deltas are exactly those of the epochs
+    applied one at a time."""
+    scan = _scan([ep["file"] for _, ep in chunk], cfg, prep=prep_fn)
     seqs = {engine_epoch: tuple(ep["seq_range"]) for engine_epoch, ep in chunk}
-    return _apply_epochs(ds, seqs, cfg, log)
+    return _apply_epochs(scan, seqs, cfg, log)
 
 
 def _apply_epochs(
-    events_ds,
+    events,
     input_seqs: dict[int, tuple[int, int] | None],
     cfg: ReplayConfig,
     log: CommitLog,
@@ -821,11 +889,13 @@ def _apply_epochs(
     seq bound exceeds its seq, the last epoch taking the rest (so a
     window of one needs no range).
 
-    Epoch-tag (string binding, bucket, epoch) + direct write run fused
-    in one task per read block; the driver then folds parts whose chains
-    would outgrow ``cfg.delta_threshold`` (``_fold_long_chains``) and
-    commits (and, with ``seal``, seals) the epochs strictly in order.
-    Each epoch's metrics carry ``read_blocks``, the number of non-empty
+    One per-block write (epoch tag, then direct write) runs on each
+    block of ``events``: in one task per read block when ``events`` is
+    the engine's own scan (``_scan``), or as the one ``map_batches`` of
+    a caller's Dataset. The driver then folds parts whose chains would
+    outgrow ``cfg.delta_threshold`` (``_fold_long_chains``) and commits
+    (and, with ``seal``, seals) the epochs strictly in order. Each
+    epoch's metrics carry ``read_blocks``, the number of non-empty
     blocks the window's write saw: every block writes its own piece
     into each (epoch, bucket) link it touches, so that is the bound on
     a link's pieces."""
@@ -877,8 +947,6 @@ def _apply_epochs(
         the winners only (sha256 per row is the stage's dominant cost,
         and losers would be hashed only to be dropped); an input that
         already carries the column (a replicated feed) keeps it."""
-        if batch.num_rows == 0:
-            return pa.table({})
         ge0 = batch["epoch"].to_numpy(zero_copy_only=False).astype(np.int64)
         gb0 = batch["bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
         seq0 = batch["seq"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -941,13 +1009,17 @@ def _apply_epochs(
                 })
         return pa.Table.from_pylist(rows)
 
-    rows_ds = (
-        events_ds.map_batches(
-            tag_epoch, batch_format="pyarrow", batch_size=cfg.normalize_batch_size
-        )
-        .map_batches(direct_write, batch_format="pyarrow", batch_size=None)
-    )
-    rows = [dict(r) for r in rows_ds.take_all()]
+    def write_block(batch: pa.Table) -> pa.Table:
+        # a union can hand over a zero-row block with no columns at all
+        if batch.num_rows == 0:
+            return pa.table({})
+        return direct_write(tag_epoch(batch))
+
+    if isinstance(events, _Scan):
+        rows = _gather(_per_part(events.blocks, lambda b: write_block(events.read(b)))).to_pylist()
+    else:
+        ds = events.map_batches(write_block, batch_format="pyarrow", batch_size=None)
+        rows = [dict(r) for r in ds.take_all()]
     read_blocks = sum(int(r["block"]) for r in rows)
     rows, folded = _fold_long_chains(rows, epochs[0], cfg, log)
     sec = time.monotonic() - t0
@@ -1038,9 +1110,9 @@ def _write_bases(cfg: ReplayConfig, items: list[tuple[int, int, list[dict]]]) ->
     lake_root = cfg.lake_root
     target = cfg.compact_target_bytes
 
-    def write_base(item: dict) -> pa.Table:
-        epoch, part = int(item["epoch"]), int(item["part"])
-        state = read_chain(item["chain"], part=part)
+    def write_base(item: tuple[int, int, list[dict]]) -> pa.Table:
+        epoch, part, chain = item
+        state = read_chain(chain, part=part)
         if state is None or state.num_rows == 0:
             # an emptied part still commits a (0-row) base, or the
             # chain would carry its stale state forward;
@@ -1071,8 +1143,7 @@ def _write_bases(cfg: ReplayConfig, items: list[tuple[int, int, list[dict]]]) ->
             for off in range(0, state.num_rows, step)
         ])
 
-    items = [{"epoch": e, "part": p, "chain": c} for e, p, c in items]
-    return [dict(r) for r in _per_part(items, write_base).take_all()]
+    return _gather(_per_part(items, write_base)).to_pylist()
 
 
 def compact(cfg: ReplayConfig, log: CommitLog | None = None) -> dict:
@@ -1297,43 +1368,26 @@ def auto_salt_plan(cfg_or_root, skew_threshold: float = 2.0,
     cur_salt = (log.layout or {}).get("salt", {})
     chains = _chains_payload(log, upto_epoch=log.latest_sealed_epoch())
 
-    def repo_counts(item: dict) -> pa.Table:
-        # one hot part: resolve its chain, count rows per repo
-        part = int(item["part"])
-        state = read_chain(item["chain"], columns=["repo"], part=part)
+    def top_repo(item: dict) -> pa.Table:
+        # one hot part: resolve its chain, find its most frequent repo
+        state = read_chain(item["chain"], columns=["repo"], part=int(item["part"]))
         if state is None or state.num_rows == 0:
-            return pa.table({"part": pa.array([], pa.int64()),
-                             "repo": pa.array([], pa.string()),
-                             "rows": pa.array([], pa.int64()),
-                             "part_rows": pa.array([], pa.int64())})
-        red = (
-            pa.table({"repo": state["repo"]})
-            .group_by(["repo"], use_threads=False)
-            .aggregate([([], "count_all")])
-        )
-        return pa.table({
-            "part": pa.array([part] * red.num_rows, pa.int64()),
-            "repo": red["repo"],
-            "rows": pc.cast(red["count_all"], pa.int64()),
-            # the part's RESOLVED row total — dominance must compare
-            # resolved-to-resolved; chain rows count superseded keys
-            # per delta layer, so update-heavy hot buckets would
-            # spuriously fail a resolved-vs-chain comparison
-            "part_rows": pa.array([state.num_rows] * red.num_rows, pa.int64()),
-        })
+            return pa.table({})
+        red = state.group_by(["repo"], use_threads=False).aggregate([([], "count_all")])
+        top = int(np.argmax(red["count_all"].to_numpy()))
+        # the part's RESOLVED row total — dominance must compare
+        # resolved-to-resolved; chain rows count superseded keys per
+        # delta layer, so update-heavy hot buckets would spuriously
+        # fail a resolved-vs-chain comparison
+        return pa.table({"repo": red["repo"][top:top + 1],
+                         "rows": red["count_all"][top:top + 1].cast(pa.int64()),
+                         "part_rows": pa.array([state.num_rows], pa.int64())})
 
     items = [{"part": p, "chain": chains[p]} for p, _ in hot]
-    counts = _per_part(items, repo_counts).to_pandas()
-    for (part, chain_rows) in hot:
-        mine = counts[counts["part"] == part]
-        if mine.empty:
-            continue
-        top = mine.loc[mine["rows"].idxmax()]
-        if int(top["rows"]) * 2 <= int(top["part_rows"]):
+    for top in _gather(_per_part(items, top_repo)).to_pylist():
+        repo = top["repo"]
+        if repo is None or top["rows"] * 2 <= top["part_rows"]:
             continue  # no dominant repo: salting cannot flatten this part
-        repo = str(top["repo"]) if top["repo"] is not None else None
-        if repo is None:
-            continue
         # factor sized against MEAN CHAIN rows (the only fleet-wide
         # denominator available without reading every part) — chain >=
         # resolved, so the split can only be UNDERSIZED, which is safe:
@@ -1370,18 +1424,18 @@ def auto_rebucket(cfg_or_root, dest_root: str, skew_threshold: float = 2.0,
     return {"skipped": False, "plan": plan, "salt_for_repo": merged, **m}
 
 
-def _erase_rewrite_file(src: str, dst: str, repo: str, path: str | None) -> dict:
-    """Rewrite one parquet file with every row of the target key
-    removed, PRESERVING row-group count and order (0-row groups are
-    written for fully-erased slices) so entries that address this file
-    by row-group ordinal stay valid. Atomic publish via tmp + rename.
-    Runs as a Ray task when a session exists (files are independent)."""
+def _erase_rewrite_file(job: tuple[str, str, str, str | None]) -> pa.Table:
+    """Rewrite one parquet file ``src`` as ``dst`` with every row of the
+    target ``(repo, path)`` key removed, PRESERVING row-group count and
+    order (0-row groups are written for fully-erased slices) so entries
+    that address this file by row-group ordinal stay valid. Atomic
+    publish via tmp + rename. Returns the rows erased, as one row."""
     import pyarrow.parquet as _pq
 
+    src, dst, repo, path = job
     f = _pq.ParquetFile(src)
     tmp = dst + ".tmp"
     erased = 0
-    rg_rows = []
     writer = _pq.ParquetWriter(tmp, f.schema_arrow)
     try:
         for i in range(f.num_row_groups):
@@ -1392,13 +1446,12 @@ def _erase_rewrite_file(src: str, dst: str, repo: str, path: str | None) -> dict
             kept = t.filter(pc.fill_null(keep, True))
             erased += t.num_rows - kept.num_rows
             writer.write_table(kept, row_group_size=max(kept.num_rows, 1))
-            rg_rows.append(kept.num_rows)
     finally:
         writer.close()
     with open(tmp, "rb") as fh:
         os.fsync(fh.fileno())
     os.replace(tmp, dst)
-    return {"src": src, "dst": dst, "erased": erased, "rg_rows": rg_rows}
+    return pa.table({"erased": [erased]})
 
 
 def erase_key(cfg_or_root, repo: str, path: str | None = None) -> dict:
@@ -1411,7 +1464,8 @@ def erase_key(cfg_or_root, repo: str, path: str | None = None) -> dict:
 
     How: candidate buckets via the layout fence (O(salt) buckets, not
     O(lake)); their entries' files are probed with a pushed-down key
-    filter; each affected file is rewritten WITHOUT the key's rows,
+    filter; each affected file is rewritten WITHOUT the key's rows (the
+    files fan out over the cluster's CPUs, ``_per_part``),
     preserving row-group count/order (0-row groups keep ordinal
     addressing valid for every entry sharing the file — direct-mode
     files hold one group per bucket). Every log entry referencing a
@@ -1462,15 +1516,9 @@ def erase_key(cfg_or_root, repo: str, path: str | None = None) -> dict:
         tag = hashlib.sha256(f"{os.path.basename(f)}|{repo}|{path}".encode()).hexdigest()[:16]
         renames[f] = os.path.join(os.path.dirname(f), f"erased-{tag}.parquet")
 
-    import ray
-
-    jobs = [(f, renames[f]) for f in affected]
-    if ray.is_initialized():
-        task = ray.remote(_erase_rewrite_file)
-        results = ray.get([task.remote(src, dst, repo, path) for src, dst in jobs])
-    else:
-        results = [_erase_rewrite_file(src, dst, repo, path) for src, dst in jobs]
-    rows_erased = sum(r["erased"] for r in results)
+    # the files are independent: one fan-out rewrites them
+    jobs = [(f, renames[f], repo, path) for f in affected]
+    rows_erased = pc.sum(_gather(_per_part(jobs, _erase_rewrite_file))["erased"]).as_py()
 
     # rebuild every entry that references a rewritten file: new names,
     # recounted rows, recomputed state sha (per-piece digest combined in
@@ -1668,16 +1716,21 @@ def lake_dataset(
     as_of_epoch: int | None = None,
     repos: list[str] | None = None,
 ):
-    """Committed lake state as a streaming ``ray.data.Dataset`` —
-    current by default, or AS OF a past sealed epoch (time travel over
-    the merge-on-read chains; Iceberg/Hudi snapshot-read semantics).
+    """Committed lake state as a ``ray.data.Dataset`` — current by
+    default, or AS OF a past sealed epoch (time travel over the
+    merge-on-read chains; Iceberg/Hudi snapshot-read semantics).
 
     Fully-compacted lakes (every chain is one base file) read as a
-    plain pruned ``read_parquet``. Lakes with merge-on-read deltas are
-    resolved DISTRIBUTED: the buckets fan out over the cluster's CPUs
-    (``_per_part``), each bucket read + LWW-resolved from its own chain
-    (no shuffle — the chain is already partitioned by bucket), streaming
-    resolved tables downstream.
+    plain pruned, lazy ``read_parquet``. Lakes with merge-on-read
+    deltas are resolved DISTRIBUTED and EAGERLY: the buckets fan out
+    over the cluster's CPUs (``_per_part``), each bucket read +
+    LWW-resolved from its own chain (no shuffle — the chain is already
+    partitioned by bucket). The parts are resolved when this is
+    called, one Arrow table per task held in the object store, and the
+    Dataset is built over those refs (``rd.from_arrow_refs``). A part
+    was always resolved whole inside one task; what is gone is the
+    back-pressure, so the whole resolved state is in the object store
+    at once (Ray spills it to disk past the store's capacity).
 
     Pass ``columns`` to prune at the read; restrict to pre-evolution
     columns when files span a schema change (Ray unifies blocks lazily,
@@ -1713,46 +1766,32 @@ def lake_dataset(
     if columns is not None and "repo" not in columns:
         read_cols = ["repo", *columns]
 
-    def repo_prune(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t["repo"], value_set=repo_set))
+    def prune(t: pa.Table) -> pa.Table:
+        if repo_set is not None:
+            t = t.filter(pc.is_in(t["repo"], value_set=repo_set))
         if columns is not None:
             t = t.select([c for c in columns if c in t.column_names])
         return t
 
+    empty = pa.table({c: pa.array([], pa.string()) for c in (columns or ["repo", "path"])})
     if all(len(c) == 1 and c[0]["kind"] == "full" for c in chains.values()):
         files = [f for c in chains.values() for link in c for f in link["files"]]
         files = [f for f in sorted(files) if os.path.getsize(f) > 0]
         if not files:
-            return rd.from_arrow(pa.table({c: pa.array([], pa.string()) for c in (columns or ["repo", "path"])}))
+            return rd.from_arrow(empty)
         ds = rd.read_parquet(files, columns=read_cols)
-        if repo_set is not None:
-            return ds.map_batches(repo_prune, batch_format="pyarrow")
-        if read_cols != columns and columns is not None:
-            return ds.map_batches(
-                lambda t: t.select(
-                    [c for c in columns if c in t.column_names]
-                ),
-                batch_format="pyarrow",
-            )
-        return ds
-
-    items = [{"part": p, "chain": c} for p, c in sorted(chains.items())]
-    empty = pa.table({c: pa.array([], pa.string()) for c in (columns or ["repo", "path"])})
+        if repo_set is None and read_cols == columns:
+            return ds
+        return ds.map_batches(prune, batch_format="pyarrow")
 
     def resolve_part(item: dict) -> pa.Table:
         t = read_chain(item["chain"], columns=read_cols, part=int(item["part"]))
         if t is None or t.num_rows == 0:
             return empty
-        t = t.filter(pa.compute.is_valid(t["repo"]))
-        if repo_set is not None:
-            return repo_prune(t)
-        if columns is not None:
-            return t.select([c for c in columns if c in t.column_names])
-        return t
+        return prune(t.filter(pa.compute.is_valid(t["repo"])))
 
-    if not items:
-        return rd.from_arrow(empty)
-    return _per_part(items, resolve_part)
+    items = [{"part": p, "chain": c} for p, c in sorted(chains.items())]
+    return rd.from_arrow_refs(_per_part(items, resolve_part))
 
 
 def _layout_of(log: CommitLog) -> tuple[int, dict[str, int]]:
@@ -1766,6 +1805,27 @@ def _layout_of(log: CommitLog) -> tuple[int, dict[str, int]]:
             "need the bucket routing the lake was written under"
         )
     return int(layout["num_buckets"]), dict(layout.get("salt") or {})
+
+
+def _lookup_log(root: str) -> CommitLog:
+    """The lake's commit log for the read-only ``lake_lookup``, parsed
+    again only when ``commitlog.snapshot.jsonl`` or ``commitlog.jsonl``
+    changed: an append grows a file's size and ``CommitLog._write_atomic``
+    replaces its inode, so an unchanged ``(st_ino, st_size,
+    st_mtime_ns)`` of both files means an unchanged log. The stamps are
+    taken BEFORE the parse, so a write racing the parse only costs the
+    next call a re-parse. The parses of the last 8 (lake, stamps) pairs
+    are kept, each shared by every lookup that hits it, so nothing may
+    mutate a log this returns."""
+    root = os.path.abspath(root)
+    files = [os.path.join(root, n) for n in ("commitlog.snapshot.jsonl", "commitlog.jsonl")]
+    stats = [os.stat(f) for f in files if os.path.exists(f)]
+    return _parsed_log(root, tuple((s.st_ino, s.st_size, s.st_mtime_ns) for s in stats))
+
+
+@functools.lru_cache(maxsize=8)
+def _parsed_log(root: str, stamps: tuple) -> CommitLog:
+    return CommitLog.open(root)
 
 
 def lake_lookup(
@@ -1788,8 +1848,9 @@ def lake_lookup(
     Time-travel composes: ``as_of_epoch`` prunes the same way over the
     historical chain horizon. Returns a (small) driver-side table —
     point results are O(key's rows); for bulk keyed scans use
-    ``lake_dataset(repos=[...])``."""
-    log = CommitLog.open(_root_of(cfg_or_root))
+    ``lake_dataset(repos=[...])``. The commit log is parsed once per
+    change of its files (``_lookup_log``), not once per lookup."""
+    log = _lookup_log(_root_of(cfg_or_root))
     num_buckets, salt = _layout_of(log)
     from ..functions.hashing import buckets_for_key
 
@@ -1965,10 +2026,10 @@ def lake_changelog(
     image_cols: list[str] | str | None = None,
 ):
     """CDC feed OUT of the lake: the per-key changes between two sealed
-    states, as a streaming Dataset of ``(repo, path, change,
-    content_sha256)`` with change ∈ {'I','U','D'} ('U' = key present in
-    both states with differing content sha; 'D' rows carry the OLD
-    sha). The downstream-consumer side of the engine's own ingest
+    states, as a Dataset of ``(repo, path, change, content_sha256)``
+    with change ∈ {'I','U','D'} ('U' = key present in both states
+    with differing content sha; 'D' rows carry the OLD sha). The
+    downstream-consumer side of the engine's own ingest
     surface (Debezium-style outbound feed / incremental-view input).
 
     ``from_epoch=None`` diffs from the EMPTY lake: every live key at
@@ -1994,7 +2055,10 @@ def lake_changelog(
     fanned out over the cluster's CPUs (``_per_part``) — no shuffle,
     no driver materialization; per bucket, the reconcile kernel
     (``stages.reconcile.reconcile_pair_pdf``) outer-diffs the old
-    state (left) against the new one (right).
+    state (left) against the new one (right). The diff runs EAGERLY,
+    when this is called: each task's feed rows are held in the object
+    store, with no back-pressure, and the Dataset is built over those
+    refs (``rd.from_arrow_refs``).
     Only partitions whose chain differs between the two epochs are
     diffed (equal chains resolve to equal states), so the cost is
     O(changed partitions' chains); a window that changed none returns
@@ -2086,7 +2150,7 @@ def lake_changelog(
             f[f"{c}_old"], f[f"{c}_new"] = d[f"{c}_l"], d[f"{c}_r"]
         return pa.table(f).filter(changed).cast(feed_schema)
 
-    return _per_part(items, diff_part)
+    return rd.from_arrow_refs(_per_part(items, diff_part))
 
 
 def export_changelog(
@@ -2453,8 +2517,8 @@ def replicate_feed(
             # deletes the compaction folded away
             m = _apply_snapshot_replace(files, epoch, replica_cfg, log)
         else:
-            # fused read -> feed-to-events -> normalize -> direct
-            # partial-delta write: no shuffle, no object-store hop.
+            # one task per read block: read -> feed-to-events ->
+            # direct partial-delta write; no shuffle, no object-store hop.
             # seq is a constant 0 per segment (each key appears once),
             # so every row belongs to this segment's epoch.
             m = _run_epoch_batch(

@@ -335,7 +335,9 @@ class MultiTableTxn:
         resume: bool = False,
     ) -> dict:
         """Run one table's epoch through the replay engine UNSEALED.
-        ``cfg`` is that table's ``ReplayConfig``; ``epoch`` defaults to
+        ``cfg`` is that table's ``ReplayConfig``; ``events_ds`` is a
+        Dataset of its events or the engine's own read blocks
+        (``replay._scan``), as ``run_epoch`` takes; ``epoch`` defaults to
         the lake's next epoch (sealed head + 1). Durable but invisible
         until this txn's COMMIT mark.
 

@@ -1,5 +1,6 @@
-"""The per-part fan-out rule (``replay._per_part``): a per-part Dataset
-has ``min(parts, cluster CPUs)`` blocks, and parts are dealt to them
+"""The per-part fan-out rule (``replay._per_part``): a fan-out runs
+``min(parts, cluster CPUs)`` tasks, each returning one Arrow table (a
+block of the Datasets built over them), and parts are dealt to them
 round-robin, so a salted repo's consecutive bucket ids land in
 different tasks. The test session runs Ray with ``num_cpus=4``.
 """
@@ -29,13 +30,13 @@ def _blocks(ds) -> list[pa.Table]:
 @pytest.mark.parametrize("parts", [1, 3, 4, 10])
 def test_per_part_blocks_are_min_of_parts_and_cpus(parts):
     assert int(ray.cluster_resources()["CPU"]) == CPUS
-    ds = _per_part(
+    refs = _per_part(
         [{"part": i} for i in range(parts)],
         lambda item: pa.table({"part": [item["part"]]}),
-    ).materialize()
-    assert ds.num_blocks() == min(parts, CPUS)
+    )
     n = min(parts, CPUS)
-    got = {frozenset(t["part"].to_pylist()) for t in _blocks(ds)}
+    assert len(refs) == n
+    got = {frozenset(t["part"].to_pylist()) for t in ray.get(refs)}
     assert got == {frozenset(range(j, parts, n)) for j in range(n)}
 
 
@@ -48,7 +49,8 @@ def test_per_part_block_of_empty_parts_keeps_its_schema():
         rows = [item["part"]] if item["part"] % 4 == 0 else []
         return pa.table({"part": pa.array(rows, pa.int64())})
 
-    blocks = _blocks(_per_part([{"part": i} for i in range(8)], part_fn))
+    blocks = ray.get(_per_part([{"part": i} for i in range(8)], part_fn))
+    assert len(blocks) == CPUS
     assert sorted(p for t in blocks for p in t["part"].to_pylist()) == [0, 4]
     assert all(t.schema.equals(typed) for t in blocks)
 
