@@ -189,6 +189,20 @@ def bucket_of(
     return pa.array((eff % np.uint64(num_buckets)).astype(np.int32))
 
 
+def retag_bucket(
+    batch: pa.Table, num_buckets: int, salt_for_repo: dict[str, int] | None = None
+) -> pa.Table:
+    """``batch`` with ``bucket`` derived from its keys under the given
+    layout (``bucket_of``). An incoming ``bucket`` column is dropped
+    first, never trusted: it may come from another layout (a source
+    lake's stored bucket, a snapshot normalized for another count)."""
+    if "bucket" in batch.column_names:
+        batch = batch.drop_columns(["bucket"])
+    return batch.append_column(
+        "bucket", bucket_of(batch["repo"], batch["path"], num_buckets, salt_for_repo)
+    )
+
+
 def buckets_for_key(
     repo: str,
     path: str | None,

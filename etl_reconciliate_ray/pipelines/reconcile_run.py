@@ -262,7 +262,7 @@ def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, sn
 
     import ray.data as rd
 
-    from ..functions.hashing import bucket_of
+    from ..functions.hashing import retag_bucket
     from ..stages.reconcile import reconcile_pair_pdf
     from ..state.commitlog import CommitLog, layout_fingerprint
     from .replay import _chains_payload, _gather, _per_part
@@ -304,14 +304,6 @@ def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, sn
     )
 
     if respool:
-        def retag(batch: pa.Table) -> pa.Table:
-            # never trust an incoming bucket column
-            if "bucket" in batch.column_names:
-                batch = batch.drop_columns(["bucket"])
-            return batch.append_column(
-                "bucket", bucket_of(batch["repo"], batch["path"], num_buckets, salt_for_repo)
-            )
-
         # invalidate BEFORE destroying the spool/spill: a crash between
         # the rmtree and the new state publish must re-mark everything
         # dirty on the next call — never serve the old token's counts
@@ -321,7 +313,10 @@ def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, sn
         shutil.rmtree(spool_dir, ignore_errors=True)
         shutil.rmtree(spill, ignore_errors=True)
         snap_map = _spool_bucketed(
-            snapshot_ds.map_batches(retag, batch_format="pyarrow"), spool_dir, cols
+            snapshot_ds.map_batches(
+                lambda b: retag_bucket(b, num_buckets, salt_for_repo), batch_format="pyarrow"
+            ),
+            spool_dir, cols,
         )
         state = {
             "snapshot_token": snapshot_token,

@@ -24,7 +24,10 @@ lifecycle of SURVEY.md §3:
 The engine's own work — epoch windows, folds, compaction, salt
 planning, erasure, the reconcile cogroup and the chain resolves behind
 ``lake_dataset``/``lake_changelog`` — runs as plain Ray tasks through
-that one fan-out. Ray Data runs only where a Dataset crosses the API:
+that one fan-out. Lake-to-lake writes (``rebucket``, a replica's
+snapshot re-baseline) are epoch windows too: their read blocks are a
+lake's parts (``_part_scan``). Ray Data runs only where a Dataset
+crosses the API:
 an epoch given as a caller's Dataset (``run_epoch``, txn staging), the
 reconcile snapshot spool, and the Datasets the read surface returns.
 
@@ -52,7 +55,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import bucket_of, sha256_hex_array, table_state_sha256
+from ..functions.hashing import retag_bucket, sha256_hex_array, table_state_sha256
 from ..stages.merge import LAKE_COLS, _file_schema, _unify_concat, key_codes, read_chain
 from ..stages.normalize import bind_null_strings
 from ..stages.reconcile import (
@@ -861,17 +864,45 @@ def _scan(paths: list[str], cfg: ReplayConfig, filter=None, prep=None) -> _Scan:
     return _Scan(schema=schema, blocks=blocks, filter=filter, prep=prep)
 
 
+@dataclass
+class _PartScan:
+    """A lake's parts as read blocks of the epoch kernel
+    (``_part_scan``): each block is a list of ``(part, chain)``.
+    ``read`` runs inside the block's task."""
+
+    blocks: list[list[tuple[int, list[dict]]]]
+    prep: object
+    columns: list[str] | None = None
+
+    def read(self, block: list[tuple[int, list[dict]]]) -> pa.Table:
+        """The block's parts' resolved states (``read_chain``),
+        concatenated, then ``prep``. Rows keep the bucket stored in the
+        source lake; the kernel's epoch tag re-derives it under the
+        lake being written."""
+        t = _unify_concat([read_chain(chain, columns=self.columns, part=p) for p, chain in block])
+        return self.prep(t) if t.num_rows else t
+
+
+def _part_scan(chains: dict[int, list[dict]], prep, columns: list[str] | None = None) -> _PartScan:
+    """Plan the read of a lake's parts (``_chains_payload``) as epoch
+    read blocks: the parts dealt round-robin to ``min(parts, cluster
+    CPUs)`` blocks, as ``_per_part`` deals its items, so a written link
+    has at most that many pieces. No parts, no blocks."""
+    items = sorted(chains.items())
+    n = min(len(items), _cluster_cpus())
+    return _PartScan(blocks=[items[i::n] for i in range(n)], prep=prep, columns=columns)
+
+
 def _run_epoch_batch(
     chunk: list[tuple[int, dict]],
     cfg: ReplayConfig,
     log: CommitLog,
-    prep_fn=None,
 ) -> list[dict]:
     """ONE write over a window of binlog epochs: every event is tagged
     with its engine epoch from the descriptors' per-epoch seq ranges,
     so the per-(epoch, bucket) deltas are exactly those of the epochs
     applied one at a time."""
-    scan = _scan([ep["file"] for _, ep in chunk], cfg, prep=prep_fn)
+    scan = _scan([ep["file"] for _, ep in chunk], cfg)
     seqs = {engine_epoch: tuple(ep["seq_range"]) for engine_epoch, ep in chunk}
     return _apply_epochs(scan, seqs, cfg, log)
 
@@ -890,9 +921,14 @@ def _apply_epochs(
     window of one needs no range).
 
     One per-block write (epoch tag, then direct write) runs on each
-    block of ``events``: in one task per read block when ``events`` is
-    the engine's own scan (``_scan``), or as the one ``map_batches`` of
-    a caller's Dataset. The driver then folds parts whose chains would
+    block of ``events``. ``events`` is the engine's own read plan, or a
+    list of them, whose blocks all fan out together (``_per_part``):
+    a binlog window's ``(file, row group)`` fragments (``_scan``) or a
+    lake's parts (``_part_scan``; ``rebucket``, a replica's snapshot
+    tombstones). Or it is a caller's Dataset (``run_epoch``,
+    ``MultiTableTxn.stage``), whose blocks the write runs on as its one
+    ``map_batches``. The epoch tag derives every row's bucket from
+    ``cfg``'s layout. The driver then folds parts whose chains would
     outgrow ``cfg.delta_threshold`` (``_fold_long_chains``) and commits
     (and, with ``seal``, seals) the epochs strictly in order. Each
     epoch's metrics carry ``read_blocks``, the number of non-empty
@@ -909,12 +945,10 @@ def _apply_epochs(
     lake_root = cfg.lake_root
 
     def tag_epoch(batch: pa.Table) -> pa.Table:
-        batch = bind_null_strings(batch)
-        if "bucket" not in batch.column_names:
-            batch = batch.append_column(
-                "bucket",
-                bucket_of(batch["repo"], batch["path"], cfg.num_buckets, cfg.salt_for_repo),
-            )
+        # the bucket always comes from THIS lake's layout: an incoming
+        # one (a caller's normalized Dataset, a source lake's stored
+        # bucket) may belong to another
+        batch = retag_bucket(bind_null_strings(batch), cfg.num_buckets, cfg.salt_for_repo)
         if "epoch" in batch.column_names:
             # hive-partitioned layouts (binlog/epoch=N/...) surface a
             # partition column; the engine epoch is derived from seq
@@ -1015,8 +1049,12 @@ def _apply_epochs(
             return pa.table({})
         return direct_write(tag_epoch(batch))
 
-    if isinstance(events, _Scan):
-        rows = _gather(_per_part(events.blocks, lambda b: write_block(events.read(b)))).to_pylist()
+    plans = [events] if isinstance(events, (_Scan, _PartScan)) else events
+    if isinstance(plans, list):
+        items = [(i, b) for i, plan in enumerate(plans) for b in plan.blocks]
+        rows = _gather(
+            _per_part(items, lambda it: write_block(plans[it[0]].read(it[1])))
+        ).to_pylist()
     else:
         ds = events.map_batches(write_block, batch_format="pyarrow", batch_size=None)
         rows = [dict(r) for r in ds.take_all()]
@@ -1113,13 +1151,6 @@ def _write_bases(cfg: ReplayConfig, items: list[tuple[int, int, list[dict]]]) ->
     def write_base(item: tuple[int, int, list[dict]]) -> pa.Table:
         epoch, part, chain = item
         state = read_chain(chain, part=part)
-        if state is None or state.num_rows == 0:
-            # an emptied part still commits a (0-row) base, or the
-            # chain would carry its stale state forward;
-            # write_piece_local strips this all-null marker row
-            cols = {c: pa.array([None], pa.string()) for c in LAKE_COLS}
-            cols["bucket"] = pa.array([part], pa.int32())
-            state = pa.table(cols)
         # rewritten bases are SORTED by key: parquet row-group min/max
         # stats then prune point/repo lookups to O(one row group)
         # (read_chain key_filter), pieces sliced below get tight
@@ -1133,14 +1164,16 @@ def _write_bases(cfg: ReplayConfig, items: list[tuple[int, int, list[dict]]]) ->
         # content-addressed piece, folded into ONE multi-file part
         # entry by _commit_manifest_rows (readers are unchanged —
         # read_chain reads every file of a link). Deterministic given
-        # the chain, so retries stay idempotent.
+        # the chain, so retries stay idempotent. An emptied part still
+        # commits exactly one (0-row) base, or the chain would carry its
+        # stale state forward.
         n_pieces = 1
         if target and state.num_rows and state.nbytes > target:
             n_pieces = min(state.num_rows, -(-state.nbytes // target))
-        step = -(-state.num_rows // n_pieces)
+        step = max(1, -(-state.num_rows // n_pieces))
         return pa.Table.from_pylist([
             write_piece_local(lake_root, epoch, part, state.slice(off, step), "full")
-            for off in range(0, state.num_rows, step)
+            for off in range(0, max(1, state.num_rows), step)
         ])
 
     return _gather(_per_part(items, write_base)).to_pylist()
@@ -1170,22 +1203,15 @@ def compact(cfg: ReplayConfig, log: CommitLog | None = None) -> dict:
     todo = {p: c for p, c in chains.items() if len(c) > 1 or any(l["kind"] != "full" for l in c)}
     if not todo:
         return {"epoch": None, "compacted": 0, "sec": 0.0, "skipped": True}
-    fm_path = os.path.join(cfg.lake_root, "feed_map.json")
-    if os.path.exists(fm_path):
-        try:
-            with open(fm_path) as fh:
-                reserved = [int(v) for v in json.load(fh).values()]
-        except (ValueError, TypeError):
-            reserved = []  # unreadable/legacy map: replicate_feed migrates it
-        pending = sorted(e for e in reserved if not log.is_sealed(e))
-        if pending:
-            raise ValueError(
-                f"compact: feed epoch(s) {pending} are reserved but "
-                "unsealed (an in-flight replicate_feed apply) — drain "
-                "the feed first; a maintenance epoch stealing the "
-                "reserved number would make the restarted apply skip "
-                "its segment"
-            )
+    pending = sorted(e for e in _feed_map(cfg.lake_root).values() if not log.is_sealed(e))
+    if pending:
+        raise ValueError(
+            f"compact: feed epoch(s) {pending} are reserved but "
+            "unsealed (an in-flight replicate_feed apply) — drain "
+            "the feed first; a maintenance epoch stealing the "
+            "reserved number would make the restarted apply skip "
+            "its segment"
+        )
     epoch = (log.latest_sealed_epoch() or 0) + 1
     if epoch in log.unsealed_epochs():
         # a crashed REPLAY's fenced partial commits at this epoch:
@@ -1235,61 +1261,41 @@ def rebucket(
     immutable IN PLACE — correctly so, since every persisted file and
     chain entry embeds its bucket id. Changing the partition count
     (scale the cluster up, onboard a hotter key distribution) is
-    therefore an explicit rewrite: resolve the source chains, re-tag
-    every row under the new layout, ONE all-to-all shuffle on the new
-    bucket id (inherent to any re-partitioning), one full base file per
-    new part committed + sealed as the destination's epoch 0. The
-    source lake is untouched (rollback = keep using it); the state
-    sha256 is layout-independent, so migration success is checkable as
-    ``lake_state_hash(src) == lake_state_hash(dest)``."""
-    import ray.data as rd
-
-    from ..functions.hashing import bucket_of
-    from ..state.commitlog import layout_fingerprint
-
+    therefore an explicit rewrite, and it needs no shuffle: the source
+    state is already split by bucket. The source's parts are the read
+    blocks (``_part_scan``) of one epoch-kernel write, as all-insert
+    events (``_seed_as_insert``, the bootstrap's shape) committed and
+    sealed as the destination's epoch 0; each block's task resolves
+    its parts, re-derives every row's bucket under the new layout and
+    writes its own piece per new part. The source lake is untouched
+    (rollback = keep using it); the state sha256 is layout-independent,
+    so migration success is checkable as ``lake_state_hash(src) ==
+    lake_state_hash(dest)``."""
     src_root = _root_of(cfg_or_root)
     src_log = CommitLog.open(src_root)
-    if src_log.latest_sealed_epoch() is None:
+    head = src_log.latest_sealed_epoch()
+    if head is None:
         raise ValueError(f"source lake at {src_root} has no sealed epochs")
     os.makedirs(dest_root, exist_ok=True)
+    dest = ReplayConfig(
+        lake_root=dest_root, num_buckets=num_buckets, salt_for_repo=dict(salt_for_repo or {})
+    )
     dest_log = CommitLog.open(dest_root)
     if dest_log.latest_sealed_epoch() is not None or dest_log.lineage():
         raise ValueError(
             f"destination {dest_root} already holds committed state; "
             "rebucket only writes into an empty lake root"
         )
-    dest_log.ensure_layout(layout_fingerprint(num_buckets, salt_for_repo))
-
-    t0 = time.monotonic()
-
-    def retag(batch: pa.Table) -> pa.Table:
-        if "bucket" in batch.column_names:
-            batch = batch.drop_columns(["bucket"])
-        return batch.append_column(
-            "bucket", bucket_of(batch["repo"], batch["path"], num_buckets, salt_for_repo)
-        )
-
-    def write_part(t: pa.Table) -> pa.Table:
-        part = int(t["bucket"][0].as_py())
-        return pa.Table.from_pylist([write_piece_local(dest_root, 0, part, t, "full")])
-
-    rows_ds = (
-        lake_dataset(src_root)
-        .map_batches(retag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(write_part, batch_format="pyarrow")
-    )
-    rows = [dict(r) for r in rows_ds.take_all()]  # manifest rows: O(parts)
-    _commit_manifest_rows(dest_log, 0, rows, None, seal=True)
-    metrics = {
+    dest_log.ensure_layout(dest.layout())
+    parts = _part_scan(_chains_payload(src_log, upto_epoch=head), _seed_as_insert)
+    m = _apply_epochs(parts, {0: None}, dest, dest_log)[0]
+    return {
         "epoch": 0,
         "mode": "rebucket",
-        "parts": len(rows),
-        "rows_written": sum(int(r["rows"]) for r in rows),
-        "sec": round(time.monotonic() - t0, 4),
+        "parts": m["parts_committed"],
+        "rows_written": m["rows_written"],
+        "sec": m["sec"],
     }
-    _write_lineage(dest_root, dest_log, metrics)
-    return metrics
 
 
 def bucket_stats(cfg_or_root) -> dict:
@@ -1759,11 +1765,10 @@ def lake_dataset(
         chains = {p: c for p, c in chains.items() if int(p) in keep}
         repo_set = pa.array(sorted(set(repos)), pa.string())
     # the bucket filter keeps false positives (other repos sharing a
-    # candidate bucket) and the placeholder row filter needs `repo`
-    # present even when the caller's projection drops it — read it
-    # always, project it back out below
+    # candidate bucket), so the repo row filter needs `repo` even when
+    # the caller's projection drops it — read it, project it back out
     read_cols = columns
-    if columns is not None and "repo" not in columns:
+    if repo_set is not None and columns is not None and "repo" not in columns:
         read_cols = ["repo", *columns]
 
     def prune(t: pa.Table) -> pa.Table:
@@ -1780,7 +1785,7 @@ def lake_dataset(
         if not files:
             return rd.from_arrow(empty)
         ds = rd.read_parquet(files, columns=read_cols)
-        if repo_set is None and read_cols == columns:
+        if repo_set is None:
             return ds
         return ds.map_batches(prune, batch_format="pyarrow")
 
@@ -1788,7 +1793,7 @@ def lake_dataset(
         t = read_chain(item["chain"], columns=read_cols, part=int(item["part"]))
         if t is None or t.num_rows == 0:
             return empty
-        return prune(t.filter(pa.compute.is_valid(t["repo"])))
+        return prune(t)
 
     items = [{"part": p, "chain": c} for p, c in sorted(chains.items())]
     return rd.from_arrow_refs(_per_part(items, resolve_part))
@@ -1964,9 +1969,7 @@ def lake_table(cfg_or_root, as_of_epoch: int | None = None) -> pa.Table:
     for p, chain in sorted(chains.items()):
         t = read_chain(chain, part=int(p))
         if t is not None and t.num_rows > 0:
-            t = t.filter(pa.compute.is_valid(t["repo"]))
-            if t.num_rows:
-                parts.append(t)
+            parts.append(t)
     tbl = _unify_concat(parts) if parts else None
     return tbl if tbl is not None else pa.table({})
 
@@ -2112,7 +2115,6 @@ def lake_changelog(
         t = read_chain(chain, columns=cols, part=part)
         if t is None:
             return state_schema.empty_table()
-        t = t.filter(pc.is_valid(t["repo"]))
         for c in cols:
             if c not in t.column_names:
                 t = t.append_column(c, pa.nulls(t.num_rows, state_schema.field(c).type))
@@ -2278,8 +2280,9 @@ def compact_feed(
     already applied deleted segments are unaffected (their cursor is
     their own commit log); consumers mid-history see the new snapshot
     as an unknown sealed segment and ``replicate_feed`` applies it
-    with REPLACE semantics (tombstones for replica keys absent from
-    the snapshot), so partially-caught-up replicas converge too.
+    with REPLACE semantics (in the same epoch write, every key the
+    replica holds gets a tombstone that the snapshot's own row for
+    the key outranks), so partially-caught-up replicas converge too.
     ``stop_before_delete``: chaos hook for the crash window."""
     import shutil as _shutil
 
@@ -2363,63 +2366,36 @@ def _feed_to_events(t: pa.Table) -> pa.Table:
     return pa.table(out)
 
 
-def _apply_snapshot_replace(
-    files: list[str],
-    epoch: int,
-    replica_cfg: ReplayConfig,
-    log: CommitLog,
-) -> dict:
-    """Apply a snapshot segment onto a NON-EMPTY replica with REPLACE
-    semantics: the snapshot's images upsert every key it carries, and
-    replica keys ABSENT from the snapshot get tombstones — they were
-    deleted in history a compacted spool (``compact_feed``) no longer
-    carries, so insert-only application would resurrect them. The
-    tombstone derivation is a keys-only distributed outer join (repo,
-    path — two narrow columns of each side; payload never rides the
-    shuffle); the union then flows through the normal epoch engine."""
-    import numpy as np
-    import pyarrow.parquet as pq
-    import ray.data as rd
+def _as_tombstones(t: pa.Table) -> pa.Table:
+    """A replica's live keys as deletes at ``seq`` -1, one below a
+    snapshot segment's rows (``_feed_to_events``: seq 0), with a null
+    ``content_sha256``. Applied in one epoch with the snapshot, per-key
+    LWW on (epoch, seq) keeps the snapshot's row for every key it
+    carries and deletes every other key: REPLACE semantics, no join."""
+    n = t.num_rows
+    return pa.table({
+        "repo": t["repo"],
+        "path": t["path"],
+        "op": pa.repeat(pa.scalar("D"), n),
+        "seq": pa.repeat(pa.scalar(-1, pa.int64()), n),
+        "content_sha256": pa.nulls(n, pa.string()),
+    })
 
-    from ..stages.joins import hash_join
 
-    sch = pq.read_schema(files[0])
-    payload = [n[:-4] for n in sch.names if n.endswith("_new")]
-    ptypes = {n[:-4]: sch.field(n).type for n in sch.names if n.endswith("_new")}
-
-    ev = rd.read_parquet(files).map_batches(
-        _feed_to_events, batch_format="pyarrow"
+def _feed_map(lake_root: str) -> dict[str, int]:
+    """A replica's ``feed_map.json`` (segment name -> reserved replica
+    epoch; empty when absent), the one reader for ``replicate_feed``
+    and ``compact``. The legacy ``{epoch: {"segment": name}}`` shape
+    reads as the same map (``replicate_feed`` republishes it in the
+    current shape at its next reservation)."""
+    path = os.path.join(lake_root, "feed_map.json")
+    if not os.path.exists(path):
+        return {}
+    with open(path) as fh:
+        raw = json.load(fh)
+    return dict(
+        (v["segment"], int(k)) if isinstance(v, dict) else (k, int(v)) for k, v in raw.items()
     )
-    feed_keys = rd.read_parquet(files, columns=["repo", "path"]).map_batches(
-        lambda t: t.append_column(
-            "__in_feed", pa.array(np.ones(t.num_rows, np.int64))
-        ),
-        batch_format="pyarrow",
-    )
-    replica_keys = lake_dataset(
-        replica_cfg.lake_root, columns=["repo", "path"]
-    )
-    joined = hash_join(
-        replica_keys, feed_keys, on=["repo", "path"], how="outer",
-        num_buckets=replica_cfg.num_buckets,
-    )
-
-    def as_deletes(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_null(t["__in_feed"]))
-        out: dict[str, object] = {
-            "repo": t["repo"],
-            "path": t["path"],
-            "op": pa.repeat(pa.scalar("D"), t.num_rows),
-            "seq": pa.repeat(pa.scalar(0, pa.int64()), t.num_rows),
-            "content_sha256": pa.nulls(t.num_rows, pa.string()),
-        }
-        for c in payload:
-            if c not in out:
-                out[c] = pa.nulls(t.num_rows, ptypes[c])
-        return pa.table(out)
-
-    ds = ev.union(joined.map_batches(as_deletes, batch_format="pyarrow"))
-    return run_epoch(ds, epoch, replica_cfg, log=log)
 
 
 def replicate_feed(
@@ -2431,7 +2407,12 @@ def replicate_feed(
     the normal replay engine — the consumer half of the CDC loop (the
     reference system's downstream is a human report; a lake-to-lake
     replica is what a 100 TB deployment actually runs). Each sealed
-    segment becomes one replica epoch, assigned durably in
+    segment becomes one replica epoch: one epoch-kernel write
+    (``_apply_epochs``) of the segment's read blocks, plus, for a
+    snapshot segment, the replica's own parts read as tombstones
+    (``_as_tombstones``) — REPLACE semantics by per-key LWW, the same
+    code path whether or not the replica is empty (an empty one adds
+    no block). The epoch is assigned durably in
     ``feed_map.json`` BEFORE the epoch seals (replica-side maintenance
     epochs — compact/vacuum — interleave freely, so the assignment is
     next-free-epoch at apply time, not list position);
@@ -2460,8 +2441,6 @@ def replicate_feed(
 
     ``max_segments`` bounds one call (chaos tests / incremental
     draining); returns per-segment metrics and the replica head."""
-    from glob import glob as _glob
-
     log = CommitLog.open(replica_cfg.lake_root)
     log.ensure_layout(replica_cfg.layout())
     segs = _feed_segments(out_dir)
@@ -2474,23 +2453,7 @@ def replicate_feed(
     # seals (durable intent): a crash between the two re-runs the
     # recorded epoch idempotently on restart.
     map_path = os.path.join(replica_cfg.lake_root, "feed_map.json")
-    feed_map: dict[str, int] = {}
-    if os.path.exists(map_path):
-        with open(map_path) as fh:
-            raw = json.load(fh)
-        if any(isinstance(v, dict) for v in raw.values()):
-            # legacy (pre-authoritative) format: epoch-str -> {segment}
-            feed_map = {
-                v["segment"]: int(k) for k, v in raw.items()
-                if isinstance(v, dict)
-            }
-        else:
-            feed_map = {k: int(v) for k, v in raw.items()}
-
-    def _publish_map() -> None:
-        # durable intent, matching the commit log's discipline: the
-        # reservation must survive the same crash the seal survives
-        CommitLog._write_atomic(map_path, [feed_map])
+    feed_map = _feed_map(replica_cfg.lake_root)
 
     for seg in segs:
         name = os.path.basename(seg)
@@ -2506,25 +2469,23 @@ def replicate_feed(
             live = [e for e in taken if e is not None]
             epoch = 1 + max(live) if live else 0
             feed_map[name] = epoch
-            _publish_map()
-        # every sealed segment holds at least one file (a window with no
-        # net change is one zero-row file; its epoch seals empty)
-        files = sorted(_glob(os.path.join(seg, "*.parquet")))
-        if "snapshot" in name and log.latest_sealed_epoch() is not None:
-            # a snapshot landing on a NON-EMPTY replica is a compacted
-            # spool's re-baseline (compact_feed): REPLACE semantics —
-            # insert-only application would resurrect keys whose
-            # deletes the compaction folded away
-            m = _apply_snapshot_replace(files, epoch, replica_cfg, log)
-        else:
-            # one task per read block: read -> feed-to-events ->
-            # direct partial-delta write; no shuffle, no object-store hop.
-            # seq is a constant 0 per segment (each key appears once),
-            # so every row belongs to this segment's epoch.
-            m = _run_epoch_batch(
-                [(epoch, {"file": seg, "seq_range": (0, 1)})],
-                replica_cfg, log, prep_fn=_feed_to_events,
-            )[0]
+            # durable intent, matching the commit log's discipline: the
+            # reservation must survive the same crash the seal survives
+            CommitLog._write_atomic(map_path, [feed_map])
+        # one epoch-kernel write: the segment's read blocks as events
+        # (seq 0; each key appears once), and for a snapshot the
+        # replica's live keys as tombstones one seq below them. A
+        # snapshot landing on a replica that already holds state is a
+        # compacted spool's re-baseline (compact_feed), and the
+        # tombstones delete the keys whose deletes the compaction
+        # folded away; on an empty replica they have no parts to read.
+        # The tombstones read the SEALED state, so a crashed apply
+        # reruns the same plan.
+        plans = [_scan([seg], replica_cfg, prep=_feed_to_events)]
+        if "snapshot" in name:
+            chains = _chains_payload(log, upto_epoch=log.latest_sealed_epoch())
+            plans.append(_part_scan(chains, _as_tombstones, columns=["repo", "path"]))
+        m = _apply_epochs(plans, {epoch: (0, 1)}, replica_cfg, log)[0]
         m["segment"] = name
         applied.append(m)
     return {

@@ -22,9 +22,10 @@ Epoch deltas are written by ``replay._apply_epochs`` (one file per
 task and epoch, one row group per bucket, holding that block's LWW
 winners with ``content_sha256`` derived after LWW; the binlog read sizes
 its blocks by CPUs and bytes, so a small single-file epoch is one task
-and each (epoch, bucket) link one piece); full bases — compaction,
-the pre-commit chain fold, rebucketing — go through
-``write_piece_local``.
+and each (epoch, bucket) link one piece), and so are the lake-to-lake
+writes, rebucketing included, whose read blocks are a source lake's
+parts; full bases — compaction and the pre-commit chain fold — go
+through ``write_piece_local``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import os
 
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions.hashing import table_state_sha256
@@ -45,19 +45,6 @@ def write_piece_local(lake_root: str, epoch: int, part: int, tbl: pa.Table,
     retried task that recomputes the same state rewrites
     byte-identical bytes to the same name. The run-level fence stays
     with the driver's commit log (``_commit_manifest_rows``)."""
-    if kind == "full":
-        # strip empty-partition marker rows (replay._write_bases emits
-        # ONE all-null-LAKE_COLS row when a bucket empties). A marker
-        # is recognized by repo AND path AND content_sha256 all null —
-        # filtering on repo alone deleted legitimate (null, path) keys,
-        # which chain resolution preserves as distinct live rows. (A
-        # real key that is null in BOTH key columns with null content
-        # is indistinguishable from the marker — that one degenerate
-        # shape cannot be stored.)
-        tomb = pc.and_(pc.is_null(tbl["repo"]), pc.is_null(tbl["path"]))
-        if "content_sha256" in tbl.column_names:
-            tomb = pc.and_(tomb, pc.is_null(tbl["content_sha256"]))
-        tbl = tbl.filter(pc.invert(tomb))
     piece_sha = table_state_sha256(tbl, ("repo", "path"), "content_sha256")
     out_dir = os.path.join(lake_root, f"epoch={epoch:05d}", f"part={part:05d}")
     os.makedirs(out_dir, exist_ok=True)

@@ -681,10 +681,10 @@ def test_commit_parts_refuses_conflicting_intrabatch_duplicates(tmp_path):
 
 
 def test_writer_full_strip_keeps_null_component_keys():
-    """The full-state tombstone strip must remove ONLY the all-null
-    marker row written for an emptied bucket — a legitimate
-    (null, path) key that chain resolution preserves previously
-    vanished from the written partition state."""
+    """A full-state piece keeps every key it is given: (null, path),
+    (repo, null) and even (null, null) with null content are live keys
+    that chain resolution preserves, and the writer strips none of
+    them (an emptied bucket commits a 0-row base, not a marker row)."""
     import pyarrow as pa
 
     from etl_reconciliate_ray.stages.writer import write_piece_local
@@ -704,7 +704,7 @@ def test_writer_full_strip_keeps_null_component_keys():
 
         written = pq.read_table(row["file"])
     keys = {(r["repo"], r["path"]) for r in written.to_pylist()}
-    assert keys == {(None, "p1"), ("r1", None)}  # tombstone gone, keys kept
+    assert keys == {(None, "p1"), ("r1", None), (None, None)}
 
 
 def test_nest_table_null_parent_key_is_one_group():

@@ -321,3 +321,32 @@ def test_cli_schema_history_mode(fixture_small, tmp_path, ray_session, capsys):
     assert "bucket" not in cols and "op" not in cols
     printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert printed == out
+
+
+def test_epoch_write_ignores_a_foreign_bucket_column(tmp_path):
+    """The write path derives ``bucket`` from the lake's own layout: a
+    Dataset normalized for 8 buckets written into a 4-bucket lake
+    commits only parts below 4, and every key is found by a lookup."""
+    import ray.data as rd
+
+    from etl_reconciliate_ray.pipelines.replay import run_epoch
+    from etl_reconciliate_ray.state.commitlog import CommitLog
+    from etl_reconciliate_ray.stages.normalize import make_normalizer
+
+    n = 40
+    events = pa.table({
+        "seq": pa.array(range(n), pa.int64()),
+        "op": ["I"] * n,
+        "repo": [f"org/r{i % 7}" for i in range(n)],
+        "path": [f"f{i}.py" for i in range(n)],
+        "content": [f"v{i}" for i in range(n)],
+    })
+    ds = rd.from_arrow(events).map_batches(make_normalizer(num_buckets=8), batch_format="pyarrow")
+    cfg = ReplayConfig(lake_root=str(tmp_path / "lake"), num_buckets=4)
+    run_epoch(ds, 0, cfg)
+
+    parts = {e.part for e in CommitLog.open(cfg.lake_root).all_entries()}
+    assert parts and max(parts) < 4
+    for r in events.to_pylist():
+        got = lake_lookup(cfg, r["repo"], r["path"])
+        assert got["content"].to_pylist() == [r["content"]]

@@ -300,3 +300,52 @@ def test_replay_keeps_half_null_keys_distinct(tmp_path):
     replay_stream(str(binlog), cfg)
     got = {(r["repo"], r["path"], r["content"]) for r in lake_table(cfg.lake_root).to_pylist()}
     assert got == {("r1", None, "a"), ("r2", None, "b"), ("r1", "p", "c")}
+
+
+def test_null_keys_survive_compact_and_show_in_lake_table(tmp_path):
+    """One rule for null keys: (null, path), (repo, null) and a live
+    (null, null) key with null content are lake rows like any other.
+    ``lake_table`` shows them before and after ``compact``, and a part
+    emptied by deletes still compacts to one 0-row base."""
+    import pyarrow.parquet as pq
+
+    from etl_reconciliate_ray.pipelines.replay import (
+        ReplayConfig,
+        compact,
+        lake_table,
+        replay_stream,
+    )
+    from etl_reconciliate_ray.state.commitlog import CommitLog
+
+    binlog = tmp_path / "binlog"
+    binlog.mkdir()
+    pq.write_table(pa.table({
+        "seq": pa.array([0, 1, 2, 3], pa.int64()),
+        "op": ["I", "I", "I", "I"],
+        "repo": pa.array([None, None, "r1", "r2"], pa.string()),
+        "path": pa.array([None, "p", None, "q"], pa.string()),
+        "content": pa.array([None, "a", "b", "c"], pa.string()),
+    }), str(binlog / "epoch=00000.parquet"))
+    pq.write_table(pa.table({
+        "seq": pa.array([10], pa.int64()),
+        "op": ["D"],
+        "repo": ["r2"],
+        "path": ["q"],
+        "content": pa.array([None], pa.string()),
+    }), str(binlog / "epoch=00001.parquet"))
+    cfg = ReplayConfig(lake_root=str(tmp_path / "lake"), num_buckets=16)
+    replay_stream(str(binlog), cfg)
+    want = {(None, None, None), (None, "p", "a"), ("r1", None, "b")}
+
+    def got():
+        return {(r["repo"], r["path"], r["content"]) for r in lake_table(cfg.lake_root).to_pylist()}
+
+    assert got() == want
+    m = compact(cfg)
+    assert got() == want
+    # r2/q's part held nothing else: its base is one 0-row file
+    log = CommitLog.open(cfg.lake_root)
+    bases = [e for e in log.part_chains().values() if e[-1].epoch == m["epoch"]]
+    assert len(bases) == m["compacted"] and all(len(c) == 1 for c in bases)
+    assert sorted(c[0].rows for c in bases).count(0) >= 1
+    assert all(len(c[0].files) == 1 for c in bases if c[0].rows == 0)

@@ -797,3 +797,44 @@ def test_legacy_feed_map_format_migrates(fixture_small, tmp_path, ray_session):
     with open(map_path) as fh:  # republished in the new shape
         fmap = json.load(fh)
     assert all(isinstance(v, int) for v in fmap.values()) and len(fmap) == 2
+
+
+def test_compact_refuses_a_legacy_map_reservation_in_flight(tmp_path, ray_session):
+    """``compact`` and ``replicate_feed`` read ``feed_map.json`` the same
+    way: an unsealed reservation held in the legacy {epoch: {"segment":
+    name}} shape is an in-flight apply too, so compact refuses rather
+    than steal its epoch; draining the feed then lets it run."""
+    import json
+
+    import pytest
+
+    from etl_reconciliate_ray.pipelines.replay import compact
+
+    binlog = str(tmp_path / "lg_binlog")
+    _mk_binlog(binlog, [[("I", "r", "a", "va"), ("I", "r", "b", "vb")]])
+    src = ReplayConfig(lake_root=str(tmp_path / "lg_src"), num_buckets=4)
+    replay_stream(binlog, src)
+    out = str(tmp_path / "lg_out")
+    m0 = export_changelog(src.lake_root, out, image_cols="all")
+    rep = ReplayConfig(lake_root=str(tmp_path / "lg_rep"), num_buckets=2)
+    replicate_feed(out, rep)  # replica epoch 0 sealed
+
+    _mk_binlog(binlog, [
+        [("I", "r", "a", "va"), ("I", "r", "b", "vb")],
+        [("U", "r", "a", "va2"), ("D", "r", "b", None)],
+    ])
+    replay_stream(binlog, src)
+    m1 = export_changelog(src.lake_root, out, image_cols="all")
+    # a legacy-shape map whose second reservation never sealed (crash)
+    with open(os.path.join(rep.lake_root, "feed_map.json"), "w") as fh:
+        json.dump({
+            "0": {"segment": os.path.basename(m0["segment"])},
+            "1": {"segment": os.path.basename(m1["segment"])},
+        }, fh)
+    with pytest.raises(ValueError, match="reserved but"):
+        compact(rep)
+
+    r = replicate_feed(out, rep)
+    assert [m["epoch"] for m in r["applied"]] == [1]
+    _assert_keys_equal(src.lake_root, rep.lake_root)
+    assert compact(rep)["epoch"] == 2

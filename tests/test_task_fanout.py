@@ -4,6 +4,10 @@ and Ray Data runs only where a Dataset crosses the API.
 - replay, folds, compaction, salt planning, erasure, a delta-segment
   replication and an unchanged incremental reconcile start no Ray Data
   execution; an epoch given as a Dataset starts exactly one;
+- the lake-to-lake writes — ``rebucket`` and a snapshot re-baseline of
+  a replica that already holds state — read lake parts as the epoch
+  kernel's read blocks, start no Ray Data execution, and leave the
+  source's state;
 - the engine's read blocks partition a window's (file, row group)
   fragments, and any block count resolves to the same lake as the
   default read and as the same binlog applied through ``run_epoch``
@@ -31,10 +35,13 @@ from etl_reconciliate_ray.pipelines.replay import (
     auto_salt_plan,
     bootstrap,
     compact,
+    compact_feed,
     erase_key,
     export_changelog,
     lake_lookup,
     lake_state_hash,
+    lake_table,
+    rebucket,
     replay,
     replay_stream,
     replicate_feed,
@@ -142,6 +149,85 @@ def test_engine_paths_start_no_ray_data_execution(tmp_path, executions):
         m = run_epoch(ds, 8, cfg)
     assert m["parts_committed"] > 0
     assert len(n) == 1
+
+
+def _source_and_feed(tmp_path, epochs: int) -> tuple[ReplayConfig, str, str]:
+    """A 4-bucket source lake replayed from ``epochs`` epochs of events,
+    and its export spool holding the bootstrap snapshot. Returns the
+    source config, the binlog directory and the spool directory."""
+    binlog = tmp_path / "binlog"
+    binlog.mkdir()
+    for e in range(epochs):
+        pq.write_table(_events(e * 200, 200, 80, f"e{e}"), str(binlog / f"epoch={e:05d}.parquet"))
+    src = ReplayConfig(lake_root=str(tmp_path / "src"), num_buckets=4)
+    replay_stream(str(binlog), src)
+    feed = str(tmp_path / "feed")
+    export_changelog(src.lake_root, feed, image_cols="all")
+    return src, str(binlog), feed
+
+
+def _advance_and_compact_feed(src: ReplayConfig, binlog: str, feed: str, first: int) -> None:
+    """Two more source epochs exported as a delta segment, then the
+    spool compacted to one snapshot: a replica that applied only the
+    old snapshot must re-baseline from the new one."""
+    for e in (first, first + 1):
+        pq.write_table(_events(e * 200, 200, 80, f"e{e}"), os.path.join(binlog, f"epoch={e:05d}.parquet"))
+    replay_stream(binlog, src)
+    export_changelog(src.lake_root, feed, image_cols="all")
+    compact_feed(src.lake_root, feed)
+
+
+def _state(root: str, cols: list[str]) -> list[tuple]:
+    t = lake_table(root)
+    return sorted(tuple(r[c] for c in cols) for r in t.select(cols).to_pylist())
+
+
+def test_lake_to_lake_writes_start_no_ray_data_execution(tmp_path, executions):
+    src, binlog, feed = _source_and_feed(tmp_path, 3)
+
+    with executions() as n:
+        m = rebucket(src, str(tmp_path / "rebucketed"), num_buckets=3)
+    assert n == []
+    assert m["parts"] == 3 and m["rows_written"] == lake_table(src.lake_root).num_rows
+    assert lake_state_hash(str(tmp_path / "rebucketed")) == lake_state_hash(src.lake_root)
+
+    replica = ReplayConfig(lake_root=str(tmp_path / "replica"), num_buckets=2)
+    replicate_feed(feed, replica)
+    _advance_and_compact_feed(src, binlog, feed, 3)
+    with executions() as n:
+        res = replicate_feed(feed, replica)  # the re-baseline
+    assert len(res["applied"]) == 1 and n == []
+    assert lake_state_hash(replica.lake_root) == lake_state_hash(src.lake_root)
+
+
+def test_snapshot_rebaseline_of_a_stale_replica_equals_the_source(tmp_path):
+    """A stale replica under another bucket count, reading the feed in 3
+    blocks: the re-baseline's tombstones and upserts are separate
+    pieces of one link, and per-key LWW on (epoch, seq) leaves exactly
+    the source's state — deleted keys gone, re-sent keys kept."""
+    src, binlog, feed = _source_and_feed(tmp_path, 2)
+    replica = ReplayConfig(lake_root=str(tmp_path / "replica"), num_buckets=3, read_parallelism=3)
+    replicate_feed(feed, replica)
+    stale = set(_state(replica.lake_root, ["repo", "path"]))
+    _advance_and_compact_feed(src, binlog, feed, 2)
+    live = set(_state(src.lake_root, ["repo", "path"]))
+    assert stale - live and stale & live  # keys to delete and keys to keep
+
+    [m] = replicate_feed(feed, replica)["applied"]
+    assert "snapshot" in m["segment"]
+
+    def ops(f: str, rg: int) -> set:
+        return set(pq.ParquetFile(f).read_row_group(rg, columns=["op"])["op"].to_pylist())
+
+    links = [e for e in CommitLog.open(replica.lake_root).all_entries() if e.epoch == m["epoch"]]
+    assert any(
+        {"D"} in [ops(f, rg) for f, rg in zip(e.files, e.rgs)]
+        and any("D" not in ops(f, rg) for f, rg in zip(e.files, e.rgs))
+        for e in links
+    )
+    assert lake_state_hash(replica.lake_root) == lake_state_hash(src.lake_root)
+    cols = ["repo", "path", "commit", "content", "content_sha256"]
+    assert _state(replica.lake_root, cols) == _state(src.lake_root, cols)
 
 
 def _write_layout(root, layout: str) -> list[dict]:
