@@ -62,35 +62,32 @@ def _spool_bucketed(ds, spool_dir: str, columns: list[str]) -> dict[int, list[tu
     """Spool a (already bucket-tagged) Dataset to disk partitioned by
     bucket: one file per input block, one row group per bucket slice —
     the direct-write layout, so cogroup tasks later read exactly their
-    bucket's row groups with no shuffle. Returns part -> [(file, rg)]."""
-    import pyarrow.parquet as pq
+    bucket's row groups with no shuffle. Each file is named by its
+    content (``snap-<digest>.parquet``, ``publish_parquet``), so
+    spooling the same snapshot again leaves the same file set, and two
+    blocks with equal rows share one file that both list. Returns
+    part -> [(file, rg)]."""
+    from ..stages.writer import publish_parquet
 
     os.makedirs(spool_dir, exist_ok=True)
 
     def spool(batch: pa.Table) -> pa.Table:
-        import hashlib
-        import time as _time
-
         if batch.num_rows == 0:
             return pa.table({})
         t = batch.select([c for c in columns + ["bucket"] if c in batch.column_names])
         t = t.sort_by([("bucket", "ascending")])
         gb = t["bucket"].to_numpy(zero_copy_only=False).astype("int64")
-        cuts = np.flatnonzero(np.diff(gb)) + 1
-        starts = np.concatenate([[0], cuts]).astype(np.int64)
-        ends = np.concatenate([cuts, [len(gb)]]).astype(np.int64)
-        name = hashlib.sha256(f"{os.getpid()}-{_time.monotonic_ns()}".encode()).hexdigest()[:16]
-        fname = os.path.join(spool_dir, f"snap-{name}.parquet")
-        rows = []
-        with pq.ParquetWriter(fname + ".tmp", t.schema) as w:
-            for rg, (s, e) in enumerate(zip(starts, ends)):
-                sl = t.slice(int(s), int(e - s))
-                # one row group per bucket slice, even past 1Mi rows —
-                # rg ordinals below index into exactly these writes
-                w.write_table(sl, row_group_size=max(1, sl.num_rows))
-                rows.append({"part": int(gb[s]), "file": fname, "rg": rg})
-        os.replace(fname + ".tmp", fname)
-        return pa.Table.from_pylist(rows)
+        starts = np.concatenate([[0], np.flatnonzero(np.diff(gb)) + 1]).astype(np.int64)
+        ends = np.append(starts[1:], len(gb))
+        # one row group per bucket slice: the rg ordinals index them
+        fname = publish_parquet(
+            spool_dir, [t.slice(int(s), int(e - s)) for s, e in zip(starts, ends)], "snap"
+        )
+        return pa.table({
+            "part": pa.array(gb[starts], pa.int64()),
+            "file": pa.array([fname] * len(starts), pa.string()),
+            "rg": pa.array(np.arange(len(starts)), pa.int64()),
+        })
 
     rows = ds.map_batches(spool, batch_format="pyarrow", batch_size=None).take_all()
     out: dict[int, list[tuple[str, int]]] = {}
@@ -107,17 +104,17 @@ def _make_cogroup_fn(spill: str, cols: list[str]):
     (deterministic per-part file name — a retry or an incremental
     recompute overwrites its own output idempotently), and return only
     tiny (part, repo, status, n) partial-count rows."""
-    import pyarrow.parquet as pq
-
     from ..stages.merge import _pqfile, read_chain
     from ..stages.reconcile import reconcile_pair_pdf
+    from ..stages.writer import publish_parquet
 
     def cogroup_part(item: dict) -> pa.Table:
         part = int(item["part"])
         lake = read_chain(item["chain"], columns=cols, part=part)
         snaps = [_pqfile(f).read_row_group(rg, columns=cols) for f, rg in item["snap"]]
         sides = [t for t in [lake, *snaps] if t is not None]
-        fname = os.path.join(spill, f"detail-part{part:05d}.parquet")
+        name = f"detail-part{part:05d}.parquet"
+        fname = os.path.join(spill, name)
         if not any(t.num_rows for t in sides):
             # a recomputed part may have become empty: drop its stale
             # detail spill instead of leaving ghost rows
@@ -130,8 +127,7 @@ def _make_cogroup_fn(spill: str, cols: list[str]):
             lake if lake is not None else empty, right,
             ["repo", "path"], "content_sha256", attr_cols=["commit"],
         )
-        pq.write_table(det, fname + ".tmp")
-        os.replace(fname + ".tmp", fname)
+        publish_parquet(spill, [det], name=name)
         # Arrow's group_by keeps a null repo as its own group, so a
         # null-repo detail row counts too, as the detail spill holds it
         p = det.group_by(["repo", "status"]).aggregate([([], "count_all")])

@@ -31,9 +31,11 @@ crosses the API:
 an epoch given as a caller's Dataset (``run_epoch``, txn staging), the
 reconcile snapshot spool, and the Datasets the read surface returns.
 
-Exactly-once needs no stateful sink: data files are content-addressed
-(a retried task rewrites the same bytes under the same name) and the
-driver's ``(epoch, part)`` fence drops every re-delivered commit.
+Exactly-once needs no stateful sink: every data file is published by
+the task that computed it through one helper
+(``stages.writer.publish_parquet``: content-addressed, fsynced, atomic
+rename; a retried task re-derives the same name) and the driver's
+``(epoch, part)`` fence drops every re-delivered commit.
 
 Resume: ``replay()`` skips epochs already sealed in the commit log —
 a kill/restart mid-stream converges to the identical sha256-verified
@@ -58,13 +60,8 @@ import pyarrow.compute as pc
 from ..functions.hashing import retag_bucket, sha256_hex_array, table_state_sha256
 from ..stages.merge import LAKE_COLS, _file_schema, _unify_concat, key_codes, read_chain
 from ..stages.normalize import bind_null_strings
-from ..stages.reconcile import (
-    STATUS_MATCHED,
-    STATUS_MISSING_LEFT,
-    STATUS_MISSING_RIGHT,
-    reconcile_pair_pdf,
-)
-from ..stages.writer import write_piece_local
+from ..stages.reconcile import STATUS_MISSING_LEFT, STATUS_MISSING_RIGHT, reconcile_pair_pdf
+from ..stages.writer import publish_parquet, write_piece_local
 from ..state.commitlog import CommitLog, PartEntry
 
 # input_seq marker stamped on MAINTENANCE (compaction) entries: lets a
@@ -768,9 +765,15 @@ def _per_part(items: list, part_fn) -> list:
     Ray Data launch are fixed costs that dominated small operations."""
     import ray
 
-    n = min(len(items), _cluster_cpus())
     fn = ray.put(part_fn)
-    return [_parts_task().remote(fn, items[i::n]) for i in range(n)]
+    return [_parts_task().remote(fn, group) for group in _deal(items)]
+
+
+def _deal(items: list) -> list[list]:
+    """``items`` dealt round-robin into ``min(len(items), cluster
+    CPUs)`` groups: item ``i`` goes to group ``i % groups``."""
+    n = min(len(items), _cluster_cpus())
+    return [items[i::n] for i in range(n)]
 
 
 @functools.cache
@@ -888,9 +891,7 @@ def _part_scan(chains: dict[int, list[dict]], prep, columns: list[str] | None = 
     read blocks: the parts dealt round-robin to ``min(parts, cluster
     CPUs)`` blocks, as ``_per_part`` deals its items, so a written link
     has at most that many pieces. No parts, no blocks."""
-    items = sorted(chains.items())
-    n = min(len(items), _cluster_cpus())
-    return _PartScan(blocks=[items[i::n] for i in range(n)], prep=prep, columns=columns)
+    return _PartScan(blocks=_deal(sorted(chains.items())), prep=prep, columns=columns)
 
 
 def _run_epoch_batch(
@@ -935,10 +936,6 @@ def _apply_epochs(
     blocks the window's write saw: every block writes its own piece
     into each (epoch, bucket) link it touches, so that is the bound on
     a link's pieces."""
-    import hashlib
-
-    import pyarrow.parquet as pq
-
     t0 = time.monotonic()
     epochs = list(input_seqs)
     bounds = [int(input_seqs[e][1]) for e in epochs[:-1]]
@@ -963,8 +960,8 @@ def _apply_epochs(
         data never leaves the task (read -> CPU -> disk; no shuffle,
         no object-store round trip). One file per (task, epoch) with
         one row group per bucket slice so chain readers prune by the
-        ``bucket`` filter; file names are content-addressed, so a
-        retried task rewrites byte-identical bytes — idempotent. With
+        ``bucket`` filter (``publish_parquet``: content-addressed, so a
+        retried task re-derives the same name — idempotent). With
         the default block rule a single-file epoch is one block, so
         this writes exactly one piece per (epoch, bucket) link.
 
@@ -1019,22 +1016,10 @@ def _apply_epochs(
             by_epoch.setdefault(int(ge[s]), []).append((int(gb[s]), sl, sha))
         rows = []
         for ep_id, slices in sorted(by_epoch.items()):
-            digest = hashlib.sha256(
-                (str(ep_id) + "".join(sha for _, _, sha in slices)).encode()
-            ).hexdigest()[:16]
-            out_dir = os.path.join(lake_root, f"epoch={ep_id:05d}")
-            os.makedirs(out_dir, exist_ok=True)
-            fname = os.path.join(out_dir, f"delta-{digest}.parquet")
-            if not os.path.exists(fname):
-                tmp = fname + f".tmp{os.getpid()}"
-                with pq.ParquetWriter(tmp, slices[0][1].schema) as w:
-                    for _, sl, _ in slices:
-                        # row_group_size=num_rows: EXACTLY one row
-                        # group per bucket slice — pyarrow would
-                        # otherwise silently split slices over 1Mi
-                        # rows, desyncing every later rg ordinal
-                        w.write_table(sl, row_group_size=max(1, sl.num_rows))
-                os.replace(tmp, fname)
+            # one row group per bucket slice: rg ordinals index them
+            fname = publish_parquet(
+                os.path.join(lake_root, f"epoch={ep_id:05d}"), [sl for _, sl, _ in slices], "delta"
+            )
             for rg, (part, sl, sha) in enumerate(slices):
                 rows.append({
                     "epoch": ep_id, "part": part, "file": fname, "rg": rg,
@@ -1434,30 +1419,26 @@ def _erase_rewrite_file(job: tuple[str, str, str, str | None]) -> pa.Table:
     """Rewrite one parquet file ``src`` as ``dst`` with every row of the
     target ``(repo, path)`` key removed, PRESERVING row-group count and
     order (0-row groups are written for fully-erased slices) so entries
-    that address this file by row-group ordinal stay valid. Atomic
-    publish via tmp + rename. Returns the rows erased, as one row."""
+    that address this file by row-group ordinal stay valid. Published
+    under the caller's name (``publish_parquet``). Returns the rows
+    erased, as one row."""
     import pyarrow.parquet as _pq
 
     src, dst, repo, path = job
     f = _pq.ParquetFile(src)
-    tmp = dst + ".tmp"
-    erased = 0
-    writer = _pq.ParquetWriter(tmp, f.schema_arrow)
-    try:
-        for i in range(f.num_row_groups):
-            t = f.read_row_group(i)
-            keep = pc.invert(pc.equal(t["repo"], repo))
-            if path is not None:
-                keep = pc.or_(keep, pc.invert(pc.equal(t["path"], path)))
-            kept = t.filter(pc.fill_null(keep, True))
-            erased += t.num_rows - kept.num_rows
-            writer.write_table(kept, row_group_size=max(kept.num_rows, 1))
-    finally:
-        writer.close()
-    with open(tmp, "rb") as fh:
-        os.fsync(fh.fileno())
-    os.replace(tmp, dst)
-    return pa.table({"erased": [erased]})
+    groups = [f.read_row_group(i) for i in range(f.num_row_groups)]
+    kept = [_without_key(t, repo, path) for t in groups]
+    publish_parquet(os.path.dirname(dst), kept, name=os.path.basename(dst))
+    return pa.table({"erased": [sum(t.num_rows for t in groups) - sum(t.num_rows for t in kept)]})
+
+
+def _without_key(t: pa.Table, repo: str, path: str | None) -> pa.Table:
+    """``t`` without the rows of one ``(repo, path)`` key, or of every
+    path of ``repo`` when ``path`` is None."""
+    keep = pc.invert(pc.equal(t["repo"], repo))
+    if path is not None:
+        keep = pc.or_(keep, pc.invert(pc.equal(t["path"], path)))
+    return t.filter(pc.fill_null(keep, True))
 
 
 def erase_key(cfg_or_root, repo: str, path: str | None = None) -> dict:
@@ -1575,10 +1556,11 @@ def erase_key_from_feed(out_dir: str, repo: str, path: str | None = None) -> dic
     downstream half of ``erase_key``: the lake's own files forget the
     key, but a spooled CDC feed still carries its images until the
     owner scrubs it. Every parquet file in every segment (sealed or
-    in-flight) is rewritten in place without the key's rows (atomic
-    tmp+rename; segment names, ``_SEALED`` markers and the ``_CURSOR``
-    are untouched, so consumer positioning is unaffected — consumers
-    that already applied the rows must erase their own sinks)."""
+    in-flight) is rewritten in place without the key's rows
+    (``publish_parquet`` under the file's own name; segment names,
+    ``_SEALED`` markers and the ``_CURSOR`` are untouched, so consumer
+    positioning is unaffected — consumers that already applied the
+    rows must erase their own sinks)."""
     import glob as _glob
 
     import pyarrow.parquet as pq
@@ -1588,17 +1570,10 @@ def erase_key_from_feed(out_dir: str, repo: str, path: str | None = None) -> dic
     files_rewritten = 0
     for f in sorted(_glob.glob(os.path.join(feed, "**", "*.parquet"), recursive=True)):
         t = pq.read_table(f)
-        keep = pc.invert(pc.equal(t["repo"], repo))
-        if path is not None:
-            keep = pc.or_(keep, pc.invert(pc.equal(t["path"], path)))
-        kept = t.filter(pc.fill_null(keep, True))
+        kept = _without_key(t, repo, path)
         if kept.num_rows == t.num_rows:
             continue
-        tmp = f + ".tmp"
-        pq.write_table(kept, tmp)
-        with open(tmp, "rb") as fh:
-            os.fsync(fh.fileno())
-        os.replace(tmp, f)
+        publish_parquet(os.path.dirname(f), [kept], name=os.path.basename(f))
         rows_erased += t.num_rows - kept.num_rows
         files_rewritten += 1
     return {"feed_files_rewritten": files_rewritten, "feed_rows_erased": rows_erased}
@@ -2070,6 +2045,18 @@ def lake_changelog(
     (``_as_of_upto``)."""
     import ray.data as rd
 
+    items, diff_part, feed_schema = _changelog_diff(cfg_or_root, from_epoch, to_epoch, image_cols)
+    if not items:
+        return rd.from_arrow(feed_schema.empty_table())
+    return rd.from_arrow_refs(_per_part(items, diff_part))
+
+
+def _changelog_diff(cfg_or_root, from_epoch: int | None, to_epoch: int | None, image_cols):
+    """The plan of ``lake_changelog``: ``(items, diff_part,
+    feed_schema)``, one item per partition whose chain differs between
+    the two sealed states, and ``diff_part(item)`` its feed rows at
+    ``feed_schema``. ``lake_changelog`` runs it into a Dataset, the
+    export (``_write_segment``) into a spool segment."""
     log = CommitLog.open(_root_of(cfg_or_root))
     upto_to = _as_of_upto(log, to_epoch)
     upto_from = None if from_epoch is None else _as_of_upto(log, from_epoch)
@@ -2101,9 +2088,6 @@ def lake_changelog(
         [pa.field(c, pa.string()) for c in ("repo", "path", "change", "content_sha256")]
         + [pa.field(f"{c}_{s}", img_types[c]) for c in images for s in ("old", "new")]
     )
-    if not items:
-        return rd.from_arrow(feed_schema.empty_table())
-
     # both states at the feed's types, so the two sides and every diff
     # block share one schema
     state_schema = pa.schema(
@@ -2130,13 +2114,16 @@ def lake_changelog(
         )
         st = d["status"]
         ins, dele = pc.equal(st, STATUS_MISSING_LEFT), pc.equal(st, STATUS_MISSING_RIGHT)
-        # sha covers `content` only — a payload/image column can change
-        # under an unchanged content (e.g. a mid-stream added column
-        # landing its first value). A feed that carries images must
-        # surface those as 'U' too, or image consumers (IVM views,
-        # replicas) silently miss the change.
-        changed = pc.not_equal(st, STATUS_MATCHED)
-        for c in attrs:
+        # a key in both states changed iff its sha or an image column
+        # differs, compared null-safely: the kernel never matches a
+        # null sha, so its status alone would report an unchanged
+        # null-content key as 'U' in every window. The sha covers
+        # `content` only — a payload/image column can change under an
+        # unchanged content (e.g. a mid-stream added column landing its
+        # first value), and image consumers (IVM views, replicas) must
+        # see that as 'U' too.
+        changed = pc.or_(ins, dele)
+        for c in ["content_sha256", *attrs]:
             changed = pc.or_(changed, pc.invert(_same(d[f"{c}_l"], d[f"{c}_r"])))
         f = {
             "repo": d["repo"],
@@ -2152,7 +2139,7 @@ def lake_changelog(
             f[f"{c}_old"], f[f"{c}_new"] = d[f"{c}_l"], d[f"{c}_r"]
         return pa.table(f).filter(changed).cast(feed_schema)
 
-    return rd.from_arrow_refs(_per_part(items, diff_part))
+    return items, diff_part, feed_schema
 
 
 def export_changelog(
@@ -2188,9 +2175,9 @@ def export_changelog(
     head advanced would export an OVERLAPPING segment (or a second
     bootstrap snapshot) whose name-order fold resurrects
     deleted/reverted keys. A consumer that reads only sealed segments
-    in name order therefore sees each change exactly once. Writes are
-    distributed (``Dataset.write_parquet``); nothing data-scale lands
-    on the driver."""
+    in name order therefore sees each change exactly once. The diff
+    tasks write the segment's files themselves (``_write_segment``);
+    nothing data-scale lands on the driver."""
     root = _root_of(cfg_or_root)
     log = CommitLog.open(root)
     head = log.latest_sealed_epoch()
@@ -2216,9 +2203,7 @@ def export_changelog(
     # lexicographic walk (snapshot, then deltas, in apply order)
     name = f"epochs=0-snapshot-{head:05d}" if cur is None else f"epochs={cur:05d}-{head:05d}"
     seg = os.path.join(out_dir, "feed", name)
-    _write_segment(
-        lake_changelog(root, from_epoch=cur, to_epoch=head, image_cols=image_cols), seg
-    )
+    written = _write_segment(root, seg, cur, head, image_cols)
     _publish_cursor(out_dir, head)
     return {
         "skipped": False,
@@ -2226,27 +2211,35 @@ def export_changelog(
         "from_epoch": cur,
         "to_epoch": head,
         "snapshot": cur is None,
+        **written,
     }
 
 
-def _write_segment(feed, seg: str) -> None:
-    """Write one spool segment from SEALED inputs, then seal it. Ray
-    writes no file for an empty Dataset, so a window with no net change
-    gets one zero-row file: the segment still reads back with the
-    feed's schema."""
+def _write_segment(root: str, seg: str, from_epoch: int | None, to_epoch: int,
+                   image_cols) -> dict:
+    """Write the changelog between two SEALED epochs as one spool
+    segment, then seal it. Each diff task publishes its own file
+    (``publish_parquet``), one row group per changed part; a task whose
+    parts netted no change, or a window that changed no part, writes one
+    zero-row file, so the segment always reads back with the feed's
+    schema. The driver writes the fsynced ``_SEALED`` marker after the
+    tasks return; it records the segment's ``rows`` and ``files``, so a
+    consumer can check what it read. Returns them."""
     import shutil as _shutil
 
-    import pyarrow.parquet as pq
-
+    items, diff_part, feed_schema = _changelog_diff(root, from_epoch, to_epoch, image_cols)
     _shutil.rmtree(seg, ignore_errors=True)  # crashed unsealed attempt
-    feed.write_parquet(seg)
-    if not (os.path.isdir(seg)
-            and any(f.endswith(".parquet") for f in os.listdir(seg))):
-        os.makedirs(seg, exist_ok=True)
-        pq.write_table(feed.schema().base_schema.empty_table(),
-                       os.path.join(seg, "empty.parquet"))
-    with open(os.path.join(seg, "_SEALED"), "w") as fh:
-        fh.write("ok\n")
+
+    def write(group: list[dict]) -> pa.Table:
+        diffs = [d for d in map(diff_part, group) if d.num_rows] or [feed_schema.empty_table()]
+        f = publish_parquet(seg, diffs, "changes")
+        return pa.table({"file": [f], "rows": [sum(d.num_rows for d in diffs)]})
+
+    out = _gather(_per_part(_deal(items), write)) if items else write([])
+    # equal zero-row outputs of two tasks are one content-addressed file
+    written = {"rows": pc.sum(out["rows"]).as_py(), "files": len(set(out["file"].to_pylist()))}
+    CommitLog._write_atomic(os.path.join(seg, "_SEALED"), [written])
+    return written
 
 
 def compact_feed(
@@ -2298,8 +2291,7 @@ def compact_feed(
     if existing == [name]:
         return {"skipped": True, "reason": "already compacted", "segment": seg}
     if name not in existing:  # retry after a crash-post-seal skips the build
-        snap = lake_changelog(root, from_epoch=None, to_epoch=head, image_cols=image_cols)
-        _write_segment(snap, seg)
+        _write_segment(root, seg, None, head, image_cols)
     _publish_cursor(out_dir, head)
     if stop_before_delete:
         return {"skipped": False, "segment": seg, "deleted": 0, "head": head}

@@ -186,8 +186,8 @@ class MaintainedView:
     discipline): each state is a parquet directory
     ``<view_root>/epoch=<N>/`` written DISTRIBUTED (Dataset
     write_parquet — the state is O(distinct keys) and never lands on
-    one node), published by atomically replacing the ``_CURRENT``
-    pointer file. A crash between write and publish leaves the old
+    one node), published by atomically replacing the fsynced
+    ``_CURRENT`` pointer file. A crash between write and publish leaves the old
     pointer valid; the next ``advance`` recomputes the same epoch range
     over the same sealed inputs and overwrites — deterministic, so
     convergence is idempotent (chaos-tested).
@@ -253,14 +253,14 @@ class MaintainedView:
         import os
         import shutil
 
+        from ..state.commitlog import CommitLog
+
         out = os.path.join(self.view_root, f"epoch={epoch:05d}")
         shutil.rmtree(out, ignore_errors=True)  # crashed unpublished try
         new_state.write_parquet(out)
         os.makedirs(out, exist_ok=True)  # Ray writes no file for an empty state
-        tmp = self._pointer() + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(f"{epoch}\n")
-        os.replace(tmp, self._pointer())
+        # durable before the superseded states go: "<epoch>\n", fsynced
+        CommitLog._write_atomic(self._pointer(), [epoch])
         # retire superseded states (the pointer is durable truth now)
         for d in os.listdir(self.view_root):
             if d.startswith("epoch=") and d != f"epoch={epoch:05d}":

@@ -10,10 +10,10 @@ an operator can inspect, fix, and re-ingest — nothing is lost, nothing
 bad reaches the lake.
 
 Scale shape: checks are vectorized Arrow/numpy masks evaluated per
-batch; rejected rows are written TASK-SIDE (name keyed on (task id,
-within-task batch ordinal, content digest), tmp + atomic rename —
-retry-idempotent AND collision-free, no object-store hop, same pattern
-as replay's direct_write); the clean stream flows on unchanged. Cost
+batch; rejected rows are written TASK-SIDE (``publish_parquet``, name
+keyed on (task id, within-task batch ordinal, content digest) —
+retry-idempotent AND collision-free, no object-store hop, the same
+publish as replay's direct_write); the clean stream flows on unchanged. Cost
 is O(bad rows) extra I/O, zero extra passes.
 
 At multi-node scale ``quarantine_dir`` must be shared storage (the
@@ -22,13 +22,13 @@ scatter dead letters across workers."""
 
 from __future__ import annotations
 
-import hashlib
 import os
 from typing import Callable, Sequence
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
+
+from .writer import publish_parquet
 
 #: a check: (reason, fn(batch) -> pa/np boolean mask of BAD rows)
 Check = tuple[str, Callable[[pa.Table], "pa.Array | np.ndarray"]]
@@ -86,22 +86,14 @@ def quarantine_split(ds, checks: Sequence[Check], quarantine_dir: str):
                 "reason", pa.array(reason[bad_mask], pa.string())
             )
             # name = (task id, within-task ordinal, content digest): a
-            # retried task rewrites the same bytes to the same path
-            # (atomic replace) — idempotent — while distinct batches
-            # with IDENTICAL content (duplicate bad rows are normal in
-            # dead-letter traffic) still get distinct names, so the
-            # split stays lossless (bad rows are few, so the extra
-            # serialization is O(bad) not O(stream))
-            sink = pa.BufferOutputStream()
-            with pa.ipc.new_stream(sink, bad.schema) as w:
-                w.write_table(bad)
-            digest = hashlib.sha256(sink.getvalue().to_pybytes()).hexdigest()[:16]
+            # retried task re-derives the same path and skips the write
+            # — idempotent — while distinct batches with IDENTICAL
+            # content (duplicate bad rows are normal in dead-letter
+            # traffic) still get distinct names, so the split stays
+            # lossless (bad rows are few, so digesting them is O(bad)
+            # not O(stream))
             task_id, ordinal = _batch_identity()
-            fname = os.path.join(
-                quarantine_dir, f"dlq-{task_id[:16]}-{ordinal:05d}-{digest}.parquet"
-            )
-            pq.write_table(bad, fname + ".tmp")
-            os.replace(fname + ".tmp", fname)
+            publish_parquet(quarantine_dir, [bad], f"dlq-{task_id[:16]}-{ordinal:05d}")
         return batch.filter(pa.array(~bad_mask))
 
     return ds.map_batches(split, batch_format="pyarrow")

@@ -4,6 +4,8 @@ and Ray Data runs only where a Dataset crosses the API.
 - replay, folds, compaction, salt planning, erasure, a delta-segment
   replication and an unchanged incremental reconcile start no Ray Data
   execution; an epoch given as a Dataset starts exactly one;
+- the export (``export_changelog``, ``compact_feed``) starts no Ray
+  Data execution: its diff tasks write the segment themselves;
 - the lake-to-lake writes — ``rebucket`` and a snapshot re-baseline of
   a replica that already holds state — read lake parts as the epoch
   kernel's read blocks, start no Ray Data execution, and leave the
@@ -149,6 +151,22 @@ def test_engine_paths_start_no_ray_data_execution(tmp_path, executions):
         m = run_epoch(ds, 8, cfg)
     assert m["parts_committed"] > 0
     assert len(n) == 1
+
+
+def test_export_and_compact_feed_start_no_ray_data_execution(tmp_path, executions):
+    binlog = tmp_path / "binlog"
+    binlog.mkdir()
+    src = ReplayConfig(lake_root=str(tmp_path / "src"), num_buckets=4)
+    feed = str(tmp_path / "feed")
+    for e in range(2):
+        pq.write_table(_events(e * 200, 200, 80, f"e{e}"), str(binlog / f"epoch={e:05d}.parquet"))
+        replay_stream(str(binlog), src)
+        with executions() as n:
+            assert export_changelog(src.lake_root, feed, image_cols="all")["snapshot"] == (e == 0)
+        assert n == []
+    with executions() as n:
+        assert compact_feed(src.lake_root, feed)["deleted"] == 2
+    assert n == []
 
 
 def _source_and_feed(tmp_path, epochs: int) -> tuple[ReplayConfig, str, str]:
