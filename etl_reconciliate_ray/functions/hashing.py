@@ -44,7 +44,7 @@ HASH_IMPL = f"xxh-polars-{_pl.__version__}" if _pl is not None else "poly64-spli
 _HASH_SEED = 42
 
 #: Sentinel string NULL keys are mapped to for routing/joining — the same
-#: value ``resolve_chain_tables`` fills into null repo/path before its key
+#: value ``merge.key_codes`` fills into null repo/path before its key
 #: join, so routing and merge agree on where null-keyed rows live.
 NULL_SENTINEL = "\x00N"
 
@@ -161,7 +161,7 @@ def bucket_of(
     if isinstance(repo, pa.ChunkedArray):
         repo = repo.combine_chunks()
     # Nulls must route deterministically: fill the VALUE array with the
-    # engine's null sentinel (same "\x00N" resolve_chain_tables uses)
+    # engine's null sentinel (same "\x00N" merge.key_codes uses)
     # BEFORE dictionary encoding. Filling at the index level (old code:
     # fill_null(indices, 0)) made a null repo hash like whatever string
     # happened to be first in that batch's dictionary — batch-dependent

@@ -58,7 +58,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import retag_bucket, sha256_hex_array, table_state_sha256
-from ..stages.merge import LAKE_COLS, _file_schema, _unify_concat, key_codes, read_chain
+from ..stages.lww import winner_index
+from ..stages.merge import LAKE_COLS, _epoch_tagged, _file_schema, _order, _unify_concat
+from ..stages.merge import key_codes, read_chain, read_links
 from ..stages.normalize import bind_null_strings
 from ..stages.reconcile import STATUS_MISSING_LEFT, STATUS_MISSING_RIGHT, reconcile_pair_pdf
 from ..stages.writer import publish_parquet, write_piece_local
@@ -966,11 +968,11 @@ def _apply_epochs(
         this writes exactly one piece per (epoch, bucket) link.
 
         The LWW winner per (epoch, bucket, repo, path) is computed
-        as an index permutation over the SMALL columns only (int64
-        lexsort + dictionary-coded keys); the content payload is
-        then gathered ONCE, winners-only, by a single ``take``.
-        A full-table ``sort_by`` would copy every event's content
-        bytes before dropping the losers — on this
+        by ``winner_index`` over the SMALL columns only (a group id of
+        the epoch, the bucket and the key's code, ordered by ``seq``);
+        the content payload is then gathered ONCE, winners-only, by a
+        single ``take``. A full-table ``sort_by`` would copy every
+        event's content bytes before dropping the losers — on this
         memory-bandwidth-bound stage that copy was the scaling
         bottleneck (BENCH/BASELINE.md).
 
@@ -984,13 +986,7 @@ def _apply_epochs(
         codes = key_codes(batch["repo"], batch["path"])
         ncodes = int(codes.max()) + 1
         nb = int(gb0.max()) + 1
-        gid = (ge0 * nb + gb0) * ncodes + codes
-        # stable sort by (gid, seq): last row of each gid run is the
-        # max-seq winner (ties -> later batch position, matching the
-        # stable-sort + "last" aggregate semantics of lww_reduce)
-        perm = np.lexsort((seq0, gid))
-        g = gid[perm]
-        winners = perm[np.flatnonzero(np.append(g[1:] != g[:-1], True))]
+        winners = winner_index((ge0 * nb + gb0) * ncodes + codes, seq0)
         t = batch.take(pa.array(winners))  # the ONE content gather
         if "content_sha256" not in t.column_names:
             t = t.append_column("content_sha256", sha256_hex_array(t["content"]))
@@ -1005,7 +1001,7 @@ def _apply_epochs(
         t = t.select(order)  # the delta column contract (zero-copy)
         ge = ge0[winners]
         gb = gb0[winners]
-        sid = ge * nb + gb  # winners are grouped: gid asc => (epoch, bucket) asc
+        sid = ge * nb + gb  # winners come ascending by group id => (epoch, bucket) asc
         cuts = np.flatnonzero(np.diff(sid)) + 1
         starts = np.concatenate([[0], cuts]).astype(np.int64)
         ends = np.concatenate([cuts, [len(sid)]]).astype(np.int64)
@@ -1869,69 +1865,39 @@ def key_history(cfg_or_root, repo: str, path: str, columns: list[str] | None = N
 
     How: the key routes to exactly one bucket (``buckets_for_key`` over
     the layout fence); every surviving log entry of that bucket is read
-    key-filtered (row-group stats pruning via the same pushdown as
-    ``lake_lookup``). A delta entry carries exactly its own epoch's LWW
-    winner for the key (direct-mode partial pieces may overlap — those
-    carry ``seq`` and resolve by max seq, the engine's own read-time
-    rule); a FULL entry (bootstrap / compacted base) carries collapsed
-    state with no per-event op, surfacing as 'I' at the base's epoch —
-    exactly the horizon time travel can still reconstruct; older
-    history is gone by the same retention ``time_travel_floor``
-    enforces.
+    key-filtered through ``read_chain``'s link loop (``read_links``).
+    Each epoch's row is its ``winner_index`` winner by ``seq``
+    (direct-mode partial pieces may overlap, as at read time); a FULL
+    entry (bootstrap / compacted base) carries collapsed state with no
+    per-event op, surfacing as 'I' at the base's epoch — exactly the
+    horizon time travel can still reconstruct.
 
     Scale shape: O(entries of ONE bucket) small pruned reads, driver
-    work O(this key's writes) — independent of lake size. Each epoch
-    stores only its LWW winner, so intra-epoch overwrites are
-    pre-collapsed by the engine's own semantics."""
-    import pyarrow.parquet as pq
-
+    work O(this key's writes) — independent of lake size."""
     from ..functions.hashing import buckets_for_key
-    from ..stages.merge import _pqfile
 
     log = CommitLog.open(_root_of(cfg_or_root))
     num_buckets, salt = _layout_of(log)
     [part] = buckets_for_key(repo, path, num_buckets, salt)
     payload = [c for c in (columns or []) if c not in ("repo", "path", "op")]
-    need = {"repo", "path", "op", "seq", *payload}
+    links = [{"epoch": e.epoch, "files": e.files, "rgs": e.rgs}
+             for e in log.entries_for_part(part)]
+    ev = _epoch_tagged(read_links(links, payload, key_filter=(repo, path)))
+    if ev.num_rows:
+        ev = ev.filter(pc.and_(pc.equal(ev["repo"], repo), pc.equal(ev["path"], path)))
+        # one row per epoch, its winner by seq (direct-mode overlapping
+        # partials carry seq; a collapsed file has none and one row)
+        ev = ev.take(pa.array(winner_index(
+            ev["__epoch"].to_numpy(zero_copy_only=False), _order(ev, "seq")
+        )))
 
-    by_epoch: dict[int, list[dict]] = {}
-    for entry in log.entries_for_part(part):
-        rgs = entry.rgs or (-1,) * len(entry.files)
-        for f, rg in zip(entry.files, rgs):
-            cols = [c for c in _file_schema(f).names if c in need]
-            if rg is not None and int(rg) >= 0:
-                t = _pqfile(f).read_row_group(int(rg), columns=cols)
-            else:
-                t = pq.read_table(
-                    f, columns=cols,
-                    filters=[("repo", "=", repo), ("path", "=", path)],
-                )
-            t = t.filter(pc.and_(pc.equal(t["repo"], repo), pc.equal(t["path"], path)))
-            if t.num_rows:
-                by_epoch.setdefault(entry.epoch, []).extend(t.to_pylist())
+    def col(c: str, typ=pa.string()):
+        return ev[c] if c in ev.column_names else pa.nulls(ev.num_rows, typ)
 
-    rows = []
-    for epoch in sorted(by_epoch):
-        cands = by_epoch[epoch]
-        # direct-mode overlapping partials carry seq: max seq is the
-        # epoch winner (the engine's read-time rule); collapsed files
-        # have no seq and hold exactly one winner row already
-        win = max(cands, key=lambda r: (r.get("seq") is not None, r.get("seq") or 0))
-        rows.append({
-            "epoch": int(epoch),
-            "op": win.get("op") or "I",
-            "repo": repo,
-            "path": path,
-            **{c: win.get(c) for c in payload},
-        })
-    fields = ["epoch", "op", "repo", "path", *payload]
-    if not rows:
-        return pa.table({
-            "epoch": pa.array([], pa.int64()), "op": pa.array([], pa.string()),
-            "repo": pa.array([], pa.string()), "path": pa.array([], pa.string()),
-            **{c: pa.array([], pa.string()) for c in payload},
-        })
-    return pa.Table.from_pylist(rows).select(fields)
+    return pa.table({
+        "epoch": col("__epoch", pa.int64()), "op": pc.fill_null(col("op"), "I"),
+        "repo": col("repo"), "path": col("path"), **{c: col(c) for c in payload},
+    })
 
 
 def lake_table(cfg_or_root, as_of_epoch: int | None = None) -> pa.Table:
@@ -1995,6 +1961,22 @@ def _same(a, b):
     if pa.types.is_floating(a.type):
         same = pc.or_kleene(same, pc.and_(pc.is_nan(a), pc.is_nan(b)))
     return pc.fill_null(same, False)
+
+
+def _diff_states(old: pa.Table, new: pa.Table, attrs: list[str]) -> pa.Table:
+    """``reconcile_pair_pdf``'s keyed outer diff of a part's old (left)
+    and new (right) state, skipped when a side is empty: every key of
+    the other is then MISSING_LEFT (an insert) or MISSING_RIGHT (a
+    delete), with that side's images and nulls for the absent one."""
+    if old.num_rows and new.num_rows:
+        return reconcile_pair_pdf(old, new, ["repo", "path"], "content_sha256", attrs)
+    side, status = (new, STATUS_MISSING_LEFT) if new.num_rows else (old, STATUS_MISSING_RIGHT)
+    out = {"repo": side["repo"], "path": side["path"]}
+    for c in ["content_sha256", *attrs]:
+        pair = (side[c], pa.nulls(side.num_rows, side[c].type))
+        out[f"{c}_l"], out[f"{c}_r"] = pair[::-1] if side is new else pair
+    out["status"] = pa.array([status] * side.num_rows, pa.string())
+    return pa.table(out)
 
 
 def lake_changelog(
@@ -2108,10 +2090,7 @@ def _changelog_diff(cfg_or_root, from_epoch: int | None, to_epoch: int | None, i
         part = int(item["part"])
         # old state left, new state right: MISSING_LEFT is an insert,
         # MISSING_RIGHT a delete, VALUE_DIFF an update
-        d = reconcile_pair_pdf(
-            state(item["old"], part), state(item["new"], part),
-            ["repo", "path"], "content_sha256", attrs,
-        )
+        d = _diff_states(state(item["old"], part), state(item["new"], part), attrs)
         st = d["status"]
         ins, dele = pc.equal(st, STATUS_MISSING_LEFT), pc.equal(st, STATUS_MISSING_RIGHT)
         # a key in both states changed iff its sha or an image column

@@ -358,16 +358,19 @@ def export_feed_envelopes(feed_dir: str, out_dir: str) -> list[str]:
     crashed attempt may have split blocks differently, so rebuild —
     not resume — is the safe idempotent path).
 
-    Scale shape: rendering is distributed (one map task per feed
-    block, tasks write their own part files — the engine's task-side
-    write pattern); per-row dict building is inherent to a nested-JSON
-    wire format and parallelizes with the tasks. The driver handles
-    O(segments) bookkeeping only."""
+    Scale shape: one ``replay._per_part`` item per parquet file of the
+    segment; tasks write, fsync and rename their own part files, and
+    per-row dict building (inherent to a nested-JSON wire format)
+    parallelizes with them. The driver then writes ``_SEALED``
+    through ``CommitLog._write_atomic``."""
     import hashlib
     import json as _json
     import shutil
 
-    import ray.data as rd
+    import pyarrow.parquet as pq
+
+    from ..pipelines.replay import _gather, _per_part
+    from ..state.commitlog import CommitLog
 
     os.makedirs(out_dir, exist_ok=True)
     done: list[str] = []
@@ -389,8 +392,9 @@ def export_feed_envelopes(feed_dir: str, out_dir: str) -> list[str]:
         to_epoch = int(name.rsplit("-", 1)[1])
         seq_base = (to_epoch * 2 + (0 if snapshot else 1)) << 32
 
-        def render(t: pa.Table, dest=dest, snapshot=snapshot, name=name,
+        def render(f: str, dest=dest, snapshot=snapshot, name=name,
                    seq_base=seq_base) -> pa.Table:
+            t = pq.read_table(f)
             old_cols = [c[:-4] for c in t.column_names if c.endswith("_old")]
             new_cols = [c[:-4] for c in t.column_names if c.endswith("_new")]
             rows = t.to_pylist()
@@ -417,23 +421,24 @@ def export_feed_envelopes(feed_dir: str, out_dir: str) -> list[str]:
                     "op": op, "before": before, "after": after,
                     "source": {"segment": name, "seq": seq_base + key_digest},
                 }, sort_keys=True, default=str))
-            if not lines:  # empty block: nothing to publish
-                return pa.table({"part": pa.array([], pa.string()),
-                                 "rows": pa.array([], pa.int64())})
+            if not lines:  # empty file: nothing to publish
+                return pa.table({})
             blob = ("\n".join(lines) + "\n").encode()
             sha = hashlib.sha256(blob).hexdigest()[:16]
             part = os.path.join(dest, f"part-{sha}.jsonl")
             tmp = part + ".tmp"
             with open(tmp, "wb") as fh:
                 fh.write(blob)
+                fh.flush()
+                os.fsync(fh.fileno())  # on disk before _SEALED can name it
             os.replace(tmp, part)
-            return pa.table({"part": pa.array([part]),
-                             "rows": pa.array([len(lines)], pa.int64())})
+            return pa.table({"rows": [len(lines)]})
 
         files = sorted(glob.glob(os.path.join(seg, "*.parquet")))
-        rd.read_parquet(files).map_batches(render, batch_format="pyarrow").count()
-        with open(os.path.join(dest, "_SEALED"), "w"):
-            pass
+        parts = _gather(_per_part(files, render))
+        CommitLog._write_atomic(os.path.join(dest, "_SEALED"), [
+            {"rows": sum(parts.to_pydict().get("rows", [])), "files": parts.num_rows}
+        ])
     return done
 
 

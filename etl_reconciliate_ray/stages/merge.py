@@ -27,38 +27,29 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..functions.hashing import key_strings
+from ..functions.hashing import NULL_SENTINEL, key_strings
+from .lww import winner_index
 
 #: lake state column order (extras like evolved columns append after)
 LAKE_COLS = ["repo", "path", "commit", "lang", "content", "content_sha256"]
 
-_LAST_OPTS = pc.ScalarAggregateOptions(skip_nulls=False)  # keep D-row nulls
 
-
-def lww_reduce(events: pa.Table, order_col: str = "seq", presorted: bool = False) -> pa.Table:
+def lww_reduce(events: pa.Table, order_col: str = "seq") -> pa.Table:
     """Collapse events to the winning (max-``order_col``) event per
-    (repo, path).
-
-    Vectorized: stable sort by the order column then hash-group "last"
-    with skip_nulls=False (delete rows carry null content/lang and must
-    win as-is). O(n log n) in the bucket's event count, no per-key
-    Python. ``presorted=True`` skips the sort when the caller already
-    ordered rows ascending by ``order_col`` — a full-table copy saved
-    on the hot path (the pipeline is memory-bandwidth-bound at high
-    core counts, so every copy of the content bytes costs throughput).
-    """
-    # sort_by and the hash "last" aggregate both gather through int32
-    # offsets; a >~1.6 GiB column (hot bucket at sf1+) must widen first
+    (repo, path): ``winner_index`` over ``key_codes``, a null order
+    losing as in chain resolution. Delete rows win as-is (their null
+    content/lang included); only the winners are gathered."""
     events, widened = _widen_big_offsets(events)
-    if not presorted:
-        events = events.sort_by([(order_col, "ascending")])
-    keys = ["repo", "path"]
-    aggs = [(c, "last", _LAST_OPTS) for c in events.column_names if c not in keys]
-    red = events.group_by(keys, use_threads=False).aggregate(aggs)
-    # rebuild with original names/order (aggregate outputs are "<col>_last")
-    return _narrow_offsets(pa.table(
-        {c: (red[c] if c in keys else red[f"{c}_last"]) for c in events.column_names}
-    ), widened)
+    idx = winner_index(key_codes(events["repo"], events["path"]), _order(events, order_col))
+    return _narrow_offsets(events.take(pa.array(idx)), widened)
+
+
+def _order(t: pa.Table, col: str) -> np.ndarray:
+    """An int64 LWW order column, null (or absent) as int64 min: a
+    whole-epoch pre-reduced row, which carries no ``seq``, loses to a
+    seq-carrying partial-delta row of its epoch."""
+    o = t[col] if col in t.column_names else pa.nulls(t.num_rows, pa.int64())
+    return pc.fill_null(pc.cast(o, pa.int64()), np.iinfo(np.int64).min).to_numpy()
 
 
 def _unify_concat(tables: list[pa.Table]) -> pa.Table:
@@ -139,7 +130,7 @@ def key_codes(repo, path) -> np.ndarray:
     ``group_by`` null-group semantics) and no code is null; the
     sentinel holds a NUL byte, which no real repo or path may hold
     (documented key contract)."""
-    keys = key_strings(pc.fill_null(repo, "\x00N"), pc.fill_null(path, "\x00N"))
+    keys = key_strings(pc.fill_null(repo, NULL_SENTINEL), pc.fill_null(path, NULL_SENTINEL))
     if isinstance(keys, pa.ChunkedArray):
         # joined keys can near the cap even when repo/path alone
         # don't; combine_chunks concatenates, so widen first
@@ -155,59 +146,39 @@ def resolve_chain_tables(tables_by_epoch: list[tuple[int, pa.Table]]) -> pa.Tabl
     rows override older epochs; within one epoch, partial deltas from
     different tasks may overlap keys and the greatest ``seq`` wins
     (deltas written without ``seq`` are whole-epoch pre-reduced, so
-    they never overlap in-epoch and the null sorts first harmlessly).
+    they never overlap in-epoch and their null seq loses harmlessly).
     ``op == 'D'`` tombstones remove the key; base (full) rows carry no
     ``op`` — they unify to null, treated as live.
     """
-    tagged = []
-    for epoch, t in tables_by_epoch:
-        t = t.append_column(
-            "__epoch", pa.array(np.full(t.num_rows, epoch, np.int64))
-        )
-        tagged.append(t)
-    merged = _unify_concat(tagged)
+    merged = _epoch_tagged(tables_by_epoch)
     if merged.num_rows == 0:
         return merged
     # huge chains (>~1.6 GiB in one column, e.g. a hot bucket's content
     # at sf1+) must gather through int64 offsets — see _widen_big_offsets
     merged, widened = _widen_big_offsets(merged)
-    # Winner-INDEX selection (same trick as replay.direct_write): the
-    # LWW order is computed over the SMALL columns only — dictionary
-    # codes of the merge key + (__epoch, seq) int64 lexsort — and the
-    # content payload is gathered ONCE, winners-only, by a single
-    # ``take``. The previous full-table sort + hash "last" aggregate
-    # copied every chain row's content bytes twice; chain resolution is
-    # the whole of compaction and of merge-on-read scans, so those
-    # copies dominated cdc_compact wall time.
-    ep = merged["__epoch"].to_numpy(zero_copy_only=False).astype(np.int64)
-    n = merged.num_rows
-    if "seq" in merged.column_names and not pa.types.is_null(
-        merged.schema.field("seq").type
-    ):
-        # seq-null rows (whole-epoch pre-reduced deltas) must LOSE to
-        # seq-carrying partial-delta rows of the same epoch if the two
-        # kinds ever mix in one chain — fill with int64 min so they
-        # sort first (the old sort's null_placement='at_start').
-        seq = (
-            pc.fill_null(pc.cast(merged["seq"], pa.int64()), np.iinfo(np.int64).min)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-    else:
-        seq = np.zeros(n, dtype=np.int64)
-    codes = key_codes(merged["repo"], merged["path"])
-    # stable lexsort by (code, epoch, seq): the last row of each code
-    # run is the max-(epoch, seq) winner, ties resolved to the later
-    # concat position — exactly the stable-sort + "last" semantics.
-    perm = np.lexsort((seq, ep, codes))
-    g = codes[perm]
-    winner_idx = perm[np.flatnonzero(np.append(g[1:] != g[:-1], True))]
-    winners = merged.take(pa.array(winner_idx))  # the ONE content gather
+    # the winners come from the SMALL columns only (key codes and
+    # (__epoch, seq), ``winner_index``); the content payload is
+    # gathered ONCE, winners-only, by a single ``take`` — chain
+    # resolution is the whole of compaction and of merge-on-read scans
+    idx = winner_index(
+        key_codes(merged["repo"], merged["path"]),
+        merged["__epoch"].to_numpy(zero_copy_only=False), _order(merged, "seq"),
+    )
+    winners = merged.take(pa.array(idx))  # the ONE content gather
     if "op" in winners.column_names:
         live = pc.fill_null(winners["op"], "I")
         winners = winners.filter(pc.not_equal(live, "D"))
     drop = [c for c in ("__epoch", "op", "seq", "ts") if c in winners.column_names]
     return _narrow_offsets(winners.drop_columns(drop), widened)
+
+
+def _epoch_tagged(tables_by_epoch: list[tuple[int, pa.Table]]) -> pa.Table:
+    """The chain's tables concatenated (``_unify_concat``), each row
+    tagged with its link's epoch in an int64 ``__epoch`` column."""
+    return _unify_concat([
+        t.append_column("__epoch", pa.array(np.full(t.num_rows, epoch, np.int64)))
+        for epoch, t in tables_by_epoch
+    ])
 
 
 from functools import lru_cache
@@ -259,8 +230,25 @@ def read_chain(
     bucket decodes O(one row group), not the bucket. Purely an
     optimization: callers still row-filter the result (parquet stats
     pruning is conservative, never wrong)."""
-    if not chain:
+    tagged = read_links(chain, columns, part, key_filter)
+    if not tagged:
         return None
+    out = resolve_chain_tables(tagged)
+    if columns is not None:
+        out = out.select([c for c in columns if c in out.column_names])
+    return out
+
+
+def read_links(
+    chain: list[dict],
+    columns: list[str] | None = None,
+    part: int | None = None,
+    key_filter: tuple[str, str | None] | None = None,
+) -> list[tuple[int, pa.Table]]:
+    """``read_chain``'s per-link file loop, unresolved: one
+    ``(epoch, table)`` per file of every ``{"epoch", "files", "rgs"}``
+    link, with ``read_chain``'s column pruning and filters. A link
+    whose ``files`` and ``rgs`` differ in length raises."""
     need = None
     if columns is not None:
         need = set(columns) | {"repo", "path", "op", "seq"}
@@ -294,9 +282,4 @@ def read_chain(
             else:
                 t = pq.read_table(f, columns=cols, filters=filters)
             tagged.append((int(link["epoch"]), t))
-    if not tagged:
-        return None
-    out = resolve_chain_tables(tagged)
-    if columns is not None:
-        out = out.select([c for c in columns if c in out.column_names])
-    return out
+    return tagged

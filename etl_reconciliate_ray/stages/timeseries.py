@@ -31,6 +31,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .lww import order_rank, winner_index
+
 _FREQ = {"day": "D", "hour": "h"}
 
 
@@ -65,23 +67,20 @@ def resample_locf(
         # one row per (key, day): event count + the batch-local last
         # non-null value with its order key, so partials merge by
         # taking the (ts, id)-max across batches. Zero-copy Arrow:
-        # dense group codes + bincount for n, winner-index lexsort for
-        # the last non-null value, Arrow null-index take to left-join
-        # the winner columns back onto the group grid.
+        # dense group codes + bincount for n, ``winner_index`` over
+        # the (ts, id) ranks for the last non-null value, Arrow
+        # null-index take to left-join the winner columns back onto
+        # the group grid.
         from ..functions.grouping import group_codes
 
         codes, first, G = group_codes(t, [key, "day"])
         n = np.bincount(codes, minlength=G).astype(np.int64)
-        valid = pc.is_valid(t["cents"]).to_numpy(zero_copy_only=False)
-        vi = np.flatnonzero(valid)
+        ok = pc.is_valid(t["cents"])
+        vi = np.flatnonzero(ok.to_numpy(zero_copy_only=False))
+        nn = t.filter(ok)
+        w = vi[winner_index(codes[vi], order_rank(nn[ts_col]), order_rank(nn[id_col]))]
         win = np.full(G, -1, np.int64)
-        if len(vi):
-            ts = t[ts_col].to_numpy(zero_copy_only=False)[vi]
-            ids = t[id_col].to_numpy(zero_copy_only=False)[vi]
-            perm = np.lexsort((ids, ts, codes[vi]))
-            sc = codes[vi][perm]
-            w = vi[perm[np.flatnonzero(np.append(sc[1:] != sc[:-1], True))]]
-            win[codes[w]] = w
+        win[codes[w]] = w
         # null winner index -> null lts/lid/lcents (the how="left" leg)
         win_idx = pa.array(np.where(win >= 0, win, 0), mask=win < 0)
         last = t.select([ts_col, id_col, "cents"]).take(win_idx)
@@ -98,8 +97,10 @@ def resample_locf(
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         kv = df[key].iloc[0]
         n = df.groupby("day")["n"].sum()
-        nn = df[df["lcents"].notna()].sort_values(["day", "lts", "lid"], kind="stable")
-        last = nn.groupby("day")["lcents"].last()
+        # each day's partial with the (lts, lid)-max non-null value
+        nn = df[df["lcents"].notna()]
+        w = winner_index(*(order_rank(pa.array(nn[c])) for c in ("day", "lts", "lid")))
+        last = nn["lcents"].iloc[w].set_axis(nn["day"].iloc[w])
         days = pd.date_range(df["day"].min(), df["day"].max(), freq=freq)
         out = pd.DataFrame({
             key: np.full(len(days), kv),

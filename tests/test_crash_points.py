@@ -2,20 +2,22 @@
 
 The durable steps are ``CommitLog._write_atomic`` (log snapshot and
 tail, ``feed_map.json``, reconcile ``state.json``, the spool's
-``_CURSOR`` and ``_SEALED``; also a view's ``_CURRENT``, which this
-scenario does not reach) and the commit-log appends
-(``CommitLog._append_many``: commits and seals). The scenario,
-on a 4-bucket lake: one replay window of every binlog epoch that folds
-chains past ``delta_threshold=2``, then ``compact``, then
-``export_changelog`` + ``replicate_feed``, then an incremental
-reconcile. For each k it crashes at the k-th durable step (the step
-does not happen), reopens, and runs the scenario again to completion.
+``_CURSOR`` and ``_SEALED``, the JSONL envelope segment's ``_SEALED``;
+also a view's ``_CURRENT``, which this scenario does not reach) and the
+commit-log appends (``CommitLog._append_many``: commits and seals). The
+scenario, on a 4-bucket lake: one replay window of every binlog epoch
+that folds chains past ``delta_threshold=2``, then ``compact``, then
+``export_changelog`` + ``export_feed_envelopes`` + ``replicate_feed``,
+then an incremental reconcile. For each k it crashes at the k-th
+durable step (the step does not happen), reopens, and runs the
+scenario again to completion.
 
 After the crash the reopened lake must be prefix-consistent: its sealed
 epochs are ``0..h`` and its state as of ``h`` is the uninterrupted run's
 state at ``h``; a sealed replica holds the lake's state. After the
 rerun, the lake's and the replica's ``lake_state_hash`` equal the
-uninterrupted run's, and the reconcile counts are exact. Task-side
+uninterrupted run's, the reconcile counts are exact, and folding the
+envelope segments in name order gives the lake's state. Task-side
 data-file publishes are covered by the crash point right after the
 tasks return (the commit or ``_SEALED`` that follows them), and by a
 stray tmp file planted in a part directory before each rerun.
@@ -23,6 +25,8 @@ stray tmp file planted in a part directory before each rerun.
 
 from __future__ import annotations
 
+import glob
+import json
 import os
 
 import pytest
@@ -39,6 +43,7 @@ from etl_reconciliate_ray.pipelines.replay import (
     replay,
     replicate_feed,
 )
+from etl_reconciliate_ray.sources.cdc_envelope import export_feed_envelopes
 from etl_reconciliate_ray.stages.normalize import make_normalizer
 from etl_reconciliate_ray.state.commitlog import CommitLog
 
@@ -58,12 +63,17 @@ def _configs(root: str, manifest: dict) -> tuple[ReplayConfig, ReplayConfig, str
     return lake, replica, os.path.join(root, "spool")
 
 
+def _envelopes(root: str) -> str:
+    return os.path.join(root, "envelopes")
+
+
 def _scenario(fixture_dir: str, root: str, manifest: dict) -> dict[str, int]:
     """Run (or finish) the scenario; returns the reconcile counts."""
     lake, replica, spool = _configs(root, manifest)
     replay(fixture_dir, lake)
     compact(lake)  # a compacted lake has nothing left to compact
     export_changelog(lake.lake_root, spool, image_cols="all")
+    export_feed_envelopes(spool, _envelopes(root))
     replicate_feed(spool, replica)
     snap = rd.read_parquet(os.path.join(fixture_dir, "snapshot.parquet")).map_batches(
         make_normalizer(BUCKETS, manifest["salt_hot_repos"]), batch_format="pyarrow"
@@ -76,6 +86,29 @@ def _scenario(fixture_dir: str, root: str, manifest: dict) -> dict[str, int]:
 
 def _state_hash(root: str, as_of: int | None = None) -> str:
     return table_state_sha256(lake_table(root, as_of), ("repo", "path"), "content_sha256")
+
+
+def _fold_envelopes(out_dir: str) -> dict:
+    """A consumer's fold of every sealed envelope segment, in name
+    order: ``(repo, path) -> content_sha256``."""
+    state = {}
+    for seg in sorted(os.listdir(out_dir)):
+        assert os.path.exists(os.path.join(out_dir, seg, "_SEALED")), seg
+        for part in sorted(glob.glob(os.path.join(out_dir, seg, "*.jsonl"))):
+            with open(part) as fh:
+                for rec in map(json.loads, fh):
+                    if rec["op"] == "d":
+                        state.pop((rec["before"]["repo"], rec["before"]["path"]), None)
+                    else:
+                        a = rec["after"]
+                        state[(a["repo"], a["path"])] = a["content_sha256"]
+    return state
+
+
+def _lake_state(root: str) -> dict:
+    t = lake_table(root)
+    return dict(zip(zip(t["repo"].to_pylist(), t["path"].to_pylist()),
+                    t["content_sha256"].to_pylist()))
 
 
 def _hooked(monkeypatch, crash_at: int | None) -> list[str]:
@@ -169,6 +202,8 @@ def test_reference_run_covers_every_durable_step(reference, fixture_five):
     assert len([s for s in steps if s == "append EPOCH_COMMIT"]) == 1 + 5 + 1 + 1  # + compact, replica
     for marker in ("commitlog.snapshot.jsonl", "_SEALED", "_CURSOR", "feed_map.json", "state.json"):
         assert any(s.endswith(marker) for s in steps), (marker, steps)
+    assert len([s for s in steps if s == "write _SEALED"]) == 2  # the spool's, the envelopes'
+    assert len(steps) == 26, steps
     assert reference["counts"] == {k: v for k, v in manifest["expected_status_counts"].items() if v}
     assert reference["replica"] == reference["lake"]
 
@@ -190,3 +225,4 @@ def test_crash_at_every_durable_step_converges(reference, fixture_five, tmp_path
         assert lake_state_hash(lake.lake_root) == reference["lake"], where
         assert lake_state_hash(replica.lake_root) == reference["replica"], where
         assert counts == want_counts, where
+        assert _fold_envelopes(_envelopes(root)) == _lake_state(lake.lake_root), where

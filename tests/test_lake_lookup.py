@@ -286,6 +286,30 @@ def test_key_history_collapses_after_compaction_snapshot(fixture_small, tmp_path
     assert post["content"][0].as_py() == want["content"][0].as_py()
 
 
+def test_key_history_refuses_a_length_skewed_link(fixture_small, tmp_path):
+    """A log entry whose ``files`` and ``rgs`` differ in length is a
+    corrupt manifest: ``key_history`` raises, as ``read_chain`` does,
+    instead of reading only the files that pair with an ordinal."""
+    from etl_reconciliate_ray.functions.hashing import buckets_for_key
+    from etl_reconciliate_ray.pipelines.replay import key_history
+    from etl_reconciliate_ray.state.commitlog import CommitLog, PartEntry
+
+    fixture_dir, _, manifest = fixture_small
+    cfg = _cfg(tmp_path, "lake_skew", manifest)
+    replay(fixture_dir, cfg)
+    state = lake_table(cfg)
+    repo, path = state["repo"][0].as_py(), state["path"][0].as_py()
+    [part] = buckets_for_key(repo, path, cfg.num_buckets, cfg.salt_for_repo)
+    log = CommitLog.open(cfg.lake_root)
+    f = log.entries_for_part(part)[-1].files[0]
+    epoch = log.latest_sealed_epoch() + 1
+    log.commit_part(PartEntry(epoch=epoch, part=part, files=(f, f), rows=0,
+                              state_sha256="0" * 64, kind="delta", rgs=(-1,)))
+    log.seal_epoch(epoch)
+    with pytest.raises(ValueError, match="2 files but 1 row-group"):
+        key_history(cfg, repo, path, columns=["content"])
+
+
 def test_cli_history_mode(fixture_small, tmp_path, ray_session, capsys):
     """--history REPO:PATH is a read-only CLI mode mirroring --lookup:
     prints the key's per-epoch change record as JSON."""

@@ -9,6 +9,10 @@ per requested image column ``c`` a null ``c_old`` and the live value as
 hold the same multiset of rows and the same schema, on an uncompacted
 and a compacted lake, for ``image_cols`` ``"all"``, ``None`` and a list,
 across a column added mid-stream and a NaN image.
+
+A part diff with one side empty (every part of the bootstrap, a part
+whose keys were all deleted) skips the keyed diff kernel; its rows must
+equal the kernel's on the same states.
 """
 
 from __future__ import annotations
@@ -16,12 +20,15 @@ from __future__ import annotations
 import glob
 import math
 import os
+import shutil
 from collections import Counter
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from etl_reconciliate_ray.functions.hashing import bucket_of
+from etl_reconciliate_ray.pipelines import replay as rp
 from etl_reconciliate_ray.pipelines.replay import (
     ReplayConfig,
     compact,
@@ -30,6 +37,7 @@ from etl_reconciliate_ray.pipelines.replay import (
     lake_table,
     replay_stream,
 )
+from etl_reconciliate_ray.state.commitlog import CommitLog
 
 INTERNAL = ("repo", "path", "bucket", "op", "seq", "ts", "epoch")
 
@@ -142,3 +150,53 @@ def test_snapshot_segment_equals_lake_state(lakes, lake, image_cols, how):
         # the stream's evolved column and its NaN image are covered
         assert "score_new" in want_schema.names
         assert any(r[want_schema.names.index("score_new")] == "NaN" for r in rows)
+
+
+def _part_diffs(root: str, from_epoch) -> list[Counter]:
+    """Each changed part's feed rows, diffed on the driver."""
+    items, diff_part, _ = rp._changelog_diff(root, from_epoch, None, "all")
+    return [Counter(tuple(_cell(v) for v in r.values()) for r in diff_part(it).to_pylist())
+            for it in items]
+
+
+@pytest.mark.parametrize("case", ["bootstrap", "vanished_part"])
+def test_one_sided_part_diff_equals_the_kernel(lakes, tmp_path, monkeypatch, case):
+    base, roots = lakes
+    root, from_epoch = roots["uncompacted"], None
+    if case == "vanished_part":
+        # the same stream, then an epoch deleting every live key of one
+        # part and updating one key of another
+        shutil.copytree(base / "binlog", tmp_path / "binlog")
+        cfg = ReplayConfig(lake_root=str(tmp_path / "lake"), num_buckets=8)
+        replay_stream(str(tmp_path / "binlog"), cfg)
+        state = lake_table(cfg.lake_root)
+        parts = bucket_of(state["repo"], state["path"], 8).to_pylist()
+        gone = [i for i, p in enumerate(parts) if p == parts[0]]
+        kept = next(i for i, p in enumerate(parts) if p != parts[0])
+        rows = state.take(gone + [kept])
+        n = rows.num_rows
+        pq.write_table(pa.table({
+            "seq": pa.array(range(100, 100 + n), pa.int64()),
+            "op": ["D"] * (n - 1) + ["U"],
+            "repo": rows["repo"], "path": rows["path"],
+            "content": [None] * (n - 1) + ["w"],
+            "commit": [None] * (n - 1) + ["k3"],
+        }), str(tmp_path / "binlog" / "epoch=00003.parquet"))
+        from_epoch = CommitLog.open(cfg.lake_root).latest_sealed_epoch()
+        replay_stream(str(tmp_path / "binlog"), cfg)
+        root = cfg.lake_root
+
+    kernel = rp.reconcile_pair_pdf
+    calls = []
+    monkeypatch.setattr(rp, "reconcile_pair_pdf", lambda *a: calls.append(1) or kernel(*a))
+    got = _part_diffs(root, from_epoch)
+    monkeypatch.setattr(rp, "_diff_states", lambda old, new, attrs: kernel(
+        old, new, ["repo", "path"], "content_sha256", attrs))
+    want = _part_diffs(root, from_epoch)
+    assert got == want
+    changes = [{r[2] for r in rows} for rows in got]
+    if case == "bootstrap":
+        assert calls == [] and changes and all(c == {"I"} for c in changes)
+    else:
+        # the vanished part skipped the kernel, the updated one did not
+        assert sorted(map(sorted, changes)) == [["D"], ["U"]] and len(calls) == 1

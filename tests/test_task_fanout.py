@@ -4,8 +4,9 @@ and Ray Data runs only where a Dataset crosses the API.
 - replay, folds, compaction, salt planning, erasure, a delta-segment
   replication and an unchanged incremental reconcile start no Ray Data
   execution; an epoch given as a Dataset starts exactly one;
-- the export (``export_changelog``, ``compact_feed``) starts no Ray
-  Data execution: its diff tasks write the segment themselves;
+- the export (``export_changelog``, ``compact_feed``) and the JSONL
+  envelope export (``export_feed_envelopes``) start no Ray Data
+  execution: their tasks write the segment files themselves;
 - the lake-to-lake writes — ``rebucket`` and a snapshot re-baseline of
   a replica that already holds state — read lake parts as the epoch
   kernel's read blocks, start no Ray Data execution, and leave the
@@ -49,6 +50,7 @@ from etl_reconciliate_ray.pipelines.replay import (
     replicate_feed,
     run_epoch,
 )
+from etl_reconciliate_ray.sources.cdc_envelope import export_feed_envelopes
 from etl_reconciliate_ray.state.commitlog import CommitLog
 
 
@@ -163,6 +165,7 @@ def test_export_and_compact_feed_start_no_ray_data_execution(tmp_path, execution
         replay_stream(str(binlog), src)
         with executions() as n:
             assert export_changelog(src.lake_root, feed, image_cols="all")["snapshot"] == (e == 0)
+            assert len(export_feed_envelopes(feed, str(tmp_path / "env"))) == e + 1
         assert n == []
     with executions() as n:
         assert compact_feed(src.lake_root, feed)["deleted"] == 2
