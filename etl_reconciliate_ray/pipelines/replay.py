@@ -1437,6 +1437,16 @@ def _without_key(t: pa.Table, repo: str, path: str | None) -> pa.Table:
     return t.filter(pc.fill_null(keep, True))
 
 
+def _files_holding_key(files: list[str], repo: str, path: str | None) -> list[str]:
+    """The ``files`` (in order) holding a row of the ``(repo, path)``
+    key, or of ``repo`` when ``path`` is None: each file is probed with
+    the key filter pushed down, reading its ``repo`` column only."""
+    import pyarrow.parquet as pq
+
+    kf = [("repo", "=", repo)] + ([("path", "=", path)] if path is not None else [])
+    return [f for f in files if pq.read_table(f, columns=["repo"], filters=kf).num_rows]
+
+
 def erase_key(cfg_or_root, repo: str, path: str | None = None) -> dict:
     """PHYSICAL erasure (right-to-be-forgotten): remove every surviving
     stored version of one ``(repo, path)`` key — or a whole repo — from
@@ -1474,22 +1484,10 @@ def erase_key(cfg_or_root, repo: str, path: str | None = None) -> dict:
     num_buckets, salt = _layout_of(log)
     cands = set(buckets_for_key(repo, path, num_buckets, salt))
 
-    # probe: which files actually hold the key (pushdown; candidate
-    # buckets only — a file shared across buckets can only hold the key
-    # in a candidate bucket's rows)
-    kf = [("repo", "=", repo)] + ([("path", "=", path)] if path is not None else [])
-    affected: list[str] = []
-    seen: set[str] = set()
-    for entry in log.all_entries():
-        if entry.part not in cands:
-            continue
-        for f in entry.files:
-            if f in seen:
-                continue
-            seen.add(f)
-            t = pq.read_table(f, columns=["repo"], filters=kf)
-            if t.num_rows:
-                affected.append(f)
+    # candidate buckets only — a file shared across buckets can only
+    # hold the key in a candidate bucket's rows
+    cand_files = [f for e in log.all_entries() if e.part in cands for f in e.files]
+    affected = _files_holding_key(list(dict.fromkeys(cand_files)), repo, path)
     if not affected:
         return {"files_rewritten": 0, "rows_erased": 0, "entries_replaced": 0,
                 "files_deleted": 0}
@@ -1552,7 +1550,9 @@ def erase_key_from_feed(out_dir: str, repo: str, path: str | None = None) -> dic
     downstream half of ``erase_key``: the lake's own files forget the
     key, but a spooled CDC feed still carries its images until the
     owner scrubs it. Every parquet file in every segment (sealed or
-    in-flight) is rewritten in place without the key's rows
+    in-flight) is probed as ``erase_key`` probes the lake's
+    (``_files_holding_key``), and each file holding the key is
+    rewritten in place without the key's rows
     (``publish_parquet`` under the file's own name; segment names,
     ``_SEALED`` markers and the ``_CURSOR`` are untouched, so consumer
     positioning is unaffected — consumers that already applied the
@@ -1562,17 +1562,15 @@ def erase_key_from_feed(out_dir: str, repo: str, path: str | None = None) -> dic
     import pyarrow.parquet as pq
 
     feed = os.path.join(out_dir, "feed")
+    files = sorted(_glob.glob(os.path.join(feed, "**", "*.parquet"), recursive=True))
+    affected = _files_holding_key(files, repo, path)
     rows_erased = 0
-    files_rewritten = 0
-    for f in sorted(_glob.glob(os.path.join(feed, "**", "*.parquet"), recursive=True)):
+    for f in affected:
         t = pq.read_table(f)
         kept = _without_key(t, repo, path)
-        if kept.num_rows == t.num_rows:
-            continue
         publish_parquet(os.path.dirname(f), [kept], name=os.path.basename(f))
         rows_erased += t.num_rows - kept.num_rows
-        files_rewritten += 1
-    return {"feed_files_rewritten": files_rewritten, "feed_rows_erased": rows_erased}
+    return {"feed_files_rewritten": len(affected), "feed_rows_erased": rows_erased}
 
 
 def vacuum(cfg_or_root, dry_run: bool = False) -> dict:
@@ -1785,16 +1783,16 @@ def _layout_of(log: CommitLog) -> tuple[int, dict[str, int]]:
 
 def _lookup_log(root: str) -> CommitLog:
     """The lake's commit log for the read-only ``lake_lookup``, parsed
-    again only when ``commitlog.snapshot.jsonl`` or ``commitlog.jsonl``
-    changed: an append grows a file's size and ``CommitLog._write_atomic``
-    replaces its inode, so an unchanged ``(st_ino, st_size,
-    st_mtime_ns)`` of both files means an unchanged log. The stamps are
-    taken BEFORE the parse, so a write racing the parse only costs the
-    next call a re-parse. The parses of the last 8 (lake, stamps) pairs
-    are kept, each shared by every lookup that hits it, so nothing may
-    mutate a log this returns."""
+    again only when its snapshot or tail file changed: an append grows
+    a file's size and ``CommitLog._write_atomic`` replaces its inode, so
+    an unchanged ``(st_ino, st_size, st_mtime_ns)`` of both files means
+    an unchanged log. The stamps are taken BEFORE the parse, so a write
+    racing the parse only costs the next call a re-parse. The parses of
+    the last 8 (lake, stamps) pairs are kept, each shared by every
+    lookup that hits it, so nothing may mutate a log this returns."""
     root = os.path.abspath(root)
-    files = [os.path.join(root, n) for n in ("commitlog.snapshot.jsonl", "commitlog.jsonl")]
+    log = CommitLog(root=root)
+    files = [log.snapshot_path, log.path]
     stats = [os.stat(f) for f in files if os.path.exists(f)]
     return _parsed_log(root, tuple((s.st_ino, s.st_size, s.st_mtime_ns) for s in stats))
 

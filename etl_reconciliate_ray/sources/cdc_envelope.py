@@ -224,8 +224,9 @@ def convert_envelope_dir(
     binlog epoch parquet under ``out_dir`` (same ``epoch=NNNNN`` stem),
     ready for ``replay_stream``/``follow`` discovery. Distributed
     (one map-only Dataset per epoch), resumable (existing outputs are
-    skipped), atomic (tmp dir + rename publish). Returns the converted
-    output paths (skipped ones included, in epoch order).
+    skipped), atomic and durable (tmp dir, fsync, rename publish; the
+    ``.empty`` marker through ``CommitLog._write_atomic``). Returns the
+    converted output paths (skipped ones included, in epoch order).
 
     ``on_error``: ``"raise"`` (default) fails the epoch on the first
     contract-violating row; ``"quarantine"`` dead-letters violating
@@ -238,6 +239,9 @@ def convert_envelope_dir(
     import shutil
 
     import ray.data as rd
+
+    from ..stages.writer import publish_file
+    from ..state.commitlog import CommitLog
 
     if on_error not in ("raise", "quarantine"):
         raise ValueError(f"unknown on_error mode: {on_error!r}")
@@ -288,10 +292,7 @@ def convert_envelope_dir(
                 shutil.rmtree(qtmp, ignore_errors=True)
                 dead.repartition(1).write_parquet(qtmp)
                 qpart = sorted(os.listdir(qtmp))
-                os.replace(
-                    os.path.join(qtmp, qpart[0]),
-                    os.path.join(qdir, f"{stem}.parquet"),
-                )
+                publish_file(os.path.join(qtmp, qpart[0]), os.path.join(qdir, f"{stem}.parquet"))
                 shutil.rmtree(qtmp, ignore_errors=True)
                 logging.getLogger(__name__).warning(
                     "cdc envelope: %d contract-violating row(s) in %s "
@@ -307,13 +308,15 @@ def convert_envelope_dir(
             # every row dead-lettered: publish the empty marker instead
             # of a statless parquet that epoch discovery cannot read
             outs.pop()
-            with open(out + ".empty", "w"):
-                pass
+            CommitLog._write_atomic(out + ".empty", [])
             shutil.rmtree(tmp, ignore_errors=True)
             continue
         if len(part) != 1:  # repartition(1) contract
             raise RuntimeError(f"expected one part in {tmp}, got {part}")
-        os.replace(os.path.join(tmp, part[0]), out)
+        # fsynced first: a torn epoch parquet after a host crash would
+        # cut discovery at it on every poll, and conversion skips an
+        # existing output
+        publish_file(os.path.join(tmp, part[0]), out)
         shutil.rmtree(tmp, ignore_errors=True)
     return outs
 
@@ -370,6 +373,7 @@ def export_feed_envelopes(feed_dir: str, out_dir: str) -> list[str]:
     import pyarrow.parquet as pq
 
     from ..pipelines.replay import _gather, _per_part
+    from ..stages.writer import publish_file
     from ..state.commitlog import CommitLog
 
     os.makedirs(out_dir, exist_ok=True)
@@ -429,9 +433,7 @@ def export_feed_envelopes(feed_dir: str, out_dir: str) -> list[str]:
             tmp = part + ".tmp"
             with open(tmp, "wb") as fh:
                 fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())  # on disk before _SEALED can name it
-            os.replace(tmp, part)
+            publish_file(tmp, part)  # on disk before _SEALED can name it
             return pa.table({"rows": [len(lines)]})
 
         files = sorted(glob.glob(os.path.join(seg, "*.parquet")))

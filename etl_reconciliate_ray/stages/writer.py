@@ -37,6 +37,10 @@ Every data file the engine writes goes through ``publish_parquet``:
 - the reconcile snapshot spool (``_spool_bucketed``, one row group per
   bucket) and the per-part detail spill (caller-named per part);
 - quarantine's dead-letter files.
+
+Files written some other way — the envelope conversion's Ray Data
+parquet and its dead letters, the exported JSONL envelope parts — are
+published by the same fsync-then-rename, ``publish_file``.
 """
 
 from __future__ import annotations
@@ -79,10 +83,17 @@ def publish_parquet(out_dir: str, slices: list[pa.Table], prefix: str = "part",
     with pq.ParquetWriter(tmp, slices[0].schema) as w:
         for sl in slices:
             w.write_table(sl, row_group_size=max(1, sl.num_rows))
+    publish_file(tmp, path)
+    return path
+
+
+def publish_file(tmp: str, path: str) -> None:
+    """Rename the finished file ``tmp`` over ``path`` once its bytes
+    are on disk (fsync, then ``os.replace``), so no published name can
+    hold a torn file after a host crash."""
     with open(tmp, "rb") as fh:
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-    return path
 
 
 def write_piece_local(lake_root: str, epoch: int, part: int, tbl: pa.Table,

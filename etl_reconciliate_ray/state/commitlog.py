@@ -15,6 +15,10 @@ lake-native design (SURVEY.md §2.1 K3, §4):
   content-addressed file names gives exactly-once sink semantics under
   Ray task retries (SURVEY.md §7 hard part 1).
 
+The log is a ``Journal`` (snapshot + fenced append-only tail, batched
+fsync'd appends, atomic snapshot publish), the same durable journal the
+txn coordinator log (``state/txn.py``) is written through.
+
 Single-writer assumption: the driver process is the only appender
 (Ray tasks WRITE data files but never the log). On a real multi-node
 deployment this file becomes a conditional-put object-store key or a
@@ -64,8 +68,147 @@ class PartEntry:
 
 
 @dataclass
-class CommitLog:
+class Journal:
+    """A durable JSONL journal: a snapshot file plus an append-only
+    tail, ``<NAME>.snapshot.jsonl`` and ``<NAME>.jsonl`` under ``root``.
+    The one crash-safety protocol behind the lake commit log and the
+    txn coordinator log. Subclasses say how a record applies
+    (``_apply``) and what their snapshot holds; this class replays,
+    appends and publishes.
+
+    - ``open`` replays the snapshot, then the tail, unless the tail is
+      stale under the generation fence (``_tail_is_stale``).
+    - ``_append_many`` is one write and ONE fsync for a batch of
+      records.
+    - ``_publish_snapshot`` atomically replaces the snapshot, then the
+      tail, with a fresh tail that opens with its TAIL_OPEN stamp.
+
+    Single-writer per process: callers mutate under ``_lock``."""
+
+    NAME = ""
     root: str
+    #: tail-generation fence: each snapshot stamps a new generation
+    #: (the ``tail_fence`` field of one of its records) and the fresh
+    #: (truncated) tail opens with a matching TAIL_OPEN record. A crash
+    #: BETWEEN snapshot publish and tail truncate leaves the
+    #: pre-snapshot tail on disk; without the fence its replay would
+    #: resurrect pruned history (or, worse, entries an abort's snapshot
+    #: rewrite removed). A mismatched/unfenced tail under a fenced
+    #: snapshot is ignored wholesale — everything live at publish time
+    #: is in the snapshot by construction.
+    _tail_fence: int = 0
+    #: the on-disk tail is stale (or missing) under a fenced snapshot —
+    #: a crash interrupted a snapshot publish. Nothing in it is applied,
+    #: and the first append replaces it with a fresh stamped tail
+    #: (appending to it would land records a reopen ignores).
+    _stale_tail: bool = False
+    # concurrent users in one process: the trigger server's run threads
+    # and lake_lookup's shared parsed log. The journal stays
+    # single-writer per PROCESS, serialized by this lock. REENTRANT:
+    # mutators hold it while calling reader helpers (write_snapshot ->
+    # part_chains), and readers take it too so a concurrent commit can
+    # never tear an iteration mid-dict
+    _lock: threading.RLock = field(default_factory=threading.RLock, repr=False, compare=False)
+
+    @property
+    def path(self) -> str:
+        return os.path.join(self.root, f"{self.NAME}.jsonl")
+
+    @property
+    def snapshot_path(self) -> str:
+        return os.path.join(self.root, f"{self.NAME}.snapshot.jsonl")
+
+    @classmethod
+    def open(cls, root: str):
+        j = cls(root=root)
+        os.makedirs(root, exist_ok=True)
+        # snapshot first (compacted history), then the tail; replays of
+        # records already in the snapshot are idempotent dict puts
+        if os.path.exists(j.snapshot_path):
+            j._replay(j.snapshot_path, in_tail=False)
+        j._stale_tail = j._tail_is_stale()
+        if os.path.exists(j.path) and not j._stale_tail:
+            j._replay(j.path, in_tail=True)
+        return j
+
+    def _replay(self, path: str, in_tail: bool) -> None:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                rec = json.loads(line)
+                if rec.get("type") == "TAIL_OPEN":
+                    continue  # generation marker, validated in open()
+                if "tail_fence" in rec:
+                    self._tail_fence = max(self._tail_fence, int(rec["tail_fence"]))
+                self._apply(rec, in_tail)
+
+    def _apply(self, rec: dict, in_tail: bool) -> None:
+        raise NotImplementedError
+
+    def _tail_is_stale(self) -> bool:
+        """True when the snapshot demands a tail generation the on-disk
+        tail does not open with — the crash-between-publish-and-truncate
+        window. Every tail a snapshot publishes opens with its stamp, so
+        a missing or empty tail under a fenced snapshot is stale too."""
+        if not self._tail_fence:
+            return False  # fence-less journal (no snapshot yet / legacy)
+        if not os.path.exists(self.path):
+            return True
+        with open(self.path) as fh:
+            first = fh.readline().strip()
+        if not first:
+            return True
+        rec = json.loads(first)
+        fence = int(rec.get("fence", -1))
+        return not (rec.get("type") == "TAIL_OPEN" and fence == self._tail_fence)
+
+    def _append_many(self, recs: list[dict]) -> None:
+        """One write + ONE fsync for a whole batch of records — the
+        driver commits an epoch's partitions in a single durable append
+        (per-record fsync was a fixed serial cost that throttled scaling
+        at high partition counts)."""
+        if not recs:
+            return
+        if self._stale_tail:
+            self._write_tail()  # finish the crashed snapshot publish's truncate
+        with open(self.path, "a") as fh:
+            fh.write("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
+            fh.flush()
+            os.fsync(fh.fileno())
+
+    def _publish_snapshot(self, recs: list[dict]) -> None:
+        """Publish ``recs`` as the snapshot, then truncate the tail — one
+        atomic ``os.replace`` each, the fresh tail written with its
+        TAIL_OPEN stamp already inside, so no unstamped tail is ever on
+        disk. One of ``recs`` carries the new generation,
+        ``tail_fence == self._tail_fence + 1``. A crash between the two
+        replaces leaves the pre-snapshot tail, which the new generation
+        marks stale: everything live was published in the snapshot, and
+        the next append starts a fresh stamped tail. Caller must hold
+        ``_lock``."""
+        self._tail_fence += 1
+        self._write_atomic(self.snapshot_path, recs)
+        self._write_tail()
+
+    def _write_tail(self) -> None:
+        self._write_atomic(self.path, [{"type": "TAIL_OPEN", "fence": self._tail_fence}])
+        self._stale_tail = False
+
+    @staticmethod
+    def _write_atomic(path: str, recs: list[dict]) -> None:
+        tmp = path + ".tmp"
+        with open(tmp, "w") as fh:
+            fh.write("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+
+
+@dataclass
+class CommitLog(Journal):
+    NAME = "commitlog"
     _entries: dict[tuple[int, int], PartEntry] = field(default_factory=dict)
     _sealed: set[int] = field(default_factory=set)
     #: physical-layout fence: {"num_buckets", "salt", "hash_impl"} —
@@ -88,124 +231,29 @@ class CommitLog:
     #: lifecycle (an in-process counter would reset every poll and the
     #: cadence would never fire on slow streams).
     _tail_seals: int = 0
-    #: tail-generation fence: each snapshot stamps a new generation and
-    #: the fresh (truncated) tail opens with a matching TAIL_OPEN
-    #: record. A crash BETWEEN snapshot publish and tail truncate
-    #: leaves the pre-snapshot tail on disk; without the fence its
-    #: replay would resurrect pruned history (or, worse, entries an
-    #: abort's snapshot rewrite removed). A mismatched/unfenced tail
-    #: under a fenced snapshot is ignored wholesale — everything live
-    #: at publish time is in the snapshot by construction.
-    _tail_fence: int = 0
-    #: the on-disk tail is stale (or missing) under a fenced snapshot —
-    #: a crash interrupted a snapshot publish. Nothing in it is applied,
-    #: and the first append replaces it with a fresh stamped tail
-    #: (appending to it would land records a reopen ignores).
-    _stale_tail: bool = False
-    # pipelined replay commits epochs from worker threads; the log
-    # stays single-writer per PROCESS, serialized by this lock.
-    # REENTRANT: mutators hold it while calling reader helpers
-    # (write_snapshot -> part_chains), and readers take it too so a
-    # concurrent commit can never tear an iteration mid-dict
-    _lock: threading.RLock = field(default_factory=threading.RLock, repr=False, compare=False)
 
-    @property
-    def path(self) -> str:
-        return os.path.join(self.root, "commitlog.jsonl")
-
-    @property
-    def snapshot_path(self) -> str:
-        return os.path.join(self.root, "commitlog.snapshot.jsonl")
-
-    def _apply_file(self, path: str, is_tail: bool = False) -> None:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                if rec.get("type") == "EPOCH_COMMIT":
-                    if is_tail and rec["epoch"] in self._sealed:
-                        # stale tail after a crash between snapshot
-                        # publish and tail truncate: this seal is
-                        # already in the snapshot — recounting it would
-                        # fire the next cadence snapshot early
-                        continue
-                    self._sealed.add(rec["epoch"])
-                    if is_tail:
-                        self._tail_seals += 1
-                elif rec.get("type") == "SNAPSHOT_SEALED":
-                    self._sealed.update(rec["sealed"])
-                    self._floor = max(self._floor, int(rec.get("floor", 0)))
-                    self._tail_fence = max(
-                        self._tail_fence, int(rec.get("tail_fence", 0))
-                    )
-                elif rec.get("type") == "TAIL_OPEN":
-                    continue  # generation marker, validated in open()
-                elif rec.get("type") == "LAYOUT":
-                    self._layout = rec["layout"]
-                elif rec.get("type") == "REPLACE":
-                    # in-place entry rewrite (physical erasure): same
-                    # (epoch, part) slot, new files/rows/sha — applied
-                    # AFTER the original record in log order, so the
-                    # overwrite is deterministic on every replay
-                    body = {k: v for k, v in rec.items() if k != "type"}
-                    e = PartEntry(
-                        epoch=body["epoch"],
-                        part=body["part"],
-                        files=tuple(body["files"]),
-                        rows=body["rows"],
-                        state_sha256=body["state_sha256"],
-                        input_seq=tuple(body["input_seq"]) if body.get("input_seq") else None,
-                        kind=body.get("kind", "full"),
-                        rgs=tuple(body.get("rgs") or ()),
-                    )
-                    self._entries[(e.epoch, e.part)] = e
-                else:
-                    e = PartEntry(
-                        epoch=rec["epoch"],
-                        part=rec["part"],
-                        files=tuple(rec["files"]),
-                        rows=rec["rows"],
-                        state_sha256=rec["state_sha256"],
-                        input_seq=tuple(rec["input_seq"]) if rec.get("input_seq") else None,
-                        kind=rec.get("kind", "full"),
-                        rgs=tuple(rec.get("rgs") or ()),
-                    )
-                    self._entries[(e.epoch, e.part)] = e
-
-
-    @classmethod
-    def open(cls, root: str) -> "CommitLog":
-        log = cls(root=root)
-        os.makedirs(root, exist_ok=True)
-        # snapshot first (compacted history), then the tail log; replays
-        # of records already in the snapshot are idempotent dict puts
-        if os.path.exists(log.snapshot_path):
-            log._apply_file(log.snapshot_path)
-        log._stale_tail = log._tail_is_stale(log.path, log._tail_fence)
-        if os.path.exists(log.path) and not log._stale_tail:
-            log._apply_file(log.path, is_tail=True)
-        return log
-
-    @staticmethod
-    def _tail_is_stale(path: str, fence: int) -> bool:
-        """True when the snapshot demands a tail generation ``fence``
-        the on-disk tail at ``path`` does not open with — the
-        crash-between-publish-and-truncate window. Every tail a snapshot
-        publishes opens with its stamp, so a missing or empty tail under
-        a fenced snapshot is stale too. Shared with the txn coordinator
-        log, which publishes the same way."""
-        if not fence:
-            return False  # fence-less log (no snapshot yet / legacy)
-        if not os.path.exists(path):
-            return True
-        with open(path) as fh:
-            first = fh.readline().strip()
-        if not first:
-            return True
-        rec = json.loads(first)
-        return not (rec.get("type") == "TAIL_OPEN" and int(rec.get("fence", -1)) == fence)
+    def _apply(self, rec: dict, in_tail: bool) -> None:
+        kind = rec.get("type")
+        if kind == "EPOCH_COMMIT":
+            if in_tail and rec["epoch"] in self._sealed:
+                # stale tail after a crash between snapshot publish and
+                # tail truncate: this seal is already in the snapshot —
+                # recounting it would fire the next cadence snapshot early
+                return
+            self._sealed.add(rec["epoch"])
+            self._tail_seals += in_tail
+        elif kind == "SNAPSHOT_SEALED":
+            self._sealed.update(rec["sealed"])
+            self._floor = max(self._floor, int(rec.get("floor", 0)))
+        elif kind == "LAYOUT":
+            self._layout = rec["layout"]
+        else:
+            # a commit record, or a REPLACE (physical erasure: same
+            # (epoch, part) slot, new files/rows/sha) — applied AFTER the
+            # original record in log order, so the overwrite is
+            # deterministic on every replay
+            e = self._entry_of(rec)
+            self._entries[(e.epoch, e.part)] = e
 
     @property
     def seals_since_snapshot(self) -> int:
@@ -219,7 +267,7 @@ class CommitLog:
         chains (plus the sealed set) to the snapshot file and truncate
         the tail log. At 10^4+ epochs the full history is O(epochs x
         partitions); the chains are O(partitions x chain length).
-        Crash-safe: see ``_publish_snapshot``. Returns the number of
+        Crash-safe: see ``Journal._publish_snapshot``. Returns the number of
         live entries."""
         with self._lock:
             sealed_upto = self.latest_sealed_epoch()
@@ -247,42 +295,25 @@ class CommitLog:
                 default=0,
             )
             self._floor = max(self._floor, dropped_floor)
-            self._publish_snapshot(live)
+            self._publish_entries(live)
             # prune in-memory history to match the snapshot
             self._entries = {(e.epoch, e.part): e for e in live}
             return len(live)
 
-    def _publish_snapshot(self, entries) -> None:
-        """Publish the snapshot (layout, sealed set, floor, a new tail
-        generation, ``entries``), then truncate the tail — one atomic
-        ``os.replace`` each, the fresh tail written with its TAIL_OPEN
-        stamp already inside, so no unstamped tail is ever on disk. A
-        crash between the two replaces leaves the pre-snapshot tail,
-        which the new generation marks stale: everything live was
-        published in the snapshot, and the next append starts a fresh
-        stamped tail (``_append_many``). Caller must hold ``_lock``."""
-        self._tail_fence += 1
+    def _publish_entries(self, entries) -> None:
+        """Publish the snapshot (layout, sealed set, floor, the new tail
+        generation, ``entries``) — crash-safe as
+        ``Journal._publish_snapshot``. Caller must hold ``_lock``."""
         recs = [{"type": "LAYOUT", "layout": self._layout}] if self._layout is not None else []
         recs.append({
             "type": "SNAPSHOT_SEALED",
             "sealed": sorted(self._sealed),
             "floor": self._floor,
-            "tail_fence": self._tail_fence,
+            "tail_fence": self._tail_fence + 1,
         })
         recs += [self._entry_rec(e) for e in sorted(entries, key=lambda x: (x.epoch, x.part))]
-        self._write_atomic(self.snapshot_path, recs)
-        self._write_atomic(self.path, [{"type": "TAIL_OPEN", "fence": self._tail_fence}])
-        self._stale_tail = False
+        self._publish_snapshot(recs)
         self._tail_seals = 0  # everything sealed now lives in the snapshot
-
-    @staticmethod
-    def _write_atomic(path: str, recs: list[dict]) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
 
     def drop_unsealed_epoch(self, epoch: int) -> list[str]:
         """Remove every committed entry of an UNSEALED epoch from the
@@ -312,27 +343,8 @@ class CommitLog:
             # persist the COMPLETE remaining state — unlike
             # write_snapshot, no floor advance and no pre-base pruning,
             # so removing records has no side effect on retention
-            self._publish_snapshot(self._entries.values())
+            self._publish_entries(self._entries.values())
             return sorted(dropped_files - survivors)
-
-    def _append(self, rec: dict) -> None:
-        self._append_many([rec])
-
-    def _append_many(self, recs: list[dict]) -> None:
-        """One write + ONE fsync for a whole batch of records — the
-        driver commits an epoch's partitions in a single durable append
-        (per-record fsync was a fixed serial cost that throttled scaling
-        at high partition counts)."""
-        if not recs:
-            return
-        if self._stale_tail:
-            # finish the crashed snapshot publish's truncate first
-            self._write_atomic(self.path, [{"type": "TAIL_OPEN", "fence": self._tail_fence}])
-            self._stale_tail = False
-        with open(self.path, "a") as fh:
-            fh.write("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
-            fh.flush()
-            os.fsync(fh.fileno())
 
     @property
     def layout(self) -> dict | None:
@@ -377,7 +389,7 @@ class CommitLog:
                         "LAYOUT record matching the hash/bucket config it was "
                         "written under)"
                     )
-                self._append({"type": "LAYOUT", "layout": layout})
+                self._append_many([{"type": "LAYOUT", "layout": layout}])
                 self._layout = layout
             elif self._layout != layout:
                 raise ValueError(
@@ -413,6 +425,21 @@ class CommitLog:
             "kind": entry.kind,
             "rgs": list(entry.rgs) if entry.rgs else None,
         }
+
+    @staticmethod
+    def _entry_of(rec: dict) -> PartEntry:
+        """The inverse of ``_entry_rec``: a commit or REPLACE record's
+        entry (other keys, e.g. ``type``, are ignored)."""
+        return PartEntry(
+            epoch=rec["epoch"],
+            part=rec["part"],
+            files=tuple(rec["files"]),
+            rows=rec["rows"],
+            state_sha256=rec["state_sha256"],
+            input_seq=tuple(rec["input_seq"]) if rec.get("input_seq") else None,
+            kind=rec.get("kind", "full"),
+            rgs=tuple(rec.get("rgs") or ()),
+        )
 
     def commit_part(self, entry: PartEntry) -> bool:
         """Append a per-partition commit; returns False (no-op) if the
@@ -454,7 +481,7 @@ class CommitLog:
         with self._lock:
             if epoch in self._sealed:
                 return
-            self._append({"type": "EPOCH_COMMIT", "epoch": epoch})
+            self._append_many([{"type": "EPOCH_COMMIT", "epoch": epoch}])
             self._sealed.add(epoch)
             self._tail_seals += 1
 
@@ -483,7 +510,7 @@ class CommitLog:
             if upto_epoch is None:
                 return {}
         by_part: dict[int, list[PartEntry]] = {}
-        with self._lock:  # pipelined replay commits from worker threads
+        with self._lock:
             items = list(self._entries.items())
         for (e, p), entry in items:
             if e <= upto_epoch:
@@ -497,16 +524,6 @@ class CommitLog:
                     base = i
             chains[p] = entries[base:]
         return chains
-
-    def lake_files(self, upto_epoch: int | None = None) -> list[str]:
-        """All files a reader must consider (base + deltas). NOTE: when
-        any chain has deltas, files must be LWW-resolved, not naively
-        concatenated — use replay.lake_dataset / lake_table."""
-        files: list[str] = []
-        for chain in self.part_chains(upto_epoch).values():
-            for entry in chain:
-                files.extend(entry.files)
-        return sorted(files)
 
     def all_entries(self) -> list[PartEntry]:
         """Every surviving entry, (epoch, part) order — maintenance ops

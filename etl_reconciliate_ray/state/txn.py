@@ -5,8 +5,9 @@ The reference runs its whole job inside ONE Spring Batch metadata store
 job is trivially transactional: either the job execution commits or it
 does not. Here every table is its own lake with its own commit log, so
 cross-table atomicity needs a coordinator — this module adds one, as a
-write-ahead JSONL above the per-lake ``CommitLog``s (same single-writer
-/ fsync / atomic-publish discipline, ``state/commitlog.py``).
+write-ahead log above the per-lake ``CommitLog``s, written through the
+same durable ``Journal`` (``state/commitlog.py``: snapshot + fenced
+tail, fsynced appends, atomic snapshot publish).
 
 Protocol — roll-forward two-phase commit, built on the one primitive
 the lakes already have (sealing is the ONLY visibility point; a
@@ -51,13 +52,11 @@ Dataset pipelines that may run concurrently.
 
 from __future__ import annotations
 
-import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 
-from .commitlog import CommitLog
+from .commitlog import CommitLog, Journal
 
 
 @dataclass
@@ -69,15 +68,19 @@ class TxnRecord:
 
 
 @dataclass
-class TxnCoordinator:
+class TxnCoordinator(Journal):
     """Single-writer write-ahead log of multi-table transactions.
 
     Like the per-lake ``CommitLog``, the driver process is the only
     appender; on a real deployment the JSONL becomes a conditional-put
     object-store key or a tiny DB table with the same record types.
+    A pre-snapshot tail left by a crash between the two publishes is
+    ignored on open (the journal's generation fence) — replaying it
+    would re-append its txns AFTER the carried ones and regress the
+    committed cut.
     """
 
-    root: str
+    NAME = "txnlog"
     _txns: dict[str, TxnRecord] = field(default_factory=dict)
     _order: list[str] = field(default_factory=list)  # append order of PREPAREs
     _seq: int = 0
@@ -85,70 +88,28 @@ class TxnCoordinator:
     #: then dropped from the log — same growth bound as the lake logs'
     #: chains snapshot: O(in-doubt txns + 1), not O(all txns ever)
     _base_cut: dict[str, dict] = field(default_factory=dict)
-    #: tail generation, as ``CommitLog._tail_fence``: each snapshot
-    #: stamps a new one and its fresh tail opens with a matching
-    #: TAIL_OPEN. A pre-snapshot tail left by a crash between the two
-    #: publishes is ignored on open — replaying it would re-append its
-    #: txns AFTER the carried ones and regress the committed cut.
-    _tail_fence: int = 0
-    #: the on-disk tail is stale under the snapshot's fence; the first
-    #: append replaces it with a fresh stamped tail
-    _stale_tail: bool = False
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
-    @property
-    def path(self) -> str:
-        return os.path.join(self.root, "txnlog.jsonl")
-
-    @property
-    def snapshot_path(self) -> str:
-        return os.path.join(self.root, "txnlog.snapshot.jsonl")
-
-    def _apply_file(self, path: str) -> None:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                if rec["type"] == "PREPARE":
-                    self._txns[rec["txn_id"]] = TxnRecord(
-                        txn_id=rec["txn_id"], tables=rec["tables"], status="prepared"
-                    )
-                    if rec["txn_id"] not in self._order:
-                        self._order.append(rec["txn_id"])
-                    self._seq = max(self._seq, int(rec.get("seq", 0)))
-                elif rec["type"] in ("COMMIT", "ABORT"):
-                    t = self._txns.get(rec["txn_id"])
-                    if t is not None:
-                        t.status = "committed" if rec["type"] == "COMMIT" else "aborted"
-                elif rec["type"] == "TXN_SNAPSHOT":
-                    self._base_cut = {k: dict(v) for k, v in rec["cut"].items()}
-                    self._seq = max(self._seq, int(rec.get("seq", 0)))
-                    self._tail_fence = int(rec.get("tail_fence", 0))
-
-    @classmethod
-    def open(cls, root: str) -> "TxnCoordinator":
-        co = cls(root=root)
-        os.makedirs(root, exist_ok=True)
-        # snapshot first, then the tail — unless the tail is stale (a
-        # crash between the snapshot publish and the tail truncate):
-        # everything live in it was published in the snapshot
-        if os.path.exists(co.snapshot_path):
-            co._apply_file(co.snapshot_path)
-        co._stale_tail = CommitLog._tail_is_stale(co.path, co._tail_fence)
-        if os.path.exists(co.path) and not co._stale_tail:
-            co._apply_file(co.path)
-        return co
+    def _apply(self, rec: dict, in_tail: bool) -> None:
+        if rec["type"] == "PREPARE":
+            self._txns[rec["txn_id"]] = TxnRecord(
+                txn_id=rec["txn_id"], tables=rec["tables"], status="prepared"
+            )
+            if rec["txn_id"] not in self._order:
+                self._order.append(rec["txn_id"])
+            self._seq = max(self._seq, int(rec.get("seq", 0)))
+        elif rec["type"] in ("COMMIT", "ABORT"):
+            t = self._txns.get(rec["txn_id"])
+            if t is not None:
+                t.status = "committed" if rec["type"] == "COMMIT" else "aborted"
+        elif rec["type"] == "TXN_SNAPSHOT":
+            self._base_cut = {k: dict(v) for k, v in rec["cut"].items()}
+            self._seq = max(self._seq, int(rec.get("seq", 0)))
 
     def write_snapshot(self) -> int:
         """Bound log growth: fold every DECIDED txn into the cumulative
         committed cut, keep in-doubt (prepared) txns verbatim, truncate
-        the tail. Crash-safe as ``CommitLog._publish_snapshot``: the
-        snapshot publishes atomically before the truncate, with a new
-        tail generation, and the fresh tail is written with its
-        TAIL_OPEN stamp already inside. Returns the number of in-doubt
-        txns carried over."""
+        the tail. Crash-safe as ``Journal._publish_snapshot``. Returns
+        the number of in-doubt txns carried over."""
         with self._lock:
             cut = dict(self._base_cut)
             carried: list[TxnRecord] = []
@@ -179,10 +140,9 @@ class TxnCoordinator:
                         carried.append(t)
                 elif t.status == "prepared":
                     carried.append(t)
-            self._tail_fence += 1
             recs: list[dict] = [{
                 "type": "TXN_SNAPSHOT", "cut": cut, "seq": self._seq,
-                "tail_fence": self._tail_fence,
+                "tail_fence": self._tail_fence + 1,
             }]
             for t in carried:
                 recs.append(
@@ -190,25 +150,11 @@ class TxnCoordinator:
                 )
                 if t.status == "committed":
                     recs.append({"type": "COMMIT", "txn_id": t.txn_id})
-            CommitLog._write_atomic(self.snapshot_path, recs)
-            self._write_tail()
+            self._publish_snapshot(recs)
             self._base_cut = cut
             self._txns = {t.txn_id: t for t in carried}
             self._order = [t.txn_id for t in carried]
             return len(carried)
-
-    def _write_tail(self) -> None:
-        """Truncate the tail to a fresh one of the current generation."""
-        CommitLog._write_atomic(self.path, [{"type": "TAIL_OPEN", "fence": self._tail_fence}])
-        self._stale_tail = False
-
-    def _append(self, rec: dict) -> None:
-        if self._stale_tail:
-            self._write_tail()  # finish the crashed snapshot's truncate
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
 
     # -- txn lifecycle -----------------------------------------------------
     def begin(self, txn_id: str | None = None) -> "MultiTableTxn":
@@ -233,7 +179,9 @@ class TxnCoordinator:
 
     def _record_prepare(self, txn_id: str, tables: dict[str, dict]) -> None:
         with self._lock:
-            self._append({"type": "PREPARE", "txn_id": txn_id, "seq": self._seq, "tables": tables})
+            self._append_many(
+                [{"type": "PREPARE", "txn_id": txn_id, "seq": self._seq, "tables": tables}]
+            )
             self._txns[txn_id] = TxnRecord(txn_id=txn_id, tables=dict(tables), status="prepared")
             self._order.append(txn_id)
 
@@ -242,7 +190,7 @@ class TxnCoordinator:
             t = self._txns[txn_id]
             if t.status != "prepared":
                 raise ValueError(f"txn {txn_id} already {t.status}")
-            self._append({"type": decision, "txn_id": txn_id})
+            self._append_many([{"type": decision, "txn_id": txn_id}])
             t.status = "committed" if decision == "COMMIT" else "aborted"
 
     # -- recovery & reads ----------------------------------------------------

@@ -619,3 +619,51 @@ def test_trigger_envelope_ingest_export_chain(env_fixture, tmp_path, ray_session
     assert segs and segs == sorted(os.listdir(os.path.join(feed_cli, "feed")))
     for s in segs:
         assert os.path.exists(os.path.join(feed_t, "feed", s, "_SEALED"))
+
+
+def test_convert_publishes_only_fsynced_files(ray_session, tmp_path, monkeypatch):
+    """Every file conversion publishes (the epoch parquet, its
+    dead-letter parquet, an all-dead-letter epoch's ``.empty`` marker)
+    is renamed into place after its bytes were fsynced: a torn epoch
+    parquet left by a host crash would wedge follow mode for good."""
+    env = tmp_path / "env"
+    env.mkdir()
+    for epoch, bad in ((0, {1}), (1, {0, 1})):  # one mixed, one all-bad epoch
+        with open(env / f"epoch={epoch:05d}.jsonl", "w") as fh:
+            for i in range(2):
+                fh.write(json.dumps({
+                    "op": "bogus" if i in bad else "c", "before": None,
+                    "after": {"repo": "r", "path": f"p{i}", "content": "x"},
+                    "source": {"seq": epoch * 10 + i},
+                }) + "\n")
+    fsynced: set[tuple[int, int]] = set()
+    published: dict[str, bool] = {}
+    fsync, replace = os.fsync, os.replace
+
+    def tracked_fsync(fd):
+        st = os.fstat(fd)
+        fsynced.add((st.st_dev, st.st_ino))
+        fsync(fd)
+
+    def tracked_replace(src, dst):
+        st = os.stat(src)
+        published[os.path.abspath(dst)] = (st.st_dev, st.st_ino) in fsynced
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", tracked_fsync)
+    monkeypatch.setattr(os, "replace", tracked_replace)
+    out = str(tmp_path / "out")
+    convert_envelope_dir(str(env), out, on_error="quarantine")
+    monkeypatch.undo()
+
+    on_disk = {
+        os.path.abspath(p) for p in glob.glob(os.path.join(out, "**", "*"), recursive=True)
+        if os.path.isfile(p)
+    }
+    assert on_disk == {
+        os.path.join(out, n) for n in (
+            "epoch=00000.parquet", "epoch=00001.parquet.empty",
+            "_quarantine/epoch=00000.parquet", "_quarantine/epoch=00001.parquet",
+        )
+    }
+    assert on_disk <= set(published) and all(published.values()), published

@@ -1,23 +1,28 @@
 """Crash-point enumeration over the driver's durable steps.
 
-The durable steps are ``CommitLog._write_atomic`` (log snapshot and
-tail, ``feed_map.json``, reconcile ``state.json``, the spool's
-``_CURSOR`` and ``_SEALED``, the JSONL envelope segment's ``_SEALED``;
-also a view's ``_CURRENT``, which this scenario does not reach) and the
-commit-log appends (``CommitLog._append_many``: commits and seals). The
-scenario, on a 4-bucket lake: one replay window of every binlog epoch
-that folds chains past ``delta_threshold=2``, then ``compact``, then
-``export_changelog`` + ``export_feed_envelopes`` + ``replicate_feed``,
-then an incremental reconcile. For each k it crashes at the k-th
-durable step (the step does not happen), reopens, and runs the
-scenario again to completion.
+The durable steps are ``Journal._write_atomic`` (the commit log's and
+the txn coordinator log's snapshot and tail, ``feed_map.json``,
+reconcile ``state.json``, the spool's ``_CURSOR`` and ``_SEALED``, the
+JSONL envelope segment's ``_SEALED``; also a view's ``_CURRENT``, which
+this scenario does not reach) and the journal appends
+(``Journal._append_many``: commits, seals, and the coordinator's
+PREPARE and COMMIT). The scenario, on a 4-bucket lake: one replay
+window of every binlog epoch that folds chains past
+``delta_threshold=2``, then ``compact``, then ``export_changelog`` +
+``export_feed_envelopes`` + ``replicate_feed``, then an incremental
+reconcile, then a two-epoch ``replay_multiplexed`` run into two tables
+and a coordinator snapshot. For each k it crashes at the k-th durable
+step (the step does not happen), reopens, and runs the scenario again
+to completion.
 
 After the crash the reopened lake must be prefix-consistent: its sealed
 epochs are ``0..h`` and its state as of ``h`` is the uninterrupted run's
-state at ``h``; a sealed replica holds the lake's state. After the
-rerun, the lake's and the replica's ``lake_state_hash`` equal the
-uninterrupted run's, the reconcile counts are exact, and folding the
-envelope segments in name order gives the lake's state. Task-side
+state at ``h``; a sealed replica holds the lake's state; and once the
+coordinator's ``recover()`` has rolled decided txns forward, the two
+multiplexed tables stand at the same epoch (no mixed cut). After the
+rerun, the lake's, the replica's and both tables' ``lake_state_hash``
+equal the uninterrupted run's, the reconcile counts are exact, and
+folding the envelope segments in name order gives the lake's state. Task-side
 data-file publishes are covered by the crash point right after the
 tasks return (the commit or ``_SEALED`` that follows them), and by a
 stray tmp file planted in a part directory before each rerun.
@@ -29,6 +34,8 @@ import glob
 import json
 import os
 
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 
@@ -41,13 +48,16 @@ from etl_reconciliate_ray.pipelines.replay import (
     lake_state_hash,
     lake_table,
     replay,
+    replay_multiplexed,
     replicate_feed,
 )
 from etl_reconciliate_ray.sources.cdc_envelope import export_feed_envelopes
 from etl_reconciliate_ray.stages.normalize import make_normalizer
-from etl_reconciliate_ray.state.commitlog import CommitLog
+from etl_reconciliate_ray.state.commitlog import CommitLog, Journal
+from etl_reconciliate_ray.state.txn import TxnCoordinator
 
 BUCKETS = 4
+TABLES = ("files", "orders")
 
 
 class _Crash(Exception):
@@ -67,7 +77,36 @@ def _envelopes(root: str) -> str:
     return os.path.join(root, "envelopes")
 
 
-def _scenario(fixture_dir: str, root: str, manifest: dict) -> dict[str, int]:
+def _mux_configs(root: str, manifest: dict) -> tuple[dict[str, ReplayConfig], str]:
+    cfgs = {
+        name: ReplayConfig(lake_root=os.path.join(root, f"mux_{name}"), num_buckets=BUCKETS,
+                           salt_for_repo=manifest["salt_hot_repos"])
+        for name in TABLES
+    }
+    return cfgs, os.path.join(root, "txn")
+
+
+def _build_mux(fixture_dir: str, out: str) -> str:
+    """A two-epoch multiplexed binlog from the fixture's first two
+    binlog files: table ``files`` carries the rows verbatim, ``orders``
+    the same keys with distinct content (deletes stay deletes)."""
+    os.makedirs(out, exist_ok=True)
+    for f in sorted(glob.glob(os.path.join(fixture_dir, "binlog", "*.parquet")))[:2]:
+        t = pq.read_table(f)
+        content = pa.array([None if op == "D" else f"O{c or ''}"
+                            for op, c in zip(t["op"].to_pylist(), t["content"].to_pylist())],
+                           pa.string())
+        orders = t.set_column(t.column_names.index("content"), "content", content)
+        both = pa.concat_tables([
+            t.append_column("tbl", pa.array(["files"] * t.num_rows)),
+            orders.append_column("tbl", pa.array(["orders"] * t.num_rows)),
+        ]).sort_by([("tbl", "ascending"), ("seq", "ascending")])
+        pq.write_table(both, os.path.join(out, os.path.basename(f)),
+                       row_group_size=max(t.num_rows, 1))
+    return out
+
+
+def _scenario(fixture_dir: str, root: str, manifest: dict, mux: str) -> dict[str, int]:
     """Run (or finish) the scenario; returns the reconcile counts."""
     lake, replica, spool = _configs(root, manifest)
     replay(fixture_dir, lake)
@@ -81,6 +120,9 @@ def _scenario(fixture_dir: str, root: str, manifest: dict) -> dict[str, int]:
     counts = reconcile_incremental(
         lake.lake_root, snap, BUCKETS, manifest["salt_hot_repos"], snapshot_token="s"
     )[2]
+    tables, txn_root = _mux_configs(root, manifest)
+    replay_multiplexed(mux, tables, txn_root)
+    TxnCoordinator.open(txn_root).write_snapshot()
     return {s: int(n) for s, n in zip(counts["status"], counts["n"]) if n}
 
 
@@ -115,7 +157,7 @@ def _hooked(monkeypatch, crash_at: int | None) -> list[str]:
     """Count the durable steps, raising ``_Crash`` instead of running
     the ``crash_at``-th. Returns the list of steps seen."""
     seen: list[str] = []
-    write_atomic, append_many = CommitLog._write_atomic, CommitLog._append_many
+    write_atomic, append_many = Journal._write_atomic, Journal._append_many
 
     def step(what: str) -> None:
         seen.append(what)
@@ -131,8 +173,8 @@ def _hooked(monkeypatch, crash_at: int | None) -> list[str]:
             step("append " + ",".join(sorted({r.get("type", "ENTRY") for r in recs})))
         append_many(self, recs)
 
-    monkeypatch.setattr(CommitLog, "_write_atomic", staticmethod(hooked_write_atomic))
-    monkeypatch.setattr(CommitLog, "_append_many", hooked_append_many)
+    monkeypatch.setattr(Journal, "_write_atomic", staticmethod(hooked_write_atomic))
+    monkeypatch.setattr(Journal, "_append_many", hooked_append_many)
     return seen
 
 
@@ -145,6 +187,10 @@ def _assert_prefix_consistent(root: str, manifest: dict, ref: dict, where: str) 
         assert _state_hash(lake.lake_root, head) == ref["epochs"][head], where
     if CommitLog.open(replica.lake_root).latest_sealed_epoch() is not None:
         assert lake_state_hash(replica.lake_root) == ref["lake"], where
+    tables, txn_root = _mux_configs(root, manifest)
+    TxnCoordinator.open(txn_root).recover()
+    heads = {CommitLog.open(c.lake_root).latest_sealed_epoch() for c in tables.values()}
+    assert len(heads) == 1, (where, heads)  # no mixed cut
 
 
 def _plant_stray_tmp(root: str) -> None:
@@ -167,7 +213,12 @@ def fixture_five(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def reference(fixture_five, tmp_path_factory):
+def mux(fixture_five, tmp_path_factory):
+    return _build_mux(fixture_five[0], str(tmp_path_factory.mktemp("mux")))
+
+
+@pytest.fixture(scope="module")
+def reference(fixture_five, mux, tmp_path_factory):
     """The uninterrupted run: its durable steps, its per-epoch states,
     and its final hashes."""
     fixture_dir, _, manifest = fixture_five
@@ -175,7 +226,7 @@ def reference(fixture_five, tmp_path_factory):
     mp = pytest.MonkeyPatch()
     try:
         steps = _hooked(mp, None)
-        counts = _scenario(fixture_dir, root, manifest)
+        counts = _scenario(fixture_dir, root, manifest, mux)
     finally:
         mp.undo()
     lake, replica, _ = _configs(root, manifest)
@@ -189,9 +240,11 @@ def reference(fixture_five, tmp_path_factory):
         for e in range(CommitLog.open(plain.lake_root).latest_sealed_epoch() + 1)
     }
     epochs[CommitLog.open(lake.lake_root).latest_sealed_epoch()] = _state_hash(lake.lake_root)
+    tables, _ = _mux_configs(root, manifest)
     return {
         "steps": steps, "counts": counts, "epochs": epochs,
         "lake": lake_state_hash(lake.lake_root), "replica": lake_state_hash(replica.lake_root),
+        "tables": {n: lake_state_hash(c.lake_root) for n, c in tables.items()},
     }
 
 
@@ -199,30 +252,41 @@ def test_reference_run_covers_every_durable_step(reference, fixture_five):
     _, _, manifest = fixture_five
     steps = reference["steps"]
     assert any(s.startswith("append") and "EPOCH_COMMIT" in s for s in steps)
-    assert len([s for s in steps if s == "append EPOCH_COMMIT"]) == 1 + 5 + 1 + 1  # + compact, replica
+    # bootstrap + 5 epochs, compact, replica, then 2 mux epochs x 2 tables
+    assert len([s for s in steps if s == "append EPOCH_COMMIT"]) == 1 + 5 + 1 + 1 + 2 * 2
     for marker in ("commitlog.snapshot.jsonl", "_SEALED", "_CURSOR", "feed_map.json", "state.json"):
         assert any(s.endswith(marker) for s in steps), (marker, steps)
     assert len([s for s in steps if s == "write _SEALED"]) == 2  # the spool's, the envelopes'
-    assert len(steps) == 26, steps
+    # two mux epochs: a PREPARE and a COMMIT each, then the coordinator
+    # snapshot (its snapshot file and its fresh tail)
+    assert steps.count("append PREPARE") == 2 and steps.count("append COMMIT") == 2
+    assert steps.count("write txnlog.snapshot.jsonl") == 1
+    assert steps.count("write txnlog.jsonl") == 1
+    assert len(steps) == 42, steps
     assert reference["counts"] == {k: v for k, v in manifest["expected_status_counts"].items() if v}
     assert reference["replica"] == reference["lake"]
+    assert reference["tables"]["files"] != reference["tables"]["orders"]
 
 
-def test_crash_at_every_durable_step_converges(reference, fixture_five, tmp_path, monkeypatch):
+def test_crash_at_every_durable_step_converges(reference, fixture_five, mux, tmp_path,
+                                               monkeypatch):
     fixture_dir, _, manifest = fixture_five
     want_counts = {k: v for k, v in manifest["expected_status_counts"].items() if v}
     for k in range(1, len(reference["steps"]) + 1):
         root = str(tmp_path / f"k{k:03d}")
         _hooked(monkeypatch, k)
         with pytest.raises(_Crash):
-            _scenario(fixture_dir, root, manifest)
+            _scenario(fixture_dir, root, manifest, mux)
         monkeypatch.undo()
         where = f"crash at step {k}: {reference['steps'][k - 1]}"
         _assert_prefix_consistent(root, manifest, reference, where)
         _plant_stray_tmp(root)
-        counts = _scenario(fixture_dir, root, manifest)
+        counts = _scenario(fixture_dir, root, manifest, mux)
         lake, replica, _ = _configs(root, manifest)
         assert lake_state_hash(lake.lake_root) == reference["lake"], where
         assert lake_state_hash(replica.lake_root) == reference["replica"], where
         assert counts == want_counts, where
         assert _fold_envelopes(_envelopes(root)) == _lake_state(lake.lake_root), where
+        tables, _ = _mux_configs(root, manifest)
+        for name, cfg in tables.items():
+            assert lake_state_hash(cfg.lake_root) == reference["tables"][name], (where, name)

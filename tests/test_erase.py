@@ -245,3 +245,44 @@ def test_erase_scrubs_export_feed(fixture_small, tmp_path, ray_session):
     }
     assert applied == want
     json  # keep import referenced
+
+
+def test_erase_from_feed_reads_whole_only_the_files_holding_the_key(
+    fixture_small, tmp_path, ray_session, monkeypatch
+):
+    """erase_key_from_feed probes every spool file with the key filter
+    pushed down (``repo`` column only) and reads and rewrites whole only
+    the files that hold the key; the others are never read with all of
+    their columns, and their bytes are untouched."""
+    from etl_reconciliate_ray.pipelines.replay import erase_key_from_feed, export_changelog
+
+    fixture_dir, _, manifest = fixture_small
+    cfg = _cfg(tmp_path, "lake_feed_probe", manifest)
+    replay(fixture_dir, cfg)
+    out = str(tmp_path / "spool")
+    export_changelog(cfg.lake_root, out)
+    files = sorted(glob.glob(os.path.join(out, "feed", "**", "*.parquet"), recursive=True))
+    t = pq.read_table(files[0])
+    repo, path = t["repo"][0].as_py(), t["path"][0].as_py()
+    holding = {
+        f for f in files
+        if pq.read_table(f, filters=[("repo", "=", repo), ("path", "=", path)]).num_rows
+    }
+    assert holding and set(files) - holding
+    before = {f: open(f, "rb").read() for f in files if f not in holding}
+
+    reads: list[tuple[str, object]] = []
+    read_table = pq.read_table
+
+    def counted(source, *args, columns=None, **kwargs):
+        reads.append((source, columns))
+        return read_table(source, *args, columns=columns, **kwargs)
+
+    monkeypatch.setattr(pq, "read_table", counted)
+    res = erase_key_from_feed(out, repo, path)
+    monkeypatch.undo()
+
+    assert res["feed_files_rewritten"] == len(holding) and res["feed_rows_erased"] >= 1
+    whole = {src for src, cols in reads if cols is None}
+    assert whole == holding
+    assert all(open(f, "rb").read() == b for f, b in before.items())
