@@ -247,21 +247,22 @@ def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, sn
     groups and its (repo, status, n) partial counts. A part recomputes
     only when its fingerprint moved; rollup and counts are built from
     the stored partials, so the detail is written once and re-read zero
-    times here. Crash safety: state.json is republished atomically
-    AFTER the recomputed parts' detail files — a crash in between just
-    re-marks those parts dirty on the next call (the per-part file
-    overwrite is idempotent)."""
+    times here; the returned detail Dataset reads the spill files only
+    when it is consumed (``replay._read_dataset``). Crash safety:
+    state.json is republished atomically AFTER the recomputed parts'
+    detail files — a crash in between just re-marks those parts dirty
+    on the next call (the per-part file overwrite is idempotent)."""
     import glob as _glob
     import hashlib
     import json as _json
     import shutil
 
-    import ray.data as rd
+    import pyarrow.parquet as pq
 
     from ..functions.hashing import retag_bucket
     from ..stages.reconcile import reconcile_pair_pdf
     from ..state.commitlog import CommitLog, layout_fingerprint
-    from .replay import _chains_payload, _gather, _per_part
+    from .replay import _chains_payload, _gather, _per_part, _read_dataset
 
     cols = ["repo", "path", "commit", "content_sha256"]
     spool_dir = os.path.join(state_dir, "snap_spool")
@@ -324,7 +325,6 @@ def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, sn
 
     chains = _chains_payload(log, upto_epoch=log.latest_sealed_epoch())
     parts = sorted(set(chains) | set(snap_map))
-    os.makedirs(spill, exist_ok=True)
 
     def fp_of(part: int) -> str:
         payload = _json.dumps(
@@ -350,8 +350,8 @@ def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, sn
         for p in dirty:
             state["parts"][str(p)] = {"fp": fps[p], "partials": by_part[p]}
     # Drop state AND the detail spill files of parts that vanished from
-    # the lake+snapshot universe — otherwise read_parquet(spill) would
-    # re-surface ghost detail rows for them. Runs unconditionally (a
+    # the lake+snapshot universe — otherwise the detail read of the spill
+    # would re-surface ghost detail rows for them. Runs unconditionally (a
     # part can vanish without any surviving part turning dirty).
     live = set(parts)
     ghosts = [k for k in state["parts"] if int(k) not in live]
@@ -373,13 +373,11 @@ def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, sn
     )
     rollup = rollup_from_partials(partials, "repo")
     counts = status_counts(partials)
-    if _glob.glob(os.path.join(spill, "*.parquet")):
-        detail = rd.read_parquet(spill)
-    else:
-        empty = pa.schema([(c, pa.string()) for c in cols]).empty_table()
-        detail = rd.from_arrow(reconcile_pair_pdf(
-            empty, empty, ["repo", "path"], "content_sha256", attr_cols=["commit"]
-        ))
+    empty = pa.schema([(c, pa.string()) for c in cols]).empty_table()
+    detail = _read_dataset(
+        sorted(_glob.glob(os.path.join(spill, "*.parquet"))), pq.read_table,
+        reconcile_pair_pdf(empty, empty, ["repo", "path"], "content_sha256", attr_cols=["commit"]),
+    )
     metrics = {
         "parts_total": len(parts),
         "parts_recomputed": len(dirty),

@@ -22,14 +22,15 @@ lifecycle of SURVEY.md §3:
         commit + seal, in order      commit-log append (driver, fenced)
 
 The engine's own work — epoch windows, folds, compaction, salt
-planning, erasure, the reconcile cogroup and the chain resolves behind
-``lake_dataset``/``lake_changelog`` — runs as plain Ray tasks through
-that one fan-out. Lake-to-lake writes (``rebucket``, a replica's
-snapshot re-baseline) are epoch windows too: their read blocks are a
-lake's parts (``_part_scan``). Ray Data runs only where a Dataset
-crosses the API:
-an epoch given as a caller's Dataset (``run_epoch``, txn staging), the
-reconcile snapshot spool, and the Datasets the read surface returns.
+planning, erasure, the export and the reconcile cogroup — runs as
+plain Ray tasks through that one fan-out. Lake-to-lake writes
+(``rebucket``, a replica's snapshot re-baseline) are epoch windows too:
+their read blocks are a lake's parts (``_part_scan``). Ray Data runs
+only where a Dataset crosses the API: an epoch given as a caller's
+Dataset (``run_epoch``, txn staging), the reconcile snapshot spool, and
+the Datasets the read surface returns. Those are all one lazy source
+(``_read_dataset``): its items are dealt as ``_per_part`` deals them,
+fixed at the call, and read only as the Dataset is consumed.
 
 Exactly-once needs no stateful sink: every data file is published by
 the task that computed it through one helper
@@ -217,12 +218,11 @@ def run_epoch(
 
 def _write_lineage(lake_root: str, log: CommitLog, last_metrics: dict) -> None:
     """Per-partition lineage manifest + per-epoch metrics (north_star:
-    'per-partition lineage manifests and metrics')."""
-    payload = {"partitions": log.lineage(), "last_epoch_metrics": last_metrics}
-    tmp = os.path.join(lake_root, "lineage.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=1)
-    os.replace(tmp, os.path.join(lake_root, "lineage.json"))
+    'per-partition lineage manifests and metrics'), published fsynced
+    and atomically, as the commit log's own files are."""
+    CommitLog._write_atomic(os.path.join(lake_root, "lineage.json"), [
+        {"partitions": log.lineage(), "last_epoch_metrics": last_metrics}
+    ])
 
 
 def _seed_as_insert(batch: pa.Table) -> pa.Table:
@@ -761,10 +761,11 @@ def _per_part(items: list, part_fn) -> list:
     items in turn and returns ONE Arrow table: its non-empty results
     concatenated, or, when all came back empty, the first of them, so
     it keeps the typed schema. Returns the tasks' object refs (none for
-    no items): ``_gather`` collects them on the driver, and
-    ``rd.from_arrow_refs`` turns them into a Dataset. One task per CPU,
-    not per part, and no Dataset execution: per-task start-up and a
-    Ray Data launch are fixed costs that dominated small operations."""
+    no items), which ``_gather`` collects on the driver. One task per
+    CPU, not per part, and no Dataset execution: per-task start-up and
+    a Ray Data launch are fixed costs that dominated small operations.
+    The Datasets the read surface returns deal their items the same
+    way, but lazily (``_read_dataset``)."""
     import ray
 
     fn = ray.put(part_fn)
@@ -802,6 +803,54 @@ def _gather(refs: list) -> pa.Table:
     import ray
 
     return _run_parts(ray.get, refs)
+
+
+def _read_dataset(items: list, read, empty: pa.Table):
+    """THE Dataset the read surface returns (``lake_dataset``,
+    ``lake_changelog``, the reconcile detail, ``read_quarantine``, a
+    view's ``state``): ``items`` dealt as ``_deal`` deals them, one read
+    task per group that returns ``_run_parts(read, group)``, so
+    ``min(len(items), cluster CPUs)`` blocks; no items, one block,
+    ``empty``. The items (the read's consistent cut) are fixed here;
+    nothing is read until the Dataset is consumed, and then with Ray
+    Data's back-pressure."""
+    import ray.data as rd
+
+    groups = _deal(items) or [[]]
+    source = _parts_source()(groups, read, empty)
+    return rd.read_datasource(source, override_num_blocks=len(groups))
+
+
+def _read_group(read, group: list, empty: pa.Table) -> list[pa.Table]:
+    """One read task's block: ``_run_parts`` over its group, or ``empty``."""
+    return [_run_parts(read, group) if group else empty]
+
+
+@functools.cache
+def _parts_source():
+    """``_read_dataset``'s ``ray.data.Datasource`` class, defined when
+    first used so that importing this module does not import Ray Data."""
+    from ray.data import Datasource
+    from ray.data.block import BlockMetadata
+    from ray.data.datasource import ReadTask
+
+    @dataclass
+    class _PartsSource(Datasource):
+        groups: list[list]
+        read: object
+        empty: pa.Table
+
+        def estimate_inmemory_data_size(self) -> None:
+            return None
+
+        def get_read_tasks(self, parallelism: int) -> list:
+            meta = BlockMetadata(num_rows=None, size_bytes=None, input_files=None, exec_stats=None)
+            return [
+                ReadTask(functools.partial(_read_group, self.read, g, self.empty), meta)
+                for g in self.groups
+            ]
+
+    return _PartsSource
 
 
 @dataclass
@@ -1695,17 +1744,13 @@ def lake_dataset(
     default, or AS OF a past sealed epoch (time travel over the
     merge-on-read chains; Iceberg/Hudi snapshot-read semantics).
 
-    Fully-compacted lakes (every chain is one base file) read as a
-    plain pruned, lazy ``read_parquet``. Lakes with merge-on-read
-    deltas are resolved DISTRIBUTED and EAGERLY: the buckets fan out
-    over the cluster's CPUs (``_per_part``), each bucket read +
-    LWW-resolved from its own chain (no shuffle — the chain is already
-    partitioned by bucket). The parts are resolved when this is
-    called, one Arrow table per task held in the object store, and the
-    Dataset is built over those refs (``rd.from_arrow_refs``). A part
-    was always resolved whole inside one task; what is gone is the
-    back-pressure, so the whole resolved state is in the object store
-    at once (Ray spills it to disk past the store's capacity).
+    The chains are pinned when this is called; the parts are resolved
+    when the Dataset is consumed (``_read_dataset``): the buckets are
+    dealt over the cluster's CPUs, each bucket read + LWW-resolved from
+    its own chain (no shuffle — the chain is already partitioned by
+    bucket; a compacted bucket's lone base is read as is). As for any
+    snapshot reader, a ``compact`` + ``vacuum`` between building and
+    consuming the Dataset can delete files it still reads.
 
     Pass ``columns`` to prune at the read; restrict to pre-evolution
     columns when files span a schema change (Ray unifies blocks lazily,
@@ -1719,8 +1764,6 @@ def lake_dataset(
     layout fence) are opened at all — a keyed scan of a few repos on a
     100 TB lake reads O(their buckets), not O(lake) — and the surviving
     blocks are row-filtered to exactly the requested repos."""
-    import ray.data as rd
-
     log = CommitLog.open(_root_of(cfg_or_root))
     chains = _chains_payload(log, upto_epoch=_as_of_upto(log, as_of_epoch))
     repo_set = None
@@ -1739,33 +1782,19 @@ def lake_dataset(
     read_cols = columns
     if repo_set is not None and columns is not None and "repo" not in columns:
         read_cols = ["repo", *columns]
+    empty = pa.table({c: pa.array([], pa.string()) for c in (columns or ["repo", "path"])})
 
-    def prune(t: pa.Table) -> pa.Table:
+    def resolve_part(item: tuple[int, list[dict]]) -> pa.Table:
+        t = read_chain(item[1], columns=read_cols, part=int(item[0]))
+        if t is None or t.num_rows == 0:
+            return empty
         if repo_set is not None:
             t = t.filter(pc.is_in(t["repo"], value_set=repo_set))
         if columns is not None:
             t = t.select([c for c in columns if c in t.column_names])
         return t
 
-    empty = pa.table({c: pa.array([], pa.string()) for c in (columns or ["repo", "path"])})
-    if all(len(c) == 1 and c[0]["kind"] == "full" for c in chains.values()):
-        files = [f for c in chains.values() for link in c for f in link["files"]]
-        files = [f for f in sorted(files) if os.path.getsize(f) > 0]
-        if not files:
-            return rd.from_arrow(empty)
-        ds = rd.read_parquet(files, columns=read_cols)
-        if repo_set is None:
-            return ds
-        return ds.map_batches(prune, batch_format="pyarrow")
-
-    def resolve_part(item: dict) -> pa.Table:
-        t = read_chain(item["chain"], columns=read_cols, part=int(item["part"]))
-        if t is None or t.num_rows == 0:
-            return empty
-        return prune(t)
-
-    items = [{"part": p, "chain": c} for p, c in sorted(chains.items())]
-    return rd.from_arrow_refs(_per_part(items, resolve_part))
+    return _read_dataset(sorted(chains.items()), resolve_part, empty)
 
 
 def _layout_of(log: CommitLog) -> tuple[int, dict[str, int]]:
@@ -1833,10 +1862,7 @@ def lake_lookup(
     need = None if columns is None else sorted({*columns, "repo", "path"})
     parts = []
     for p in cands:
-        chain = chains.get(p)
-        if not chain:
-            continue
-        t = read_chain(chain, columns=need, part=p, key_filter=(repo, path))
+        t = read_chain(chains.get(p, []), columns=need, part=p, key_filter=(repo, path))
         if t is None or t.num_rows == 0:
             continue
         mask = pc.equal(t["repo"], repo)
@@ -1845,8 +1871,6 @@ def lake_lookup(
         t = t.filter(mask)
         if t.num_rows:
             parts.append(t)
-    if not parts:
-        return pa.table({})
     out = _unify_concat(parts)
     if columns is not None:
         out = out.select([c for c in columns if c in out.column_names])
@@ -1909,8 +1933,7 @@ def lake_table(cfg_or_root, as_of_epoch: int | None = None) -> pa.Table:
         t = read_chain(chain, part=int(p))
         if t is not None and t.num_rows > 0:
             parts.append(t)
-    tbl = _unify_concat(parts) if parts else None
-    return tbl if tbl is not None else pa.table({})
+    return _unify_concat(parts)
 
 
 def _file_schemas(log: CommitLog, upto_epoch: int | None) -> list[tuple[int, pa.Schema]]:
@@ -2010,25 +2033,21 @@ def lake_changelog(
 
     Scale shape: both states' chains share the SAME bucket layout, so
     each partition is diffed over its own two chains, the partitions
-    fanned out over the cluster's CPUs (``_per_part``) — no shuffle,
+    dealt over the cluster's CPUs (``_read_dataset``) — no shuffle,
     no driver materialization; per bucket, the reconcile kernel
     (``stages.reconcile.reconcile_pair_pdf``) outer-diffs the old
-    state (left) against the new one (right). The diff runs EAGERLY,
-    when this is called: each task's feed rows are held in the object
-    store, with no back-pressure, and the Dataset is built over those
-    refs (``rd.from_arrow_refs``).
+    state (left) against the new one (right). Both states' chains are
+    pinned when this is called, and the diff runs when the Dataset is
+    consumed; a ``compact`` + ``vacuum`` in between can delete files it
+    still reads, as for any snapshot reader.
     Only partitions whose chain differs between the two epochs are
     diffed (equal chains resolve to equal states), so the cost is
-    O(changed partitions' chains); a window that changed none returns
-    a typed empty feed without reading any data. A past ``from_epoch``
-    is subject to the same retention-floor refusal as time travel
-    (``_as_of_upto``)."""
-    import ray.data as rd
-
+    O(changed partitions' chains); a window that changed none is a
+    typed empty feed that reads no data. A past ``from_epoch`` is
+    subject to the same retention-floor refusal as time travel
+    (``_as_of_upto``), raised at the call."""
     items, diff_part, feed_schema = _changelog_diff(cfg_or_root, from_epoch, to_epoch, image_cols)
-    if not items:
-        return rd.from_arrow(feed_schema.empty_table())
-    return rd.from_arrow_refs(_per_part(items, diff_part))
+    return _read_dataset(items, diff_part, feed_schema.empty_table())
 
 
 def _changelog_diff(cfg_or_root, from_epoch: int | None, to_epoch: int | None, image_cols):
@@ -2540,7 +2559,4 @@ def lake_schema_history(cfg_or_root) -> pa.Table:
 def lake_state_hash(cfg_or_root) -> str:
     """Global order-insensitive sha256 of (repo, path -> content_sha256)
     — the kill/restart convergence invariant."""
-    tbl = lake_table(cfg_or_root)
-    if tbl.num_rows == 0:
-        return table_state_sha256(pa.table({}), ("repo", "path"), "content_sha256")
-    return table_state_sha256(tbl, ("repo", "path"), "content_sha256")
+    return table_state_sha256(lake_table(cfg_or_root), ("repo", "path"), "content_sha256")

@@ -27,17 +27,24 @@ Scale shape: the changelog is already a per-bucket streaming diff (no
 shuffle); delta extraction is a map-only Arrow pass; base rows and
 delta rows then share ONE partial-aggregated shuffle
 (``preagg_groupby``) whose exchange volume is O(distinct keys), not
-O(rows). Nothing lands on the driver.
+O(rows). Only the new state, O(distinct keys), streams through the
+driver, a block at a time, to be published.
 """
 
 from __future__ import annotations
 
+import glob
+import os
+import shutil
 from typing import Callable, Mapping
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
+from ..state.commitlog import CommitLog
 from .agg import preagg_groupby
+from .writer import publish_parquet
 
 # named transforms keep the map fn picklable and the call sites
 # declarative; callables are accepted too
@@ -184,13 +191,15 @@ class MaintainedView:
 
     State layout (crash-safe, mirroring the lake's own atomic-publish
     discipline): each state is a parquet directory
-    ``<view_root>/epoch=<N>/`` written DISTRIBUTED (Dataset
-    write_parquet — the state is O(distinct keys) and never lands on
-    one node), published by atomically replacing the fsynced
-    ``_CURRENT`` pointer file. A crash between write and publish leaves the old
-    pointer valid; the next ``advance`` recomputes the same epoch range
-    over the same sealed inputs and overwrites — deterministic, so
-    convergence is idempotent (chaos-tested).
+    ``<view_root>/epoch=<N>/``, one file per block of the state
+    Dataset, streamed through the driver a block at a time (the state
+    is O(distinct keys)) and published fsynced by
+    ``stages.writer.publish_parquet``; then the fsynced ``_CURRENT``
+    pointer file is atomically replaced. A crash between write and
+    publish leaves the old pointer valid; the next ``advance``
+    recomputes the same epoch range over the same sealed inputs and
+    overwrites — deterministic, so convergence is idempotent
+    (chaos-tested).
 
     ``keys`` must be lake columns; ``sums`` maps output measure name →
     (lake column, transform). Bootstrapping derives each lake row's
@@ -209,8 +218,6 @@ class MaintainedView:
         count_name: str,
         sums: Mapping[str, tuple[str, object]] | None = None,
     ):
-        import os
-
         self.view_root = view_root
         self.keys = list(keys)
         self.count_name = count_name
@@ -219,13 +226,9 @@ class MaintainedView:
 
     # -- state plumbing ------------------------------------------------
     def _pointer(self) -> str:
-        import os
-
         return os.path.join(self.view_root, "_CURRENT")
 
     def current_epoch(self) -> int | None:
-        import os
-
         p = self._pointer()
         if not os.path.exists(p):
             return None
@@ -233,32 +236,25 @@ class MaintainedView:
             return int(fh.read().strip())
 
     def state(self):
-        """The current view state as a Dataset of exactly ``keys`` +
-        measures (raises if never bootstrapped)."""
-        import os
-
-        import ray.data as rd
+        """The current view state as a lazy Dataset of exactly ``keys``
+        + measures (raises if never bootstrapped); an empty view, where
+        no group is live, has no state file and no columns."""
+        from ..pipelines.replay import _read_dataset
 
         ep = self.current_epoch()
         if ep is None:
             raise ValueError(f"view at {self.view_root} has no published state")
-        path = os.path.join(self.view_root, f"epoch={ep:05d}")
-        if not any(f.endswith(".parquet") for f in os.listdir(path)):
-            return rd.from_items([])  # empty view: no group is live
-        # partitioning=None: Hive inference would turn the state dir's
-        # own name into an extra `epoch` column
-        return rd.read_parquet(path, partitioning=None)
+        files = sorted(glob.glob(os.path.join(self.view_root, f"epoch={ep:05d}", "*.parquet")))
+        return _read_dataset(files, pq.read_table, pa.table({}))
 
     def _publish(self, new_state, epoch: int) -> None:
-        import os
-        import shutil
-
-        from ..state.commitlog import CommitLog
-
         out = os.path.join(self.view_root, f"epoch={epoch:05d}")
         shutil.rmtree(out, ignore_errors=True)  # crashed unpublished try
-        new_state.write_parquet(out)
-        os.makedirs(out, exist_ok=True)  # Ray writes no file for an empty state
+        # groups are unique across blocks, so no two non-empty blocks
+        # share a content-addressed name
+        for t in new_state.iter_batches(batch_format="pyarrow", batch_size=None):
+            if t.num_rows:
+                publish_parquet(out, [t], "state")
         # durable before the superseded states go: "<epoch>\n", fsynced
         CommitLog._write_atomic(self._pointer(), [epoch])
         # retire superseded states (the pointer is durable truth now)
@@ -277,7 +273,7 @@ class MaintainedView:
     def bootstrap(self, lake_root: str) -> int:
         """Full-scan initialisation at the lake's sealed head; returns
         the epoch the view is now current to."""
-        from ..pipelines.replay import CommitLog, lake_dataset, _root_of
+        from ..pipelines.replay import _root_of, lake_dataset
 
         log = CommitLog.open(_root_of(lake_root))
         head = log.latest_sealed_epoch()
@@ -311,7 +307,7 @@ class MaintainedView:
     def advance(self, lake_root: str, on_truncated: str = "bootstrap") -> int:
         """Maintain the view to the lake's sealed head; returns the new
         current epoch (no-op if already there)."""
-        from ..pipelines.replay import CommitLog, _root_of, lake_changelog
+        from ..pipelines.replay import _root_of, lake_changelog
 
         ep = self.current_epoch()
         if ep is None:

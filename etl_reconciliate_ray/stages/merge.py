@@ -212,8 +212,8 @@ def read_chain(
     part: int | None = None,
     key_filter: tuple[str, str | None] | None = None,
 ) -> pa.Table | None:
-    """Read + resolve one bucket's chain of ``{"epoch", "files"}`` dicts
-    (kind is implied by position: resolution is kind-agnostic).
+    """Read + resolve one bucket's chain of ``{"epoch", "kind", "files"}``
+    dicts (resolution is kind-agnostic: a base is the chain's first link).
 
     ``columns`` prunes the parquet read (merge keys, ``op`` and ``seq``
     are always read — resolution needs them); the result is projected
@@ -229,11 +229,18 @@ def read_chain(
     every non-matching group/piece — a point lookup on a compacted
     bucket decodes O(one row group), not the bucket. Purely an
     optimization: callers still row-filter the result (parquet stats
-    pruning is conservative, never wrong)."""
+    pruning is conservative, never wrong).
+
+    A chain of one ``full`` link is returned as its pieces concatenated,
+    with no LWW: the only writer of a full base (``replay._write_bases``)
+    writes a resolved state, with unique keys and no tombstones."""
     tagged = read_links(chain, columns, part, key_filter)
     if not tagged:
         return None
-    out = resolve_chain_tables(tagged)
+    if len(chain) == 1 and chain[0].get("kind") == "full":
+        out = _unify_concat([t for _, t in tagged])
+    else:
+        out = resolve_chain_tables(tagged)
     if columns is not None:
         out = out.select([c for c in columns if c in out.column_names])
     return out

@@ -100,13 +100,14 @@ def quarantine_split(ds, checks: Sequence[Check], quarantine_dir: str):
 
 
 def read_quarantine(quarantine_dir: str):
-    """The dead-letter rows (original columns + ``reason``) as a
-    Dataset; empty dir -> empty Dataset."""
+    """The dead-letter rows (original columns + ``reason``) as a lazy
+    Dataset of the files published so far (``replay._read_dataset``);
+    no files -> an empty Dataset with a ``reason`` column."""
     import glob
 
-    import ray.data as rd
+    import pyarrow.parquet as pq
+
+    from ..pipelines.replay import _read_dataset
 
     files = sorted(glob.glob(os.path.join(quarantine_dir, "dlq-*.parquet")))
-    if not files:
-        return rd.from_arrow(pa.table({"reason": pa.array([], pa.string())}))
-    return rd.read_parquet(files)
+    return _read_dataset(files, pq.read_table, pa.table({"reason": pa.array([], pa.string())}))

@@ -36,7 +36,9 @@ Every data file the engine writes goes through ``publish_parquet``:
   task writes its own file, one row group per changed part;
 - the reconcile snapshot spool (``_spool_bucketed``, one row group per
   bucket) and the per-part detail spill (caller-named per part);
-- quarantine's dead-letter files.
+- quarantine's dead-letter files;
+- a maintained view's state files (``MaintainedView._publish``, on
+  the driver, one per block of the state, before ``_CURRENT`` moves).
 
 Files written some other way — the envelope conversion's Ray Data
 parquet and its dead letters, the exported JSONL envelope parts — are

@@ -55,3 +55,29 @@ def fixture_small(tmp_path_factory):
     cfg = DatagenConfig(seed=42, lake_rows=200, num_events=1200, num_epochs=4)
     manifest = write_fixture(cfg, out)
     return out, cfg, manifest
+
+
+@pytest.fixture
+def renames(monkeypatch):
+    """The driver's ``os.replace`` calls while the test runs, in order:
+    ``(absolute target path, whether the renamed file's bytes had been
+    fsynced)``, fsyncs tracked by inode."""
+    import os
+
+    fsynced: set[tuple[int, int]] = set()
+    seen: list[tuple[str, bool]] = []
+    fsync, replace = os.fsync, os.replace
+
+    def tracked_fsync(fd):
+        st = os.fstat(fd)
+        fsynced.add((st.st_dev, st.st_ino))
+        fsync(fd)
+
+    def tracked_replace(src, dst):
+        st = os.stat(src)
+        seen.append((os.path.abspath(dst), (st.st_dev, st.st_ino) in fsynced))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", tracked_fsync)
+    monkeypatch.setattr(os, "replace", tracked_replace)
+    return seen

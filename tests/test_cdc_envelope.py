@@ -621,7 +621,7 @@ def test_trigger_envelope_ingest_export_chain(env_fixture, tmp_path, ray_session
         assert os.path.exists(os.path.join(feed_t, "feed", s, "_SEALED"))
 
 
-def test_convert_publishes_only_fsynced_files(ray_session, tmp_path, monkeypatch):
+def test_convert_publishes_only_fsynced_files(ray_session, tmp_path, renames):
     """Every file conversion publishes (the epoch parquet, its
     dead-letter parquet, an all-dead-letter epoch's ``.empty`` marker)
     is renamed into place after its bytes were fsynced: a torn epoch
@@ -636,25 +636,9 @@ def test_convert_publishes_only_fsynced_files(ray_session, tmp_path, monkeypatch
                     "after": {"repo": "r", "path": f"p{i}", "content": "x"},
                     "source": {"seq": epoch * 10 + i},
                 }) + "\n")
-    fsynced: set[tuple[int, int]] = set()
-    published: dict[str, bool] = {}
-    fsync, replace = os.fsync, os.replace
-
-    def tracked_fsync(fd):
-        st = os.fstat(fd)
-        fsynced.add((st.st_dev, st.st_ino))
-        fsync(fd)
-
-    def tracked_replace(src, dst):
-        st = os.stat(src)
-        published[os.path.abspath(dst)] = (st.st_dev, st.st_ino) in fsynced
-        replace(src, dst)
-
-    monkeypatch.setattr(os, "fsync", tracked_fsync)
-    monkeypatch.setattr(os, "replace", tracked_replace)
     out = str(tmp_path / "out")
     convert_envelope_dir(str(env), out, on_error="quarantine")
-    monkeypatch.undo()
+    published = dict(renames)
 
     on_disk = {
         os.path.abspath(p) for p in glob.glob(os.path.join(out, "**", "*"), recursive=True)

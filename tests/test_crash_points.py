@@ -1,14 +1,15 @@
 """Crash-point enumeration over the driver's durable steps.
 
 The durable steps are ``Journal._write_atomic`` (the commit log's and
-the txn coordinator log's snapshot and tail, ``feed_map.json``,
-reconcile ``state.json``, the spool's ``_CURSOR`` and ``_SEALED``, the
-JSONL envelope segment's ``_SEALED``; also a view's ``_CURRENT``, which
-this scenario does not reach) and the journal appends
+the txn coordinator log's snapshot and tail, each lake's
+``lineage.json``, ``feed_map.json``, reconcile ``state.json``, the
+spool's ``_CURSOR`` and ``_SEALED``, the JSONL envelope segment's
+``_SEALED``, the repo view's ``_CURRENT``) and the journal appends
 (``Journal._append_many``: commits, seals, and the coordinator's
 PREPARE and COMMIT). The scenario, on a 4-bucket lake: one replay
 window of every binlog epoch that folds chains past
-``delta_threshold=2``, then ``compact``, then ``export_changelog`` +
+``delta_threshold=2``, then ``compact``, then the CLI's repo view
+(``run.repo_view``) brought to the head, then ``export_changelog`` +
 ``export_feed_envelopes`` + ``replicate_feed``, then an incremental
 reconcile, then a two-epoch ``replay_multiplexed`` run into two tables
 and a coordinator snapshot. For each k it crashes at the k-th durable
@@ -21,8 +22,10 @@ state at ``h``; a sealed replica holds the lake's state; and once the
 coordinator's ``recover()`` has rolled decided txns forward, the two
 multiplexed tables stand at the same epoch (no mixed cut). After the
 rerun, the lake's, the replica's and both tables' ``lake_state_hash``
-equal the uninterrupted run's, the reconcile counts are exact, and
-folding the envelope segments in name order gives the lake's state. Task-side
+equal the uninterrupted run's, the reconcile counts are exact, the
+view's state equals files and content bytes per repo recomputed from
+the lake, and folding the envelope segments in name order gives the
+lake's state. Task-side
 data-file publishes are covered by the crash point right after the
 tasks return (the commit or ``_SEALED`` that follows them), and by a
 stray tmp file planted in a part directory before each rerun.
@@ -35,6 +38,7 @@ import json
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
@@ -51,6 +55,7 @@ from etl_reconciliate_ray.pipelines.replay import (
     replay_multiplexed,
     replicate_feed,
 )
+from etl_reconciliate_ray.run import repo_view
 from etl_reconciliate_ray.sources.cdc_envelope import export_feed_envelopes
 from etl_reconciliate_ray.stages.normalize import make_normalizer
 from etl_reconciliate_ray.state.commitlog import CommitLog, Journal
@@ -111,6 +116,7 @@ def _scenario(fixture_dir: str, root: str, manifest: dict, mux: str) -> dict[str
     lake, replica, spool = _configs(root, manifest)
     replay(fixture_dir, lake)
     compact(lake)  # a compacted lake has nothing left to compact
+    repo_view(lake.lake_root).advance(lake.lake_root)
     export_changelog(lake.lake_root, spool, image_cols="all")
     export_feed_envelopes(spool, _envelopes(root))
     replicate_feed(spool, replica)
@@ -151,6 +157,19 @@ def _lake_state(root: str) -> dict:
     t = lake_table(root)
     return dict(zip(zip(t["repo"].to_pylist(), t["path"].to_pylist()),
                     t["content_sha256"].to_pylist()))
+
+
+def _view_per_repo(root: str) -> tuple[list, list]:
+    """The repo view's rows and a recompute of them from the lake:
+    ``(repo, files, content bytes)``, sorted."""
+    got = repo_view(root).state().to_pandas()
+    t = lake_table(root)
+    want: dict = {}
+    for repo, n in zip(t["repo"].to_pylist(), pc.binary_length(t["content"]).to_pylist()):
+        files, nbytes = want.get(repo, (0, 0))
+        want[repo] = (files + 1, nbytes + (n or 0))
+    return (sorted(zip(got["repo"], got["n_files"], got["content_bytes"])),
+            sorted((r, f, b) for r, (f, b) in want.items()))
 
 
 def _hooked(monkeypatch, crash_at: int | None) -> list[str]:
@@ -245,6 +264,7 @@ def reference(fixture_five, mux, tmp_path_factory):
         "steps": steps, "counts": counts, "epochs": epochs,
         "lake": lake_state_hash(lake.lake_root), "replica": lake_state_hash(replica.lake_root),
         "tables": {n: lake_state_hash(c.lake_root) for n, c in tables.items()},
+        "view": _view_per_repo(lake.lake_root),
     }
 
 
@@ -262,9 +282,15 @@ def test_reference_run_covers_every_durable_step(reference, fixture_five):
     assert steps.count("append PREPARE") == 2 and steps.count("append COMMIT") == 2
     assert steps.count("write txnlog.snapshot.jsonl") == 1
     assert steps.count("write txnlog.jsonl") == 1
-    assert len(steps) == 42, steps
+    # bootstrap, the replay window, compact, the replica's epoch, and
+    # 2 mux epochs x 2 tables each publish a lake's lineage manifest
+    assert steps.count("write lineage.json") == 8
+    assert steps.count("write _CURRENT") == 1  # the view's bootstrap
+    assert len(steps) == 51, steps
     assert reference["counts"] == {k: v for k, v in manifest["expected_status_counts"].items() if v}
     assert reference["replica"] == reference["lake"]
+    got, want = reference["view"]
+    assert got == want
     assert reference["tables"]["files"] != reference["tables"]["orders"]
 
 
@@ -286,6 +312,8 @@ def test_crash_at_every_durable_step_converges(reference, fixture_five, mux, tmp
         assert lake_state_hash(lake.lake_root) == reference["lake"], where
         assert lake_state_hash(replica.lake_root) == reference["replica"], where
         assert counts == want_counts, where
+        got, want = _view_per_repo(lake.lake_root)
+        assert got == want, where
         assert _fold_envelopes(_envelopes(root)) == _lake_state(lake.lake_root), where
         tables, _ = _mux_configs(root, manifest)
         for name, cfg in tables.items():

@@ -318,6 +318,33 @@ def _view_df(view):
     )
 
 
+def test_view_state_is_fsynced_before_its_pointer(tmp_path, renames):
+    """Each state file a bootstrap and an advance publish was fsynced
+    and renamed into place before ``_CURRENT`` names its state: a host
+    crash cannot leave the pointer at a torn state."""
+    import glob
+    import os
+
+    from etl_reconciliate_ray.stages.ivm import MaintainedView
+
+    binlog = _write_four_epoch_binlog(tmp_path)
+    root = str(tmp_path / "lake")
+    cfg = ReplayConfig(lake_root=root, num_buckets=2)
+    view = MaintainedView(
+        str(tmp_path / "view"), keys=["repo"], count_name="n",
+        sums={"bytes": ("nbytes", "identity")},
+    )
+    pointer = os.path.abspath(view._pointer())
+    for stop in (2, 4):
+        replay_stream(binlog, cfg, stop_after_epoch=stop)
+        assert view.advance(root) == stop
+        at = max(i for i, (path, _) in enumerate(renames) if path == pointer)
+        assert renames[at][1]
+        before = dict(renames[:at])
+        state = glob.glob(os.path.join(view.view_root, f"epoch={stop:05d}", "*.parquet"))
+        assert state and all(before.get(os.path.abspath(f)) for f in state), renames
+
+
 def test_maintained_view_follows_sealing_epochs(tmp_path):
     """The continuous-IVM loop: seal one epoch at a time, advance the
     persisted view after each seal, and at EVERY step the maintained

@@ -237,6 +237,18 @@ def test_lineage_manifest_written(fixture_small, tmp_path):
     assert {"epoch", "part", "rows", "files", "state_sha256", "input_seq"} <= set(entry)
 
 
+def test_lineage_is_published_fsynced(fixture_small, tmp_path, renames):
+    """Each ``lineage.json`` a two-epoch replay publishes is renamed
+    into place after its bytes were fsynced, as the commit log's own
+    files are: a host crash leaves the old manifest or the new one."""
+    fixture_dir, _, manifest = fixture_small
+    cfg = _cfg(tmp_path, "lake_lineage_fsync", manifest)
+    replay(fixture_dir, cfg, stop_after_epoch=1)
+    lineage = os.path.join(cfg.lake_root, "lineage.json")
+    synced = [ok for path, ok in renames if path == lineage]
+    assert len(synced) == 2 and all(synced), renames
+
+
 def test_pipelined_delta_replay_matches_sequential(fixture_small, tmp_path):
     """pipeline_epochs>1 runs a window of epochs per Dataset execution;
     final state must be sha-identical to one epoch per execution."""

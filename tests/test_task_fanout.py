@@ -15,7 +15,11 @@ and Ray Data runs only where a Dataset crosses the API.
   fragments, and any block count resolves to the same lake as the
   default read and as the same binlog applied through ``run_epoch``
   over a Dataset;
-- ``lake_lookup`` parses the commit log once per change of it.
+- ``lake_lookup`` parses the commit log once per change of it;
+- the Datasets the read surface returns (``lake_dataset``,
+  ``lake_changelog``, the reconcile detail, ``read_quarantine``, a
+  view's ``state``) start nothing until they are consumed, and a torn
+  lake file fails the read, not the call.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from ray.data._internal.execution.streaming_executor import StreamingExecutor
 from etl_reconciliate_ray.pipelines import replay as rp
 from etl_reconciliate_ray.pipelines.replay import (
     ReplayConfig,
+    _chains_payload,
     _scan,
     auto_salt_plan,
     bootstrap,
@@ -41,6 +46,8 @@ from etl_reconciliate_ray.pipelines.replay import (
     compact_feed,
     erase_key,
     export_changelog,
+    lake_changelog,
+    lake_dataset,
     lake_lookup,
     lake_state_hash,
     lake_table,
@@ -75,6 +82,21 @@ def executions(monkeypatch):
         seen.extend(started[before:])
 
     return count
+
+
+@pytest.fixture
+def per_part_tasks(monkeypatch):
+    """The ``_per_part`` tasks started while the test runs (their refs)."""
+    started: list = []
+    per_part = rp._per_part
+
+    def counted(items, part_fn):
+        refs = per_part(items, part_fn)
+        started.extend(refs)
+        return refs
+
+    monkeypatch.setattr(rp, "_per_part", counted)
+    return started
 
 
 def _events(seq0: int, n: int, keys: int, tag: str) -> pa.Table:
@@ -382,3 +404,81 @@ def test_lookups_on_an_unchanged_lake_parse_the_log_once(tmp_path, monkeypatch):
     for i in range(50):
         assert lake_lookup(cfg, "r", f"p{i % 20}")["content"].to_pylist() == [f"v{i % 20}"]
     assert len(opened) == 1
+
+
+def test_read_surface_is_lazy(tmp_path, executions, per_part_tasks):
+    """Building each Dataset of the read surface starts no Ray Data
+    execution and no ``_per_part`` task; consuming it reads the state
+    that was current when it was built."""
+    import pyarrow.compute as pc
+
+    from etl_reconciliate_ray.pipelines.reconcile_run import reconcile_incremental
+    from etl_reconciliate_ray.run import repo_view
+    from etl_reconciliate_ray.stages.normalize import make_normalizer
+    from etl_reconciliate_ray.stages.quarantine import quarantine_split, read_quarantine
+
+    binlog = tmp_path / "binlog"
+    binlog.mkdir()
+    for e in range(3):
+        pq.write_table(_events(e * 200, 200, 60, f"e{e}"), str(binlog / f"epoch={e:05d}.parquet"))
+    cfg = ReplayConfig(lake_root=str(tmp_path / "lake"), num_buckets=4)
+    replay_stream(str(binlog), cfg)
+    view = repo_view(cfg.lake_root)
+    view.advance(cfg.lake_root)
+    qdir = str(tmp_path / "dlq")
+    quarantine_split(rd.from_arrow(_events(0, 50, 60, "q")),
+                     [("deleted", lambda b: pc.equal(b["op"], "D"))], qdir).materialize()
+    snap = str(tmp_path / "snap.parquet")
+    pq.write_table(_events(0, 80, 60, "snap").drop_columns(["seq", "op"]), snap)
+
+    def reconcile():
+        ds = rd.read_parquet(snap).map_batches(make_normalizer(4), batch_format="pyarrow")
+        return reconcile_incremental(cfg.lake_root, ds, 4, snapshot_token="s1")
+
+    live = lake_table(cfg.lake_root).num_rows
+    per_part_tasks.clear()
+    with executions() as n:
+        uncompacted = lake_dataset(cfg.lake_root)
+        feed = lake_changelog(cfg.lake_root, from_epoch=1)
+    assert n == [] and per_part_tasks == []
+
+    compact(cfg)
+    counts = reconcile()[2]
+    per_part_tasks.clear()
+    with executions() as n:
+        compacted = lake_dataset(cfg.lake_root)
+        detail = reconcile()[0]
+        dead = read_quarantine(qdir)
+        state = view.state()
+    assert n == [] and per_part_tasks == []
+
+    assert uncompacted.count() == compacted.count() == live
+    assert feed.count() > 0
+    assert detail.count() == counts["n"].sum()
+    assert dead.count() == pc.sum(pc.equal(_events(0, 50, 60, "q")["op"], "D")).as_py()
+    assert state.count() == len(set(lake_table(cfg.lake_root)["repo"].to_pylist()))
+
+
+@pytest.mark.parametrize("compacted", [False, True])
+def test_a_torn_lake_file_fails_the_read_not_the_call(tmp_path, compacted):
+    """The chains are pinned at the call and the parts are read only
+    when the Dataset is consumed, so a truncated lake file raises from
+    the read, not from ``lake_dataset``/``lake_changelog``."""
+    binlog = tmp_path / "binlog"
+    binlog.mkdir()
+    for e in range(2):
+        pq.write_table(_events(e * 200, 200, 60, f"e{e}"), str(binlog / f"epoch={e:05d}.parquet"))
+    cfg = ReplayConfig(lake_root=str(tmp_path / "lake"), num_buckets=4)
+    replay_stream(str(binlog), cfg)
+    if compacted:
+        compact(cfg)
+    log = CommitLog.open(cfg.lake_root)
+    chain = next(iter(_chains_payload(log, log.latest_sealed_epoch()).values()))
+    with open(chain[-1]["files"][0], "r+b") as fh:
+        fh.truncate(8)
+
+    ds = lake_dataset(cfg.lake_root)
+    feed = lake_changelog(cfg.lake_root, from_epoch=None)
+    for built in (ds, feed):
+        with pytest.raises(Exception, match="(?i)parquet"):
+            built.materialize()
