@@ -49,6 +49,7 @@ Ray session ownership: these functions NEVER call ray.init/shutdown
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import time
@@ -145,21 +146,18 @@ def _commit_manifest_rows(
     entries, batch-append them under the (epoch, part) fence (ONE
     fsync), optionally seal the epoch (pipelined replay seals in epoch
     order after out-of-order commits)."""
-    import hashlib
-
     by_part: dict[int, list[dict]] = {}
     for r in rows:
         by_part.setdefault(int(r["part"]), []).append(r)
     entries = []
     for part, pieces in sorted(by_part.items()):
         pieces.sort(key=lambda r: r["file"])
-        combined = hashlib.sha256("".join(p["state_sha256"] for p in pieces).encode()).hexdigest()
         entries.append(PartEntry(
             epoch=epoch,
             part=part,
             files=tuple(p["file"] for p in pieces),
             rows=sum(int(p["rows"]) for p in pieces),
-            state_sha256=combined,
+            state_sha256=_part_state_sha256([(p["file"], p["state_sha256"]) for p in pieces]),
             input_seq=input_seq,
             kind=pieces[0].get("kind", "full"),
             rgs=tuple(int(p.get("rg", -1)) for p in pieces),
@@ -168,6 +166,13 @@ def _commit_manifest_rows(
     if seal:
         log.seal_epoch(epoch)
     return committed
+
+
+def _part_state_sha256(pieces: list[tuple[str, str]]) -> str:
+    """A part entry's state digest from its pieces' ``(file, digest)``:
+    sha256 of the digests joined in file order."""
+    joined = "".join(d for _, d in sorted(pieces, key=lambda p: p[0]))
+    return hashlib.sha256(joined.encode()).hexdigest()
 
 
 def _chains_payload(log: CommitLog, upto_epoch: int) -> dict[int, list[dict]]:
@@ -1523,8 +1528,6 @@ def erase_key(cfg_or_root, repo: str, path: str | None = None) -> dict:
     and ``key_history`` see the redacted state, ``lake_state_hash``
     changes, and downstream copies (changelog export spools, maintained
     views) must be erased by their own owners."""
-    import hashlib
-
     import pyarrow.parquet as pq
 
     from ..functions.hashing import buckets_for_key, table_state_sha256
@@ -1551,8 +1554,8 @@ def erase_key(cfg_or_root, repo: str, path: str | None = None) -> dict:
     rows_erased = pc.sum(_gather(_per_part(jobs, _erase_rewrite_file))["erased"]).as_py()
 
     # rebuild every entry that references a rewritten file: new names,
-    # recounted rows, recomputed state sha (per-piece digest combined in
-    # file order — the same scheme _commit_manifest_rows commits)
+    # recounted rows, recomputed state sha (_part_state_sha256, as
+    # _commit_manifest_rows commits it)
     replaced: list[PartEntry] = []
     for entry in log.all_entries():
         if not any(f in renames for f in entry.files):
@@ -1568,11 +1571,9 @@ def erase_key(cfg_or_root, repo: str, path: str | None = None) -> dict:
                 piece = pq.read_table(f)
             total += piece.num_rows
             pieces.append((f, table_state_sha256(piece, ("repo", "path"), "content_sha256")))
-        pieces.sort(key=lambda x: x[0])
-        combined = hashlib.sha256("".join(s for _, s in pieces).encode()).hexdigest()
         replaced.append(PartEntry(
             epoch=entry.epoch, part=entry.part, files=new_files, rows=total,
-            state_sha256=combined, input_seq=entry.input_seq, kind=entry.kind,
+            state_sha256=_part_state_sha256(pieces), input_seq=entry.input_seq, kind=entry.kind,
             rgs=entry.rgs,
         ))
     log.replace_entries(replaced)

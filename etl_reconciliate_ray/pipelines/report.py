@@ -11,10 +11,11 @@ output contract:
   (exact per-status counts + run metadata) — the machine-readable
   equivalent of the human notification.
 
-Writes are resumable: each partition directory is written through
-Ray's ``write_parquet`` and the summary is published last with an
-atomic rename — a consumer that sees ``summary.json`` sees a complete
-report (manifest-gated visibility, same discipline as the lake sink).
+Writes are resumable and durable: table files publish task-side
+through ``stages.writer.publish_parquet``, then each table's ``_DONE``
+and last ``summary.json`` through ``CommitLog._write_atomic`` — a
+consumer that sees ``summary.json`` sees a complete report, also after
+a host crash (manifest-gated visibility, as in the lake sink).
 
 Conditional row coloring (green/red on status, ``:122-124,143-145``)
 is presentation-only and out of engine scope (SURVEY.md §2.1 K1).
@@ -22,10 +23,15 @@ is presentation-only and out of engine scope (SURVEY.md §2.1 K1).
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import time
+
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..stages.writer import publish_file, publish_parquet
+from ..state.commitlog import CommitLog
 
 
 def write_report(detail_ds, rollup_ds, counts_df, out_dir: str, meta: dict | None = None) -> dict:
@@ -33,34 +39,18 @@ def write_report(detail_ds, rollup_ds, counts_df, out_dir: str, meta: dict | Non
 
     ``detail_ds`` / ``rollup_ds``: Ray Datasets (detail has a
     ``status`` column); ``counts_df``: the exact per-status counts
-    (pandas). Partitioned by status so discrepancy classes are
-    separately addressable and a completed table is skipped on re-run.
+    (pandas). Partitioned by status (``detail/status=<S>/``) so
+    discrepancy classes are separately addressable and a completed
+    table is skipped on re-run.
 
     Resume safety: a table directory WITHOUT its ``_DONE`` marker may
-    hold a crashed attempt's partial files (Ray names files
-    per-execution, so a blind rewrite would duplicate rows) — it is
+    hold a crashed attempt's files (named by content, but blocks follow
+    the CPU count, so a rerun may split rows differently) — it is
     cleared before rewriting; only ``_DONE``-marked directories skip.
     """
     t0 = time.monotonic()
-    os.makedirs(out_dir, exist_ok=True)
-
-    detail_dir = os.path.join(out_dir, "detail")
-    if not os.path.exists(os.path.join(detail_dir, "_DONE")):
-        shutil.rmtree(detail_dir, ignore_errors=True)  # drop partial attempt
-        # ONE pass, hive-partitioned by status: discrepancy classes are
-        # separately addressable (status=MATCHED/ is the bulk; consumers
-        # usually read only the small discrepancy partitions)
-        detail_ds.write_parquet(detail_dir, partition_cols=["status"])
-        with open(os.path.join(detail_dir, "_DONE"), "w") as fh:
-            fh.write("ok\n")
-
-    rollup_dir = os.path.join(out_dir, "rollup")
-    if not os.path.exists(os.path.join(rollup_dir, "_DONE")):
-        shutil.rmtree(rollup_dir, ignore_errors=True)
-        rollup_ds.write_parquet(rollup_dir)
-        with open(os.path.join(rollup_dir, "_DONE"), "w") as fh:
-            fh.write("ok\n")
-
+    _write_table(detail_ds, os.path.join(out_dir, "detail"), "status")
+    _write_table(rollup_ds, os.path.join(out_dir, "rollup"), None)
     summary = {
         "status_counts": {
             str(s): int(n) for s, n in zip(counts_df["status"], counts_df["n"])
@@ -69,11 +59,38 @@ def write_report(detail_ds, rollup_ds, counts_df, out_dir: str, meta: dict | Non
         "sec": round(time.monotonic() - t0, 3),
         **(meta or {}),
     }
-    tmp = os.path.join(out_dir, "summary.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-    os.replace(tmp, os.path.join(out_dir, "summary.json"))  # atomic publish
+    CommitLog._write_atomic(os.path.join(out_dir, "summary.json"), [summary])
     return summary
+
+
+def _write_table(ds, table_dir: str, split_col: str | None) -> None:
+    """Publish each block of ``ds`` (split by ``split_col`` into
+    ``<split_col>=<value>/`` files without that column) into
+    ``table_dir``, then its ``_DONE`` marker of ``rows`` and ``files``.
+    Both report tables are keyed, so no two blocks share a file."""
+    done = os.path.join(table_dir, "_DONE")
+    if os.path.exists(done):
+        return
+    shutil.rmtree(table_dir, ignore_errors=True)  # drop a partial attempt
+
+    def publish(block: pa.Table) -> pa.Table:
+        parts = {table_dir: block}
+        if split_col is not None and block.num_rows:
+            rest = block.drop_columns([split_col])
+            parts = {
+                os.path.join(table_dir, f"{split_col}={v}"): rest.filter(pc.equal(block[split_col], v))
+                for v in pc.unique(block[split_col]).to_pylist()
+            }
+        parts = {d: t for d, t in parts.items() if t.num_rows}
+        return pa.table({
+            "file": pa.array([publish_parquet(d, [t]) for d, t in parts.items()], pa.string()),
+            "rows": pa.array([t.num_rows for t in parts.values()], pa.int64()),
+        })
+
+    rows = ds.map_batches(publish, batch_format="pyarrow", batch_size=None).take_all()
+    published = {r["file"]: r["rows"] for r in rows}
+    os.makedirs(table_dir, exist_ok=True)  # an empty table publishes no file
+    CommitLog._write_atomic(done, [{"rows": sum(published.values()), "files": len(published)}])
 
 
 # Reference sheet layout (ExcelReportService.java:30-38,108-146): the
@@ -127,7 +144,7 @@ def render_report(out_dir: str, fmt: str = "csv", max_rows: int = _RENDER_MAX_RO
         for name, df in sheets.items():
             path = os.path.join(out_dir, f"report_{name}.csv")
             df.to_csv(path + ".tmp", index=False)
-            os.replace(path + ".tmp", path)
+            publish_file(path + ".tmp", path)
             written[name] = path
     elif fmt == "xlsx":
         try:
@@ -149,7 +166,7 @@ def render_report(out_dir: str, fmt: str = "csv", max_rows: int = _RENDER_MAX_RO
         with pd.ExcelWriter(tmp) as xw:
             for name, df in sheets.items():
                 df.to_excel(xw, sheet_name=name, index=False)
-        os.replace(tmp, path)  # atomic publish, like every other writer here
+        publish_file(tmp, path)
         written = {name: path for name in sheets}
     else:
         raise ValueError(f"unknown fmt {fmt!r} (csv|xlsx)")

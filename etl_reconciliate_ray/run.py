@@ -59,7 +59,7 @@ def _advance_repo_view(lake_root: str) -> int:
         return 0
     view = repo_view(lake_root)
     view.advance(lake_root)
-    return view.state().count()
+    return view.num_groups()
 
 
 def main(argv: list[str] | None = None) -> dict:

@@ -159,9 +159,8 @@ def register_sink(fmt: str, writer: Callable) -> None:
 
 def write_sink(ds, path: str, fmt: str = "parquet", **kwargs) -> None:
     """Write a Dataset through any registered sink format. Parquet is
-    the engine's contract format (partition_cols, resumable layouts —
-    see pipelines/report.write_report); csv/json exist for
-    interchange with row-oriented consumers."""
+    the engine's contract format; csv/json exist for interchange with
+    row-oriented consumers."""
     try:
         sink = SINKS[fmt]
     except KeyError:

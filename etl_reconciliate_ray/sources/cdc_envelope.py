@@ -10,14 +10,13 @@ repo, path, <payload cols...>``) so the standard replay path —
 commit-log fencing, LWW merge, schema evolution, follow mode — ingests
 Debezium-shaped streams unchanged.
 
-Scale shape: conversion is a map-only Arrow stage (``struct_field``
-gathers + one dictionary op remap; no per-row Python) run as its own
-distributed Dataset per epoch file; the write is ``repartition(1)``
-per epoch (an epoch is a producer micro-batch, bounded by contract —
-one task, never the driver). Conversion is RESUMABLE: finished epoch
-parquets are detected by name and skipped, and outputs publish via
-atomic rename, so a killed convert never leaves a half-written epoch
-for discovery to trip on.
+Scale shape: one plain task per epoch file (a producer micro-batch,
+bounded by contract) reads it once with ``pyarrow.json.read_json``,
+converts it with a map-only Arrow kernel (``struct_field`` gathers +
+one dictionary op remap; no per-row Python) and publishes the epoch
+through ``stages.writer.publish_parquet`` (fsync, then rename), so a
+killed convert never leaves a half-written epoch for discovery to trip
+on. Conversion is RESUMABLE: finished epochs are skipped by name.
 
 Additive schema evolution falls out naturally: every field of the
 ``after`` image is carried to the binlog row, so a field that appears
@@ -222,11 +221,13 @@ def convert_envelope_dir(
 ) -> list[str]:
     """Convert every ``*.jsonl`` epoch file under ``env_dir`` into a
     binlog epoch parquet under ``out_dir`` (same ``epoch=NNNNN`` stem),
-    ready for ``replay_stream``/``follow`` discovery. Distributed
-    (one map-only Dataset per epoch), resumable (existing outputs are
-    skipped), atomic and durable (tmp dir, fsync, rename publish; the
-    ``.empty`` marker through ``CommitLog._write_atomic``). Returns the
-    converted output paths (skipped ones included, in epoch order).
+    ready for ``replay_stream``/``follow`` discovery. One
+    ``replay._per_part`` task per pending file (``_convert_file``), in
+    name order, so a crash leaves the converted prefix discovery needs.
+    Resumable (existing outputs skipped, a crashed attempt's tmp files
+    removed) and durable (``publish_parquet``; the ``.empty`` marker
+    through ``CommitLog._write_atomic``). Returns the converted output
+    paths (skipped ones included, in epoch order).
 
     ``on_error``: ``"raise"`` (default) fails the epoch on the first
     contract-violating row; ``"quarantine"`` dead-letters violating
@@ -236,11 +237,8 @@ def convert_envelope_dir(
     (the producer contract is atomic-rename publish of complete
     epochs)."""
     import logging
-    import shutil
 
-    import ray.data as rd
-
-    from ..stages.writer import publish_file
+    from ..pipelines.replay import _gather, _per_part
     from ..state.commitlog import CommitLog
 
     if on_error not in ("raise", "quarantine"):
@@ -250,81 +248,58 @@ def convert_envelope_dir(
     files = sorted(glob.glob(os.path.join(env_dir, "*.jsonl")))
     if not files:
         raise ValueError(f"cdc envelope: no *.jsonl epoch files under {env_dir}")
+    qdir = os.path.join(out_dir, "_quarantine")
     for f in files:
         stem = re.sub(r"\.jsonl$", "", os.path.basename(f))
         out = os.path.join(out_dir, f"{stem}.parquet")
         outs.append(out)
-        # <stem>.empty marks an epoch whose every row was dead-lettered:
-        # no binlog file to discover (an empty parquet has no seq footer
-        # stats), but the conversion must not re-run every poll
+        # <stem>.parquet.empty marks an epoch without binlog rows: no
+        # file to discover (an empty parquet has no seq footer stats),
+        # but the conversion must not re-run every poll
         if os.path.exists(out):
             continue
         if os.path.exists(out + ".empty"):
             outs.pop()
             continue
-        tmp = os.path.join(out_dir, f"_tmp_{stem}")
-        shutil.rmtree(tmp, ignore_errors=True)
-        convert = (
-            envelope_to_binlog if on_error == "raise"
-            else (lambda b: split_envelope_batch(b)[0])
-        )
-        (
-            rd.read_json(f)
-            .map_batches(convert, batch_format="pyarrow")
-            .repartition(1)  # one epoch file = one discovery unit
-            .write_parquet(tmp)
-        )
-        if on_error == "quarantine":
-            # second bounded pass over the (micro-batch) epoch gathers
-            # the dead letters; runs BEFORE the epoch publishes so a
-            # crash between the two never loses the quarantine record
-            dead = (
-                rd.read_json(f)
-                .map_batches(
-                    lambda b: split_envelope_batch(b)[1], batch_format="pyarrow"
-                )
+        for stale in glob.glob(out + ".tmp*") + glob.glob(os.path.join(qdir, f"{stem}.parquet.tmp*")):
+            os.remove(stale)
+        done = _gather(_per_part([(f, out, qdir, on_error)], _convert_file)).to_pylist()[0]
+        if done["dead"]:
+            logging.getLogger(__name__).warning(
+                "cdc envelope: %d contract-violating row(s) in %s "
+                "dead-lettered to %s", done["dead"], f, qdir,
             )
-            n_dead = dead.count()
-            if n_dead:
-                qdir = os.path.join(out_dir, "_quarantine")
-                os.makedirs(qdir, exist_ok=True)
-                qtmp = os.path.join(qdir, f"_tmp_{stem}")
-                shutil.rmtree(qtmp, ignore_errors=True)
-                dead.repartition(1).write_parquet(qtmp)
-                qpart = sorted(os.listdir(qtmp))
-                publish_file(os.path.join(qtmp, qpart[0]), os.path.join(qdir, f"{stem}.parquet"))
-                shutil.rmtree(qtmp, ignore_errors=True)
-                logging.getLogger(__name__).warning(
-                    "cdc envelope: %d contract-violating row(s) in %s "
-                    "dead-lettered to %s", n_dead, f, qdir,
-                )
-        # an all-dead-letter epoch may write nothing at all (Ray skips
-        # the dir for a zero-row dataset) — treat missing same as empty
-        part = (
-            sorted(p for p in os.listdir(tmp) if p.endswith(".parquet"))
-            if os.path.isdir(tmp) else []
-        )
-        if not part or _pq_num_rows(os.path.join(tmp, part[0])) == 0:
-            # every row dead-lettered: publish the empty marker instead
-            # of a statless parquet that epoch discovery cannot read
+        if not done["rows"]:
             outs.pop()
             CommitLog._write_atomic(out + ".empty", [])
-            shutil.rmtree(tmp, ignore_errors=True)
-            continue
-        if len(part) != 1:  # repartition(1) contract
-            raise RuntimeError(f"expected one part in {tmp}, got {part}")
-        # fsynced first: a torn epoch parquet after a host crash would
-        # cut discovery at it on every poll, and conversion skips an
-        # existing output
-        publish_file(os.path.join(tmp, part[0]), out)
-        shutil.rmtree(tmp, ignore_errors=True)
     return outs
 
 
-def _pq_num_rows(path: str) -> int:
-    import pyarrow.parquet as pq
+def _convert_file(item: tuple[str, str, str, str]) -> pa.Table:
+    """One envelope file's task: read it once as one block (a row past
+    pyarrow's default block still parses), split it once, publish its
+    dead letters, then its binlog rows (a crash between the two never
+    loses the quarantine record). Returns ``(rows, dead)``."""
+    import pyarrow.json as pajson
 
-    return pq.ParquetFile(path).metadata.num_rows
+    from ..stages.writer import publish_parquet
+
+    f, out, qdir, on_error = item
+    size = os.path.getsize(f)  # pyarrow refuses a zero-byte file; it has no rows
+    t = pajson.read_json(f, read_options=pajson.ReadOptions(block_size=size)) if size else pa.table({})
+    if not t.num_rows:
+        return pa.table({"rows": [0], "dead": [0]})
+    name = os.path.basename(out)
+    if on_error == "raise":
+        good, n_dead = envelope_to_binlog(t), 0
+    else:
+        good, dead = split_envelope_batch(t)
+        n_dead = dead.num_rows
+        if n_dead:
+            publish_parquet(qdir, [dead], name=name)
+    if good.num_rows:
+        publish_parquet(os.path.dirname(out), [good], name=name)
+    return pa.table({"rows": [good.num_rows], "dead": [n_dead]})
 
 
 def export_feed_envelopes(feed_dir: str, out_dir: str) -> list[str]:

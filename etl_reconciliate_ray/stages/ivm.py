@@ -235,17 +235,23 @@ class MaintainedView:
         with open(p) as fh:
             return int(fh.read().strip())
 
+    def _state_files(self) -> list[str]:
+        ep = self.current_epoch()
+        if ep is None:
+            raise ValueError(f"view at {self.view_root} has no published state")
+        return sorted(glob.glob(os.path.join(self.view_root, f"epoch={ep:05d}", "*.parquet")))
+
     def state(self):
         """The current view state as a lazy Dataset of exactly ``keys``
         + measures (raises if never bootstrapped); an empty view, where
         no group is live, has no state file and no columns."""
         from ..pipelines.replay import _read_dataset
 
-        ep = self.current_epoch()
-        if ep is None:
-            raise ValueError(f"view at {self.view_root} has no published state")
-        files = sorted(glob.glob(os.path.join(self.view_root, f"epoch={ep:05d}", "*.parquet")))
-        return _read_dataset(files, pq.read_table, pa.table({}))
+        return _read_dataset(self._state_files(), pq.read_table, pa.table({}))
+
+    def num_groups(self) -> int:
+        """The state's group count, from its files' footers."""
+        return sum(pq.read_metadata(f).num_rows for f in self._state_files())
 
     def _publish(self, new_state, epoch: int) -> None:
         out = os.path.join(self.view_root, f"epoch={epoch:05d}")

@@ -38,11 +38,12 @@ Every data file the engine writes goes through ``publish_parquet``:
   bucket) and the per-part detail spill (caller-named per part);
 - quarantine's dead-letter files;
 - a maintained view's state files (``MaintainedView._publish``, on
-  the driver, one per block of the state, before ``_CURRENT`` moves).
+  the driver, one per block of the state, before ``_CURRENT`` moves);
+- converted envelope epochs and their dead letters (caller-named);
+- the report's tables, before each table's ``_DONE``.
 
-Files written some other way — the envelope conversion's Ray Data
-parquet and its dead letters, the exported JSONL envelope parts — are
-published by the same fsync-then-rename, ``publish_file``.
+Other files — the exported JSONL envelope parts, the report's csv and
+xlsx renders — publish by the same fsync-then-rename, ``publish_file``.
 """
 
 from __future__ import annotations

@@ -243,15 +243,9 @@ class TxnCoordinator(Journal):
         t = self._txns.get(txn_id)
         if t is None or t.status != "prepared":
             raise ValueError(f"txn {txn_id} is not in-doubt")
-        removed_files = []
-        for name, spec in sorted(t.tables.items()):
-            log = CommitLog.open(spec["root"])
-            for f in log.drop_unsealed_epoch(spec["epoch"]):
-                if os.path.exists(f):
-                    os.remove(f)
-                removed_files.append(f)
+        removed = _drop_staged(t.tables)
         self._record_decision(txn_id, "ABORT")
-        return {"txn_id": txn_id, "files_removed": len(removed_files)}
+        return {"txn_id": txn_id, "files_removed": removed}
 
     def snapshot_epochs(self) -> dict[str, dict]:
         """The consistent cross-table cut: committed txns applied in
@@ -366,15 +360,21 @@ class MultiTableTxn:
         before the COMMIT mark."""
         if self._prepared:
             return self.coordinator.abort_prepared(self.txn_id)
-        removed = 0
-        for _, spec in sorted(self._staged.items()):
-            log = CommitLog.open(spec["root"])
-            for f in log.drop_unsealed_epoch(spec["epoch"]):
-                if os.path.exists(f):
-                    os.remove(f)
-                removed += 1
+        removed = _drop_staged(self._staged)
         self._staged.clear()
         return {"txn_id": self.txn_id, "files_removed": removed}
+
+
+def _drop_staged(tables: dict[str, dict]) -> int:
+    """Drop each table's unsealed staged epoch from its lake log, then
+    delete its files; returns how many the dropped epochs named."""
+    removed = 0
+    for _, spec in sorted(tables.items()):
+        for f in CommitLog.open(spec["root"]).drop_unsealed_epoch(spec["epoch"]):
+            if os.path.exists(f):
+                os.remove(f)
+            removed += 1
+    return removed
 
 
 def read_snapshot(coordinator: TxnCoordinator, columns: dict[str, list[str]] | None = None) -> dict:

@@ -76,13 +76,13 @@ def test_convert_is_resumable_and_atomic(env_fixture, ray_session):
     again = convert_envelope_dir(str(root / "env"), out)
     assert again == first
     assert {p: os.path.getmtime(p) for p in first} == mtimes  # skipped, not rewritten
-    assert not [d for d in os.listdir(out) if d.startswith("_tmp_")]
+    assert not [d for d in os.listdir(out) if ".tmp" in d]
 
 
 def test_convert_recovers_from_crashed_tmp(env_fixture, ray_session):
-    """A crash mid-convert leaves a _tmp_<stem> dir (possibly with
-    garbage); the retry must rebuild that epoch cleanly and publish
-    byte-identical output."""
+    """A crash mid-convert leaves a ``<stem>.parquet.tmp<pid>`` file
+    (possibly with garbage); the retry must rebuild that epoch cleanly,
+    publish byte-identical output and remove the stale tmp."""
     import hashlib
 
     root = env_fixture["root"]
@@ -92,8 +92,8 @@ def test_convert_recovers_from_crashed_tmp(env_fixture, ray_session):
         for p in convert_envelope_dir(str(root / "env"), clean)
     }
     crashed = str(root / "binlog_conv4")
-    os.makedirs(os.path.join(crashed, "_tmp_epoch=00001"))
-    with open(os.path.join(crashed, "_tmp_epoch=00001", "garbage.parquet"), "w") as fh:
+    os.makedirs(crashed)
+    with open(os.path.join(crashed, "epoch=00001.parquet.tmp999"), "w") as fh:
         fh.write("not parquet")
     got_paths = convert_envelope_dir(str(root / "env"), crashed)
     got = {
@@ -101,7 +101,7 @@ def test_convert_recovers_from_crashed_tmp(env_fixture, ray_session):
         for p in got_paths
     }
     assert got == want
-    assert not [d for d in os.listdir(crashed) if d.startswith("_tmp_")]
+    assert not [d for d in os.listdir(crashed) if ".tmp" in d]
 
 
 def test_envelope_kernel_flat_and_nested(ray_session):
@@ -621,11 +621,25 @@ def test_trigger_envelope_ingest_export_chain(env_fixture, tmp_path, ray_session
         assert os.path.exists(os.path.join(feed_t, "feed", s, "_SEALED"))
 
 
-def test_convert_publishes_only_fsynced_files(ray_session, tmp_path, renames):
+def _convert_on_driver(monkeypatch) -> None:
+    """Run ``_per_part`` bodies in this process, where monkeypatches
+    and the ``renames`` fixture see them."""
+    import ray
+
+    from etl_reconciliate_ray.pipelines import replay as replay_mod
+
+    monkeypatch.setattr(replay_mod, "_per_part",
+                        lambda items, fn: [ray.put(replay_mod._run_parts(fn, items))])
+
+
+def test_convert_publishes_only_fsynced_files(ray_session, tmp_path, renames, monkeypatch):
     """Every file conversion publishes (the epoch parquet, its
     dead-letter parquet, an all-dead-letter epoch's ``.empty`` marker)
     is renamed into place after its bytes were fsynced: a torn epoch
-    parquet left by a host crash would wedge follow mode for good."""
+    parquet left by a host crash would wedge follow mode for good. The
+    per-file task body runs on the driver here, where ``renames``
+    sees its renames."""
+    _convert_on_driver(monkeypatch)
     env = tmp_path / "env"
     env.mkdir()
     for epoch, bad in ((0, {1}), (1, {0, 1})):  # one mixed, one all-bad epoch
@@ -651,3 +665,50 @@ def test_convert_publishes_only_fsynced_files(ray_session, tmp_path, renames):
         )
     }
     assert on_disk <= set(published) and all(published.values()), published
+
+
+def test_convert_reads_a_row_longer_than_the_default_block(ray_session, tmp_path, monkeypatch):
+    """One JSONL row past pyarrow's 1 MiB default block converts: the
+    file is read as one block that spans it, once per file."""
+    import pyarrow.json as pajson
+
+    _convert_on_driver(monkeypatch)
+    calls = []
+    read_json = pajson.read_json
+    monkeypatch.setattr(pajson, "read_json", lambda *a, **kw: calls.append(a) or read_json(*a, **kw))
+    env = tmp_path / "env"
+    env.mkdir()
+    long = "x" * (3 << 20)
+    for epoch in range(2):
+        with open(env / f"epoch={epoch:05d}.jsonl", "w") as fh:
+            for i, content in enumerate((long, "short")):
+                fh.write(json.dumps({
+                    "op": "c", "before": None,
+                    "after": {"repo": "r", "path": f"p{epoch}-{i}", "content": content},
+                    "source": {"seq": epoch * 10 + i},
+                }) + "\n")
+    outs = convert_envelope_dir(str(env), str(tmp_path / "out"))
+    assert len(calls) == 2
+    t = pq.read_table(outs[0])
+    assert t["content"].to_pylist() == [long, "short"] and t["seq"].to_pylist() == [0, 1]
+
+
+def test_convert_zero_byte_file_publishes_empty_marker(ray_session, tmp_path):
+    """A zero-byte JSONL epoch (pyarrow refuses it as an empty JSON
+    file) has no rows: it publishes ``<stem>.parquet.empty``, and a
+    later call neither converts it again nor lists it."""
+    env = tmp_path / "env"
+    env.mkdir()
+    (env / "epoch=00000.jsonl").write_text("")
+    with open(env / "epoch=00001.jsonl", "w") as fh:
+        fh.write(json.dumps({"op": "c", "after": {"repo": "r", "path": "p"},
+                             "source": {"seq": 1}}) + "\n")
+    out = str(tmp_path / "out")
+    outs = convert_envelope_dir(str(env), out)
+    assert outs == [os.path.join(out, "epoch=00001.parquet")]
+    marker = os.path.join(out, "epoch=00000.parquet.empty")
+    assert os.path.exists(marker)
+    mtime = os.path.getmtime(marker)
+    assert convert_envelope_dir(str(env), out) == outs
+    assert os.path.getmtime(marker) == mtime
+    assert sorted(os.listdir(out)) == ["epoch=00000.parquet.empty", "epoch=00001.parquet"]

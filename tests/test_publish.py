@@ -8,17 +8,26 @@ sites that go through it.
   changes) holds exactly ``lake_changelog``'s rows;
 - the changelog does not report an unchanged null-content key;
 - the segment's ``_SEALED`` and a view's ``_CURRENT`` markers are
-  fsynced before they are renamed into place.
+  fsynced before they are renamed into place;
+- the report's ``_DONE`` markers, ``summary.json`` and csv render are
+  fsynced before their rename, and a crash at each of its durable
+  steps, then a rerun with other block splits, leaves exact tables;
+- the CLI's repo view is counted from its state files' footers;
+- no package module but the catalog's sink registry and the bench
+  fixture generator calls Ray Data's ``write_parquet``.
 """
 
 from __future__ import annotations
 
 import glob
+import json
 import os
 from collections import Counter
 
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 import ray.data as rd
 
 from etl_reconciliate_ray.pipelines.replay import (
@@ -27,7 +36,9 @@ from etl_reconciliate_ray.pipelines.replay import (
     lake_changelog,
     replay_stream,
 )
+from etl_reconciliate_ray.pipelines.report import render_report, write_report
 from etl_reconciliate_ray.stages.writer import publish_parquet
+from etl_reconciliate_ray.state.commitlog import Journal
 
 
 def _binlog_epoch(binlog, e: int, rows: list[tuple]) -> None:
@@ -163,3 +174,123 @@ def test_markers_are_fsynced_before_they_publish(tmp_path, monkeypatch):
     assert os.path.realpath(os.path.join(seg, "_SEALED")) in durable
     assert os.path.realpath(os.path.join(view.view_root, "_CURRENT")) in durable
     assert view.current_epoch() == 1  # the first engine epoch without a seed
+
+
+_STATUSES = ("MATCHED", "MISMATCH", "MISSING_RIGHT")
+
+
+def _report_inputs(blocks: int):
+    """A detail (``status`` column) and a rollup Dataset of ``blocks``
+    blocks each, and the exact per-status counts."""
+    n = 90
+    detail = pa.table({
+        "repo": [f"r{i % 5}" for i in range(n)],
+        "path": [f"p{i}" for i in range(n)],
+        "status": [_STATUSES[min(i % 7, 2)] for i in range(n)],  # uneven counts
+    })
+    rollup = pa.table({"repo": [f"r{i}" for i in range(5)], "n": list(range(5))})
+
+    def split(t: pa.Table) -> list[pa.Table]:
+        step = -(-t.num_rows // blocks)
+        return [t.slice(i, step) for i in range(0, t.num_rows, step)]
+
+    return rd.from_arrow(split(detail)), rd.from_arrow(split(rollup)), Counter(detail["status"].to_pylist())
+
+
+def _counts_df(counts: Counter) -> pd.DataFrame:
+    return pd.DataFrame({"status": list(counts), "n": list(counts.values())})
+
+
+def _assert_report(out: str, counts: Counter) -> None:
+    for s, n in counts.items():
+        t = pq.read_table(os.path.join(out, "detail", f"status={s}"))
+        assert t.num_rows == n and "status" not in t.column_names, s
+    assert pq.read_table(os.path.join(out, "rollup")).num_rows == 5
+    with open(os.path.join(out, "detail", "_DONE")) as fh:
+        assert json.load(fh)["rows"] == sum(counts.values())
+    with open(os.path.join(out, "summary.json")) as fh:
+        assert json.load(fh)["status_counts"] == dict(counts)
+
+
+def test_report_markers_are_fsynced_before_they_publish(tmp_path, renames):
+    """A ``_DONE`` or ``summary.json`` whose bytes are not durable can
+    name a table that a host crash lost."""
+    detail, rollup, counts = _report_inputs(3)
+    out = str(tmp_path / "report")
+    write_report(detail, rollup, _counts_df(counts), out)
+    render_report(out, fmt="csv")
+    published = dict(renames)
+    for name in ("detail/_DONE", "rollup/_DONE", "summary.json",
+                 "report_lotes.csv", "report_detalle.csv"):
+        assert published.get(os.path.join(out, name)) is True, (name, published)
+    _assert_report(out, counts)
+
+
+class _Crash(Exception):
+    pass
+
+
+@pytest.mark.parametrize("crash_at", [1, 2, 3])
+def test_report_crash_then_rerun_is_exact(tmp_path, monkeypatch, crash_at):
+    """Crash at each of the report's durable steps (the detail's and
+    the rollup's ``_DONE``, ``summary.json``), hooked on
+    ``Journal._write_atomic``; a rerun whose blocks split the rows
+    differently must leave each ``detail/status=S`` with exactly
+    ``counts[S]`` rows, not a crashed attempt's files as well."""
+    out = str(tmp_path / "report")
+    seen: list[str] = []
+    write_atomic = Journal._write_atomic
+
+    def hooked(path, recs):
+        seen.append(os.path.relpath(path, out))
+        if len(seen) == crash_at:
+            raise _Crash(path)
+        write_atomic(path, recs)
+
+    monkeypatch.setattr(Journal, "_write_atomic", staticmethod(hooked))
+    detail, rollup, counts = _report_inputs(3)
+    with pytest.raises(_Crash):
+        write_report(detail, rollup, _counts_df(counts), out)
+    assert seen == ["detail/_DONE", "rollup/_DONE", "summary.json"][:crash_at]
+    monkeypatch.undo()
+    detail, rollup, _ = _report_inputs(2)
+    write_report(detail, rollup, _counts_df(counts), out)
+    _assert_report(out, counts)
+
+
+def test_repo_view_count_reads_no_state(tmp_path, monkeypatch):
+    """``run._advance_repo_view`` counts the view's groups from its
+    state files' footers: at the head, with the read surface's Dataset
+    unavailable, it still answers."""
+    from etl_reconciliate_ray.pipelines import replay as replay_mod
+    from etl_reconciliate_ray.run import _advance_repo_view
+
+    binlog = tmp_path / "binlog"
+    binlog.mkdir()
+    cfg = ReplayConfig(lake_root=str(tmp_path / "lake"), num_buckets=2)
+    _binlog_epoch(binlog, 0, [("I", f"r{i % 3}", f"p{i}", f"v{i}") for i in range(9)])
+    replay_stream(str(binlog), cfg)
+    assert _advance_repo_view(cfg.lake_root) == 3
+
+    def no_read(*a, **kw):
+        raise AssertionError("the view count read the state")
+
+    monkeypatch.setattr(replay_mod, "_read_dataset", no_read)
+    assert _advance_repo_view(cfg.lake_root) == 3
+
+
+def test_no_second_parquet_publish_path():
+    """Every data file the package writes goes through
+    ``publish_parquet``; Ray Data's ``write_parquet`` is left to the
+    catalog's sink registry and the bench fixture generator."""
+    import etl_reconciliate_ray
+
+    pkg = os.path.dirname(etl_reconciliate_ray.__file__)
+    allowed = {os.path.join("sources", "catalog.py"), "bench_fixture.py"}
+    found = []
+    for f in glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True):
+        rel = os.path.relpath(f, pkg)
+        with open(f) as fh:
+            if ".write_parquet(" in fh.read() and rel not in allowed:
+                found.append(rel)
+    assert not found, found
