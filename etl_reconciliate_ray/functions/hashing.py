@@ -251,7 +251,8 @@ def key_strings(repo: pa.Array | pa.ChunkedArray, path: pa.Array | pa.ChunkedArr
     return pc.binary_join_element_wise(repo, path, "\x00")
 
 
-def table_state_sha256(tbl: pa.Table, key_cols: tuple[str, ...], value_col: str) -> str:
+def table_state_sha256(tbl: pa.Table, key_cols: tuple[str, ...], value_col: str,
+                       ordered: bool = False) -> str:
     """Order-insensitive digest of a table's (key -> value-hash) state.
 
     Used for partition-level lineage hashes and for the kill/restart
@@ -262,7 +263,9 @@ def table_state_sha256(tbl: pa.Table, key_cols: tuple[str, ...], value_col: str)
     value columns with separators (Arrow C kernel), then ONE sha256
     over the combined column's offsets+data buffers — no per-row
     Python. Every piece write calls this per bucket slice, so it must
-    run at memory bandwidth, not interpreter speed.
+    run at memory bandwidth, not interpreter speed. ``ordered``: ``tbl``
+    is already in that canonical order (ascending keys, nulls last, as
+    ``pc.sort_indices`` orders them), so the sort is skipped.
     """
     if tbl.num_rows == 0:
         return hashlib.sha256(b"EMPTY").hexdigest()
@@ -270,7 +273,8 @@ def table_state_sha256(tbl: pa.Table, key_cols: tuple[str, ...], value_col: str)
     # the canonical-order copy never moves the content payload bytes
     # (the digest runs per delta slice on the bandwidth-bound hot path)
     tbl = tbl.select([*key_cols, value_col])
-    tbl = tbl.sort_by([(c, "ascending") for c in key_cols])
+    if not ordered:
+        tbl = tbl.sort_by([(c, "ascending") for c in key_cols])
     cols = [
         pc.fill_null(pc.cast(tbl[c], pa.large_string()), "\x00NULL\x00")
         for c in (*key_cols, value_col)

@@ -174,13 +174,6 @@ def char_shingles(text: str, k: int = 5) -> np.ndarray:
     return np.unique(flat)
 
 
-def word_ngrams(text: str, n: int = 3) -> set[str]:
-    toks = tokens(text)
-    if len(toks) < n:
-        return {" ".join(toks)} if toks else set()
-    return {" ".join(toks[i : i + n]) for i in range(len(toks) - n + 1)}
-
-
 def jaccard(a: set, b: set) -> float:
     if not a and not b:
         return 1.0

@@ -58,16 +58,17 @@ def status_counts(partials: pa.Table) -> pd.DataFrame:
     })
 
 
-def _spool_bucketed(ds, spool_dir: str, columns: list[str]) -> dict[int, list[tuple[str, int]]]:
+def _spool_bucketed(ds, spool_dir: str, columns: list[str]) -> dict[int, list[tuple]]:
     """Spool a (already bucket-tagged) Dataset to disk partitioned by
-    bucket: one file per input block, one row group per bucket slice —
-    the direct-write layout, so cogroup tasks later read exactly their
+    bucket: one file per input block, one slice per bucket — the
+    direct-write layout, so cogroup tasks later read exactly their
     bucket's row groups with no shuffle. Each file is named by its
     content (``snap-<digest>.parquet``, ``publish_parquet``), so
     spooling the same snapshot again leaves the same file set, and two
     blocks with equal rows share one file that both list. Returns
-    part -> [(file, rg)]."""
-    from ..stages.writer import publish_parquet
+    part -> [(file, rgs element)], as a lake link addresses a slice."""
+    from ..stages.merge import rg_spec
+    from ..stages.writer import group_spans, publish_parquet
 
     os.makedirs(spool_dir, exist_ok=True)
 
@@ -79,20 +80,22 @@ def _spool_bucketed(ds, spool_dir: str, columns: list[str]) -> dict[int, list[tu
         gb = t["bucket"].to_numpy(zero_copy_only=False).astype("int64")
         starts = np.concatenate([[0], np.flatnonzero(np.diff(gb)) + 1]).astype(np.int64)
         ends = np.append(starts[1:], len(gb))
-        # one row group per bucket slice: the rg ordinals index them
-        fname = publish_parquet(
-            spool_dir, [t.slice(int(s), int(e - s)) for s, e in zip(starts, ends)], "snap"
-        )
+        slices = [t.slice(int(s), int(e - s)) for s, e in zip(starts, ends)]
+        fname = publish_parquet(spool_dir, slices, "snap")
+        spans = group_spans(slices)
         return pa.table({
             "part": pa.array(gb[starts], pa.int64()),
             "file": pa.array([fname] * len(starts), pa.string()),
-            "rg": pa.array(np.arange(len(starts)), pa.int64()),
+            "rg": pa.array([first for first, _ in spans], pa.int64()),
+            "rg_count": pa.array([count for _, count in spans], pa.int64()),
         })
 
     rows = ds.map_batches(spool, batch_format="pyarrow", batch_size=None).take_all()
-    out: dict[int, list[tuple[str, int]]] = {}
+    out: dict[int, list[tuple]] = {}
     for r in rows:
-        out.setdefault(int(r["part"]), []).append((r["file"], int(r["rg"])))
+        out.setdefault(int(r["part"]), []).append(
+            (r["file"], rg_spec(int(r["rg"]), int(r["rg_count"])))
+        )
     return out
 
 
@@ -104,14 +107,14 @@ def _make_cogroup_fn(spill: str, cols: list[str]):
     (deterministic per-part file name — a retry or an incremental
     recompute overwrites its own output idempotently), and return only
     tiny (part, repo, status, n) partial-count rows."""
-    from ..stages.merge import _pqfile, read_chain
+    from ..stages.merge import read_chain, read_slice
     from ..stages.reconcile import reconcile_pair_pdf
     from ..stages.writer import publish_parquet
 
     def cogroup_part(item: dict) -> pa.Table:
         part = int(item["part"])
         lake = read_chain(item["chain"], columns=cols, part=part)
-        snaps = [_pqfile(f).read_row_group(rg, columns=cols) for f, rg in item["snap"]]
+        snaps = [read_slice(f, spec, cols) for f, spec in item["snap"]]
         sides = [t for t in [lake, *snaps] if t is not None]
         name = f"detail-part{part:05d}.parquet"
         fname = os.path.join(spill, name)
@@ -317,11 +320,14 @@ def _reconcile(lake_root, snapshot_ds, num_buckets, salt_for_repo, state_dir, sn
         )
         state = {
             "snapshot_token": snapshot_token,
-            "snap_map": {str(p): rgs for p, rgs in snap_map.items()},
+            "snap_map": {str(p): slices for p, slices in snap_map.items()},
             "parts": {},  # snapshot changed -> everything is dirty
         }
         CommitLog._write_atomic(state_path, [state])
-    snap_map = {int(p): [tuple(x) for x in rgs] for p, rgs in state["snap_map"].items()}
+    snap_map = {
+        int(p): [(f, tuple(spec) if isinstance(spec, list) else spec) for f, spec in slices]
+        for p, slices in state["snap_map"].items()
+    }
 
     chains = _chains_payload(log, upto_epoch=log.latest_sealed_epoch())
     parts = sorted(set(chains) | set(snap_map))

@@ -62,10 +62,10 @@ import pyarrow.compute as pc
 from ..functions.hashing import retag_bucket, sha256_hex_array, table_state_sha256
 from ..stages.lww import winner_index
 from ..stages.merge import LAKE_COLS, _epoch_tagged, _file_schema, _order, _unify_concat
-from ..stages.merge import key_codes, read_chain, read_links
+from ..stages.merge import key_codes, key_mask, read_chain, read_links, read_slice, rg_spec
 from ..stages.normalize import bind_null_strings
 from ..stages.reconcile import STATUS_MISSING_LEFT, STATUS_MISSING_RIGHT, reconcile_pair_pdf
-from ..stages.writer import publish_parquet, write_piece_local
+from ..stages.writer import group_spans, publish_parquet, write_piece_local
 from ..state.commitlog import CommitLog, PartEntry
 
 # input_seq marker stamped on MAINTENANCE (compaction) entries: lets a
@@ -160,12 +160,19 @@ def _commit_manifest_rows(
             state_sha256=_part_state_sha256([(p["file"], p["state_sha256"]) for p in pieces]),
             input_seq=input_seq,
             kind=pieces[0].get("kind", "full"),
-            rgs=tuple(int(p.get("rg", -1)) for p in pieces),
+            rgs=tuple(_rgs_of(p) for p in pieces),
         ))
     committed = log.commit_parts(entries)
     if seal:
         log.seal_epoch(epoch)
     return committed
+
+
+def _rgs_of(row: dict):
+    """A manifest row's ``rgs`` element: its slice's row groups
+    (``rg`` first, ``rg_count`` of them), or -1, the whole file, for a
+    row that names none (a base piece)."""
+    return rg_spec(int(row.get("rg", -1)), int(row.get("rg_count") or 1))
 
 
 def _part_state_sha256(pieces: list[tuple[str, str]]) -> str:
@@ -1015,9 +1022,9 @@ def _apply_epochs(
         """Write this block's partial deltas straight to the lake:
         data never leaves the task (read -> CPU -> disk; no shuffle,
         no object-store round trip). One file per (task, epoch) with
-        one row group per bucket slice so chain readers prune by the
-        ``bucket`` filter (``publish_parquet``: content-addressed, so a
-        retried task re-derives the same name — idempotent). With
+        one slice per bucket, sorted by (repo, path) and addressed by
+        its row-group span (``publish_parquet``: content-addressed, so
+        a retried task re-derives the same name — idempotent). With
         the default block rule a single-file epoch is one block, so
         this writes exactly one piece per (epoch, bucket) link.
 
@@ -1040,7 +1047,16 @@ def _apply_epochs(
         codes = key_codes(batch["repo"], batch["path"])
         ncodes = int(codes.max()) + 1
         nb = int(gb0.max()) + 1
-        winners = winner_index((ge0 * nb + gb0) * ncodes + codes, seq0)
+        gid = ge0 * nb + gb0
+        winners = winner_index(gid * ncodes + codes, seq0)
+        # each (epoch, bucket) slice in (repo, path) order, the digest's
+        # canonical order: the slice digests without a sort of its own,
+        # and its capped row groups get narrow key ranges to prune by
+        by_key = pc.sort_indices(pa.table({
+            "gid": gid[winners],
+            "repo": batch["repo"].take(winners), "path": batch["path"].take(winners),
+        }), sort_keys=[("gid", "ascending"), ("repo", "ascending"), ("path", "ascending")])
+        winners = winners[by_key.to_numpy()]
         t = batch.take(pa.array(winners))  # the ONE content gather
         if "content_sha256" not in t.column_names:
             t = t.append_column("content_sha256", sha256_hex_array(t["content"]))
@@ -1055,24 +1071,22 @@ def _apply_epochs(
         t = t.select(order)  # the delta column contract (zero-copy)
         ge = ge0[winners]
         gb = gb0[winners]
-        sid = ge * nb + gb  # winners come ascending by group id => (epoch, bucket) asc
+        sid = ge * nb + gb  # winners are sorted by group id => (epoch, bucket) asc
         cuts = np.flatnonzero(np.diff(sid)) + 1
         starts = np.concatenate([[0], cuts]).astype(np.int64)
         ends = np.concatenate([cuts, [len(sid)]]).astype(np.int64)
         by_epoch: dict[int, list[tuple[int, pa.Table, str]]] = {}
         for s, e in zip(starts, ends):
             sl = t.slice(int(s), int(e - s))
-            sha = table_state_sha256(sl, ("repo", "path"), "content_sha256")
+            sha = table_state_sha256(sl, ("repo", "path"), "content_sha256", ordered=True)
             by_epoch.setdefault(int(ge[s]), []).append((int(gb[s]), sl, sha))
         rows = []
         for ep_id, slices in sorted(by_epoch.items()):
-            # one row group per bucket slice: rg ordinals index them
-            fname = publish_parquet(
-                os.path.join(lake_root, f"epoch={ep_id:05d}"), [sl for _, sl, _ in slices], "delta"
-            )
-            for rg, (part, sl, sha) in enumerate(slices):
+            tables = [sl for _, sl, _ in slices]
+            fname = publish_parquet(os.path.join(lake_root, f"epoch={ep_id:05d}"), tables, "delta")
+            for (first, count), (part, sl, sha) in zip(group_spans(tables), slices):
                 rows.append({
-                    "epoch": ep_id, "part": part, "file": fname, "rg": rg,
+                    "epoch": ep_id, "part": part, "file": fname, "rg": first, "rg_count": count,
                     "rows": sl.num_rows, "state_sha256": sha, "kind": "delta",
                     "block": int(not rows),  # 1 on each block's first piece
                 })
@@ -1158,7 +1172,7 @@ def _fold_long_chains(
                 "epoch": e,
                 "kind": "delta",
                 "files": [r["file"] for r in pieces],
-                "rgs": [int(r["rg"]) for r in pieces],
+                "rgs": [_rgs_of(r) for r in pieces],
             })
             n += 1
             if n > cfg.delta_threshold:
@@ -1186,8 +1200,8 @@ def _write_bases(cfg: ReplayConfig, items: list[tuple[int, int, list[dict]]]) ->
     def write_base(item: tuple[int, int, list[dict]]) -> pa.Table:
         epoch, part, chain = item
         state = read_chain(chain, part=part)
-        # rewritten bases are SORTED by key: parquet row-group min/max
-        # stats then prune point/repo lookups to O(one row group)
+        # rewritten bases are SORTED by key: the repo/path min/max of
+        # their capped row groups then prune a point lookup to one group
         # (read_chain key_filter), pieces sliced below get tight
         # disjoint key ranges, and sorted content compresses better.
         # All state digests are order-insensitive (table_state_sha256
@@ -1465,21 +1479,26 @@ def auto_rebucket(cfg_or_root, dest_root: str, skew_threshold: float = 2.0,
     return {"skipped": False, "plan": plan, "salt_for_repo": merged, **m}
 
 
-def _erase_rewrite_file(job: tuple[str, str, str, str | None]) -> pa.Table:
+def _erase_rewrite_file(job: tuple[str, str, str, str | None, list[int]]) -> pa.Table:
     """Rewrite one parquet file ``src`` as ``dst`` with every row of the
-    target ``(repo, path)`` key removed, PRESERVING row-group count and
-    order (0-row groups are written for fully-erased slices) so entries
-    that address this file by row-group ordinal stay valid. Published
-    under the caller's name (``publish_parquet``). Returns the rows
-    erased, as one row."""
-    import pyarrow.parquet as _pq
-
-    src, dst, repo, path = job
-    f = _pq.ParquetFile(src)
-    groups = [f.read_row_group(i) for i in range(f.num_row_groups)]
-    kept = [_without_key(t, repo, path) for t in groups]
+    target ``(repo, path)`` key removed. ``cuts`` are the row-group
+    ordinals where a slice that some entry addresses starts or ends,
+    0 and the group count included: each run of groups between two
+    cuts is read (``read_slice``), filtered and written back as one
+    slice, in order (an emptied run as a 0-row group), so every
+    addressed slice keeps its place, in as many capped groups as its
+    remaining rows need. Published under the caller's name
+    (``publish_parquet``). Returns, as one row, the rows erased and the
+    cuts' ordinals in the new file."""
+    src, dst, repo, path, cuts = job
+    runs = [read_slice(src, (a, b - a)) for a, b in zip(cuts, cuts[1:])]
+    kept = [_without_key(t, repo, path) for t in runs]
     publish_parquet(os.path.dirname(dst), kept, name=os.path.basename(dst))
-    return pa.table({"erased": [sum(t.num_rows for t in groups) - sum(t.num_rows for t in kept)]})
+    return pa.table({
+        "src": [src],
+        "erased": [sum(t.num_rows for t in runs) - sum(t.num_rows for t in kept)],
+        "cuts": [[0] + [first + count for first, count in group_spans(kept)]],
+    })
 
 
 def _without_key(t: pa.Table, repo: str, path: str | None) -> pa.Table:
@@ -1491,14 +1510,16 @@ def _without_key(t: pa.Table, repo: str, path: str | None) -> pa.Table:
     return t.filter(pc.fill_null(keep, True))
 
 
-def _files_holding_key(files: list[str], repo: str, path: str | None) -> list[str]:
-    """The ``files`` (in order) holding a row of the ``(repo, path)``
-    key, or of ``repo`` when ``path`` is None: each file is probed with
-    the key filter pushed down, reading its ``repo`` column only."""
-    import pyarrow.parquet as pq
-
-    kf = [("repo", "=", repo)] + ([("path", "=", path)] if path is not None else [])
-    return [f for f in files if pq.read_table(f, columns=["repo"], filters=kf).num_rows]
+def _files_holding_key(slices: list[tuple[str, object]], repo: str,
+                       path: str | None) -> list[str]:
+    """The files (in order) of the ``(file, rgs element)`` slices that
+    hold a row of the ``(repo, path)`` key, or of ``repo`` when
+    ``path`` is None: each slice is probed by ``read_slice`` under the
+    key filter, reading its ``repo`` and ``path`` columns only."""
+    key = (repo, path)
+    hits = [f for f, spec in slices
+            if pc.any(key_mask(read_slice(f, spec, ["repo", "path"], key), key)).as_py()]
+    return list(dict.fromkeys(hits))
 
 
 def erase_key(cfg_or_root, repo: str, path: str | None = None) -> dict:
@@ -1510,15 +1531,15 @@ def erase_key(cfg_or_root, repo: str, path: str | None = None) -> dict:
     older epochs; GDPR/CCPA erasure demands the bytes themselves go.
 
     How: candidate buckets via the layout fence (O(salt) buckets, not
-    O(lake)); their entries' files are probed with a pushed-down key
-    filter; each affected file is rewritten WITHOUT the key's rows (the
-    files fan out over the cluster's CPUs, ``_per_part``),
-    preserving row-group count/order (0-row groups keep ordinal
-    addressing valid for every entry sharing the file — direct-mode
-    files hold one group per bucket). Every log entry referencing a
-    rewritten file is then atomically REPLACEd (same (epoch, part)
-    slot, new files/rows/sha — ``CommitLog.replace_entries``), and the
-    old files are deleted once nothing references them.
+    O(lake)); their entries' slices are probed under the key filter
+    (``read_slice``); each affected file is rewritten WITHOUT the key's
+    rows (the files fan out over the cluster's CPUs, ``_per_part``),
+    slice by slice in order (``_erase_rewrite_file``: direct-mode files
+    hold one slice per bucket, addressed by other entries too). Every
+    log entry referencing a rewritten file is then atomically REPLACEd
+    (same (epoch, part) slot, new files/row groups/rows/sha —
+    ``CommitLog.replace_entries``), and the old files are deleted once
+    nothing references them.
 
     Crash-safety: rewrites publish atomically and the REPLACE batch is
     one fsynced append BEFORE any old file is deleted; a crash earlier
@@ -1528,53 +1549,68 @@ def erase_key(cfg_or_root, repo: str, path: str | None = None) -> dict:
     and ``key_history`` see the redacted state, ``lake_state_hash``
     changes, and downstream copies (changelog export spools, maintained
     views) must be erased by their own owners."""
-    import pyarrow.parquet as pq
-
     from ..functions.hashing import buckets_for_key, table_state_sha256
+    from ..stages.merge import _footer, _group_range, _whole
 
     log = CommitLog.open(_root_of(cfg_or_root))
     num_buckets, salt = _layout_of(log)
     cands = set(buckets_for_key(repo, path, num_buckets, salt))
 
+    def slices(entry: PartEntry) -> list[tuple[str, object]]:
+        return list(zip(entry.files, entry.rgs or (-1,) * len(entry.files)))
+
     # candidate buckets only — a file shared across buckets can only
-    # hold the key in a candidate bucket's rows
-    cand_files = [f for e in log.all_entries() if e.part in cands for f in e.files]
-    affected = _files_holding_key(list(dict.fromkeys(cand_files)), repo, path)
+    # hold the key in a candidate bucket's slices
+    cand = [s for e in log.all_entries() if e.part in cands for s in slices(e)]
+    affected = _files_holding_key(list(dict.fromkeys(cand)), repo, path)
     if not affected:
         return {"files_rewritten": 0, "rows_erased": 0, "entries_replaced": 0,
                 "files_deleted": 0}
 
     renames: dict[str, str] = {}
+    cuts: dict[str, set[int]] = {}
     for f in affected:
         tag = hashlib.sha256(f"{os.path.basename(f)}|{repo}|{path}".encode()).hexdigest()[:16]
         renames[f] = os.path.join(os.path.dirname(f), f"erased-{tag}.parquet")
+        cuts[f] = {0, _footer(f)[0].num_row_groups}
+    for entry in log.all_entries():
+        for f, spec in slices(entry):
+            if f in cuts:
+                r = _group_range(spec, _footer(f)[0].num_row_groups)
+                cuts[f] |= {r.start, r.stop}
 
     # the files are independent: one fan-out rewrites them
-    jobs = [(f, renames[f], repo, path) for f in affected]
-    rows_erased = pc.sum(_gather(_per_part(jobs, _erase_rewrite_file))["erased"]).as_py()
+    jobs = [(f, renames[f], repo, path, sorted(cuts[f])) for f in affected]
+    done = _gather(_per_part(jobs, _erase_rewrite_file))
+    rows_erased = pc.sum(done["erased"]).as_py()
+    # old cut ordinal -> its ordinal in the rewritten file
+    moved = {src: dict(zip(sorted(cuts[src]), new))
+             for src, new in zip(done["src"].to_pylist(), done["cuts"].to_pylist())}
 
-    # rebuild every entry that references a rewritten file: new names,
-    # recounted rows, recomputed state sha (_part_state_sha256, as
-    # _commit_manifest_rows commits it)
+    # rebuild every entry that references a rewritten file: new names
+    # and row-group spans, recounted rows, recomputed state sha
+    # (_part_state_sha256, as _commit_manifest_rows commits it)
     replaced: list[PartEntry] = []
     for entry in log.all_entries():
         if not any(f in renames for f in entry.files):
             continue
-        new_files = tuple(renames.get(f, f) for f in entry.files)
-        rgs = entry.rgs or (-1,) * len(entry.files)
-        pieces = []
-        total = 0
-        for f, rg in zip(new_files, rgs):
-            if rg is not None and int(rg) >= 0:
-                piece = pq.ParquetFile(f).read_row_group(int(rg))
-            else:
-                piece = pq.read_table(f)
+        files, rgs, pieces, total = [], [], [], 0
+        for f, spec in slices(entry):
+            if f in renames:
+                if not _whole(spec):
+                    r = _group_range(spec, 0)
+                    first = moved[f][r.start]
+                    spec = rg_spec(first, moved[f][r.stop] - first)
+                f = renames[f]
+            piece = read_slice(f, spec)
             total += piece.num_rows
+            files.append(f)
+            rgs.append(spec)
             pieces.append((f, table_state_sha256(piece, ("repo", "path"), "content_sha256")))
         replaced.append(PartEntry(
-            epoch=entry.epoch, part=entry.part, files=new_files, rows=total,
+            epoch=entry.epoch, part=entry.part, files=tuple(files), rows=total,
             state_sha256=_part_state_sha256(pieces), input_seq=entry.input_seq, kind=entry.kind,
-            rgs=entry.rgs,
+            rgs=tuple(rgs) if entry.rgs else (),
         ))
     log.replace_entries(replaced)
 
@@ -1613,7 +1649,7 @@ def erase_key_from_feed(out_dir: str, repo: str, path: str | None = None) -> dic
 
     feed = os.path.join(out_dir, "feed")
     files = sorted(_glob.glob(os.path.join(feed, "**", "*.parquet"), recursive=True))
-    affected = _files_holding_key(files, repo, path)
+    affected = _files_holding_key([(f, -1) for f in files], repo, path)
     rows_erased = 0
     for f in affected:
         t = pq.read_table(f)
@@ -1860,17 +1896,10 @@ def lake_lookup(
 
     cands = buckets_for_key(repo, path, num_buckets, salt)
     chains = _chains_payload(log, upto_epoch=_as_of_upto(log, as_of_epoch))
-    need = None if columns is None else sorted({*columns, "repo", "path"})
     parts = []
     for p in cands:
-        t = read_chain(chains.get(p, []), columns=need, part=p, key_filter=(repo, path))
-        if t is None or t.num_rows == 0:
-            continue
-        mask = pc.equal(t["repo"], repo)
-        if path is not None:
-            mask = pc.and_(mask, pc.equal(t["path"], path))
-        t = t.filter(mask)
-        if t.num_rows:
+        t = read_chain(chains.get(p, []), columns=columns, part=p, key_filter=(repo, path))
+        if t is not None and t.num_rows:
             parts.append(t)
     out = _unify_concat(parts)
     if columns is not None:
@@ -1907,7 +1936,7 @@ def key_history(cfg_or_root, repo: str, path: str, columns: list[str] | None = N
              for e in log.entries_for_part(part)]
     ev = _epoch_tagged(read_links(links, payload, key_filter=(repo, path)))
     if ev.num_rows:
-        ev = ev.filter(pc.and_(pc.equal(ev["repo"], repo), pc.equal(ev["path"], path)))
+        ev = ev.filter(key_mask(ev, (repo, path)))
         # one row per epoch, its winner by seq (direct-mode overlapping
         # partials carry seq; a collapsed file has none and one row)
         ev = ev.take(pa.array(winner_index(
@@ -2216,7 +2245,7 @@ def _write_segment(root: str, seg: str, from_epoch: int | None, to_epoch: int,
                    image_cols) -> dict:
     """Write the changelog between two SEALED epochs as one spool
     segment, then seal it. Each diff task publishes its own file
-    (``publish_parquet``), one row group per changed part; a task whose
+    (``publish_parquet``), one slice per changed part; a task whose
     parts netted no change, or a window that changed no part, writes one
     zero-row file, so the segment always reads back with the feed's
     schema. The driver writes the fsynced ``_SEALED`` marker after the

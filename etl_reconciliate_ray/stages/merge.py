@@ -22,6 +22,9 @@ exactly-once sink achievable (SURVEY.md §7 hard part 1).
 
 from __future__ import annotations
 
+import os
+from functools import lru_cache
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -29,6 +32,7 @@ import pyarrow.parquet as pq
 
 from ..functions.hashing import NULL_SENTINEL, key_strings
 from .lww import winner_index
+from .writer import STATS_COLUMNS
 
 #: lake state column order (extras like evolved columns append after)
 LAKE_COLS = ["repo", "path", "commit", "lang", "content", "content_sha256"]
@@ -138,9 +142,20 @@ def key_codes(repo, path) -> np.ndarray:
     return pc.dictionary_encode(keys).indices.to_numpy(zero_copy_only=False).astype(np.int64)
 
 
-def resolve_chain_tables(tables_by_epoch: list[tuple[int, pa.Table]]) -> pa.Table:
+def key_mask(t: pa.Table, key: tuple[str, str | None]) -> pa.ChunkedArray:
+    """The rows of ``t`` holding key ``key`` = (repo, path), or any
+    path of the repo when path is None (null where a key column is
+    null, which ``filter`` drops)."""
+    m = pc.equal(t["repo"], key[0])
+    return m if key[1] is None else pc.and_(m, pc.equal(t["path"], key[1]))
+
+
+def resolve_chain_tables(tables_by_epoch: list[tuple[int, pa.Table]],
+                         key: tuple[str, str | None] | None = None) -> pa.Table:
     """Resolve a merge-on-read chain (base + deltas, each tagged with
-    its commit epoch) to the partition's current state.
+    its commit epoch) to the partition's current state; with ``key``,
+    the state of that one key (or repo) only, the chain's other rows
+    dropped before LWW.
 
     Last-writer-wins per (repo, path) ordered by (epoch, seq): delta
     rows override older epochs; within one epoch, partial deltas from
@@ -151,8 +166,11 @@ def resolve_chain_tables(tables_by_epoch: list[tuple[int, pa.Table]]) -> pa.Tabl
     ``op`` — they unify to null, treated as live.
     """
     merged = _epoch_tagged(tables_by_epoch)
+    if key is not None and merged.num_rows:
+        merged = merged.filter(key_mask(merged, key))
+    drop = [c for c in ("__epoch", "op", "seq", "ts") if c in merged.column_names]
     if merged.num_rows == 0:
-        return merged
+        return merged.drop_columns(drop)
     # huge chains (>~1.6 GiB in one column, e.g. a hot bucket's content
     # at sf1+) must gather through int64 offsets — see _widen_big_offsets
     merged, widened = _widen_big_offsets(merged)
@@ -168,32 +186,48 @@ def resolve_chain_tables(tables_by_epoch: list[tuple[int, pa.Table]]) -> pa.Tabl
     if "op" in winners.column_names:
         live = pc.fill_null(winners["op"], "I")
         winners = winners.filter(pc.not_equal(live, "D"))
-    drop = [c for c in ("__epoch", "op", "seq", "ts") if c in winners.column_names]
     return _narrow_offsets(winners.drop_columns(drop), widened)
 
 
 def _epoch_tagged(tables_by_epoch: list[tuple[int, pa.Table]]) -> pa.Table:
     """The chain's tables concatenated (``_unify_concat``), each row
-    tagged with its link's epoch in an int64 ``__epoch`` column."""
-    return _unify_concat([
-        t.append_column("__epoch", pa.array(np.full(t.num_rows, epoch, np.int64)))
-        for epoch, t in tables_by_epoch
-    ])
+    tagged with its link's epoch in an int64 ``__epoch`` column, which
+    is appended once to the concatenation."""
+    if not tables_by_epoch:
+        return pa.table({})
+    epochs = np.repeat(np.array([e for e, _ in tables_by_epoch], np.int64),
+                       [t.num_rows for _, t in tables_by_epoch])
+    return _unify_concat([t for _, t in tables_by_epoch]).append_column(
+        "__epoch", pa.array(epochs))
 
 
-from functools import lru_cache
+@lru_cache(maxsize=1024)
+def _footer_at(path: str, ino: int, size: int, mtime_ns: int) -> tuple[pq.FileMetaData, list]:
+    """A parquet file's parsed footer and, per row group, the
+    ``{column: (min, max, has nulls)}`` of its ``STATS_COLUMNS`` that
+    have min/max, cached per process: a long chain re-reads the SAME
+    files for many partitions (a direct-mode delta file holds one slice
+    per bucket), and each parse is O(row groups) metadata. Keyed by the file's
+    inode, size and mtime as well as its path, so a file rewritten
+    under its own name is parsed again. The cache holds no open file:
+    ``read_slice`` opens one per read, so a deleted file is gone once
+    its last read returns."""
+    md = pq.read_metadata(path)
+    leaf = {md.schema.column(i).path: i for i in range(md.num_columns)}
+    bounds = []
+    for g in range(md.num_row_groups):
+        rg, b = md.row_group(g), {}
+        for c in STATS_COLUMNS:
+            st = rg.column(leaf[c]).statistics if c in leaf else None
+            if st is not None and st.has_min_max:
+                b[c] = (st.min, st.max, st.null_count != 0)
+        bounds.append(b)
+    return md, bounds
 
 
-@lru_cache(maxsize=256)
-def _pqfile(path: str) -> pq.ParquetFile:
-    """Per-worker ParquetFile cache: direct-mode delta files hold one
-    row group per bucket, so a long chain re-opens the SAME files for
-    many partitions — each open parses the footer (O(row groups)
-    metadata). Lake files are content-addressed and immutable, so the
-    cache can never serve stale metadata. Ray reuses worker processes
-    across tasks, which is what makes this cache pay off at
-    240-files-per-epoch layouts (a known 65s compaction pathology)."""
-    return pq.ParquetFile(path)
+def _footer(path: str) -> tuple[pq.FileMetaData, list]:
+    st = os.stat(path)
+    return _footer_at(path, st.st_ino, st.st_size, st.st_mtime_ns)
 
 
 @lru_cache(maxsize=4096)
@@ -201,9 +235,79 @@ def _file_schema(path: str) -> pa.Schema:
     """A lake file's Arrow schema from its parquet footer, read once per
     path per process: chain reads prune columns with it, and the
     changelog's payload schema unifies it over every live file. Safe
-    to cache for the same reason as ``_pqfile``: lake file names are
-    content-addressed (``erase_key`` writes new names)."""
+    to cache by path: lake file names are content-addressed
+    (``erase_key`` writes new names)."""
     return pq.read_schema(path)
+
+
+def rg_spec(first: int, count: int):
+    """A slice's ``rgs`` element in a commit record: its row group's
+    ordinal when the slice is one group, else ``(first, count)``."""
+    return first if count == 1 else (first, count)
+
+
+def _whole(spec) -> bool:
+    """An ``rgs`` element naming the whole file: -1 or None."""
+    return not isinstance(spec, (list, tuple)) and (spec is None or int(spec) < 0)
+
+
+def _group_range(spec, num_row_groups: int) -> range:
+    """The row groups an ``rgs`` element names: ``(first, count)``, one
+    ordinal, or the whole file (``_whole``)."""
+    if isinstance(spec, (list, tuple)):
+        return range(int(spec[0]), int(spec[0]) + int(spec[1]))
+    if _whole(spec):
+        return range(num_row_groups)
+    return range(int(spec), int(spec) + 1)
+
+
+def _may_hold(bounds: dict, c: str, v) -> bool:
+    """False iff a row group's ``bounds`` (``_footer_at``) exclude
+    ``c == v``; a column without min/max keeps the group."""
+    b = bounds.get(c)
+    return b is None or not isinstance(b[0], type(v)) or b[0] <= v <= b[1]
+
+
+def read_slice(
+    path: str,
+    spec=-1,
+    columns: list[str] | None = None,
+    key: tuple[str, str | None] | None = None,
+    part: int | None = None,
+) -> pa.Table:
+    """THE read of a lake slice: the row groups ``spec`` names
+    (``_group_range``) of the parquet file at ``path``, taken from its
+    cached footer, with ``columns`` (None: all), in one call. A row
+    group whose min/max exclude ``key`` = (repo, path|None) or a
+    ``bucket == part`` row is not read. The rows read are masked to
+    ``part`` unless every group's min/max already pin ``bucket`` to
+    it, but not to ``key``: a reader of several slices masks the key
+    once over all of them (``key_mask``; ``read_chain`` does it before
+    LWW). A key-sorted slice is cut at repo boundaries
+    (``writer._group_cuts``), so a point read of one decodes at most
+    the one group that can hold the key."""
+    md, bounds = _footer(path)
+    preds = [] if key is None else [("repo", key[0]), ("path", key[1])]
+    if part is not None:
+        preds.append(("bucket", part))
+    preds = [(c, v) for c, v in preds if v is not None]
+    groups = [g for g in _group_range(spec, md.num_row_groups)
+              if all(_may_hold(bounds[g], c, v) for c, v in preds)]
+    if not groups:
+        schema = md.schema.to_arrow_schema()
+        names = schema.names if columns is None else [c for c in columns if c in schema.names]
+        return pa.schema([schema.field(c) for c in names]).empty_table()
+    with pa.OSFile(path) as fh:
+        pf = pq.ParquetFile(fh, metadata=md)
+        if len(groups) == 1:  # the call perfbench's tracer counts as io.read
+            t = pf.read_row_group(groups[0], columns=columns)
+        else:
+            t = pf.read_row_groups(groups, columns=columns)
+    if part is not None and "bucket" in t.column_names and any(
+        bounds[g].get("bucket") != (part, part, False) for g in groups
+    ):
+        t = t.filter(pc.equal(t["bucket"], part))
+    return t
 
 
 def read_chain(
@@ -217,19 +321,18 @@ def read_chain(
 
     ``columns`` prunes the parquet read (merge keys, ``op`` and ``seq``
     are always read — resolution needs them); the result is projected
-    to exactly the requested columns that exist. ``part`` adds a
-    ``bucket == part`` parquet filter: direct-mode delta files hold one
-    row group per bucket slice, so the filter prunes at row-group
-    granularity and a file shared by many partitions is only decoded
-    for the rows that matter.
+    to exactly the requested columns that exist. ``part`` masks a
+    whole-file link to its ``bucket == part`` rows (a ranged link's
+    slice holds that bucket's rows only).
 
-    ``key_filter`` = (repo, path|None) pushes a point/repo equality
-    predicate into the whole-file reads: compaction writes bases
-    SORTED by (repo, path), so parquet row-group min/max stats skip
-    every non-matching group/piece — a point lookup on a compacted
-    bucket decodes O(one row group), not the bucket. Purely an
-    optimization: callers still row-filter the result (parquet stats
-    pruning is conservative, never wrong).
+    ``key_filter`` = (repo, path|None) restricts the result to one key
+    or repo: ``read_slice`` skips every row group whose repo/path
+    min/max exclude it, and the rows read are masked to it once,
+    before LWW. The lake's writers order each slice by (repo, path) and
+    cap its row groups at ``ROW_GROUP_BYTES``, so a point lookup
+    decodes at most one capped group per piece of each link, compacted
+    or not, rather than the bucket; an older lake's unsorted
+    single-group slice is read whole.
 
     A chain of one ``full`` link is returned as its pieces concatenated,
     with no LWW: the only writer of a full base (``replay._write_bases``)
@@ -239,8 +342,10 @@ def read_chain(
         return None
     if len(chain) == 1 and chain[0].get("kind") == "full":
         out = _unify_concat([t for _, t in tagged])
+        if key_filter is not None and out.num_rows:
+            out = out.filter(key_mask(out, key_filter))
     else:
-        out = resolve_chain_tables(tagged)
+        out = resolve_chain_tables(tagged, key_filter)
     if columns is not None:
         out = out.select([c for c in columns if c in out.column_names])
     return out
@@ -254,17 +359,12 @@ def read_links(
 ) -> list[tuple[int, pa.Table]]:
     """``read_chain``'s per-link file loop, unresolved: one
     ``(epoch, table)`` per file of every ``{"epoch", "files", "rgs"}``
-    link, with ``read_chain``'s column pruning and filters. A link
-    whose ``files`` and ``rgs`` differ in length raises."""
+    link, each file's slice read by ``read_slice`` with ``read_chain``'s
+    column pruning and filters. A link whose ``files`` and ``rgs``
+    differ in length raises."""
     need = None
     if columns is not None:
         need = set(columns) | {"repo", "path", "op", "seq"}
-    filters = [("bucket", "=", part)] if part is not None else None
-    if key_filter is not None:
-        kf = [("repo", "=", key_filter[0])]
-        if key_filter[1] is not None:
-            kf.append(("path", "=", key_filter[1]))
-        filters = (filters or []) + kf
     tagged = []
     for link in chain:
         rgs = link.get("rgs") or [-1] * len(link["files"])
@@ -276,17 +376,11 @@ def read_links(
                 f"{len(link['files'])} files but {len(rgs)} row-group "
                 "ordinals — refusing a partial chain read"
             )
-        for f, rg in zip(link["files"], rgs):
+        for f, spec in zip(link["files"], rgs):
             cols = None
             if need is not None:
                 avail = _file_schema(f).names
                 cols = [c for c in avail if c in need or c == "bucket"]
-            if rg is not None and int(rg) >= 0:
-                # direct-mode delta: this partition's rows are exactly
-                # one row group — O(1) access, no scanner/filter pass;
-                # the ParquetFile (footer parse) is cached per worker
-                t = _pqfile(f).read_row_group(int(rg), columns=cols)
-            else:
-                t = pq.read_table(f, columns=cols, filters=filters)
+            t = read_slice(f, spec, cols, key_filter, part if _whole(spec) else None)
             tagged.append((int(link["epoch"]), t))
     return tagged

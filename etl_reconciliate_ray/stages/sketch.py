@@ -48,12 +48,6 @@ def _mg_trim_idx(counts: np.ndarray, capacity: int):
     return keep[pos].astype(np.int64), kept_counts[pos]
 
 
-def _mg_trim(items: np.ndarray, counts: np.ndarray, capacity: int):
-    """Array-in/array-out view of ``_mg_trim_idx`` (property tests)."""
-    idx, kept = _mg_trim_idx(counts, capacity)
-    return items[idx], kept
-
-
 def heavy_hitters(ds, col: str, capacity: int, alias: str = "n") -> pd.DataFrame:
     """Top frequent values of ``col`` as (item, count-lower-bound),
     descending by count (ties broken by item for determinism).

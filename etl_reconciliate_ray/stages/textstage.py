@@ -300,14 +300,6 @@ def _dup_span_ds(ds, width: int, text_col: str):
     )
 
 
-def dup_span_hashes(ds, width: int = 20, text_col: str = "text"):
-    """Duplicated-span digests collected to a driver-side frozenset —
-    the BROADCAST probe's build step. Only the dup tail reaches the
-    driver; when that tail itself is too big for one node, use
-    ``span_dedup(..., probe="sharded")`` which keeps it distributed."""
-    return frozenset(_dup_span_ds(ds, width, text_col).to_pandas()["h"])
-
-
 def _sorted_member(sorted_keys, probe):
     """Vectorized membership of ``probe`` in a SORTED key array
     (np.searchsorted + one gather) — the broadcast probe's kernel."""

@@ -9,9 +9,11 @@ Ray's retry model (SURVEY.md §4), and needs no stateful writer:
 - the task that computed a file's rows writes the file itself — no
   object-store hop, no actor round-trip, no writer-pool serialization
   point;
-- ``publish_parquet`` owns the publish policy: one row group per
-  slice, a **content-addressed** name (the sha256 of the slices' Arrow
-  IPC bytes) unless the caller names the file, a tmp file in the same
+- ``publish_parquet`` owns the publish policy: each slice in row
+  groups of at most ``ROW_GROUP_BYTES`` of Arrow data (``group_spans``
+  names them), min/max statistics only on ``STATS_COLUMNS``, a
+  **content-addressed** name (the sha256 of the slices' Arrow IPC
+  bytes) unless the caller names the file, a tmp file in the same
   directory that is fsynced and then atomically ``os.replace``d. A
   retried task re-derives the same name, and a content-addressed file
   that already exists is not written again — idempotent under Ray task
@@ -26,15 +28,15 @@ Ray's retry model (SURVEY.md §4), and needs no stateful writer:
 Every data file the engine writes goes through ``publish_parquet``:
 
 - epoch deltas (``replay._apply_epochs``' direct write: one file per
-  task and epoch, one row group per bucket, holding that block's LWW
-  winners), the lake-to-lake writes included;
-- full bases — compaction and the pre-commit chain fold —
-  through ``write_piece_local``;
+  task and epoch, one key-sorted slice per bucket, holding that
+  block's LWW winners), the lake-to-lake writes included;
+- full bases — compaction and the pre-commit chain fold, sorted by
+  key — through ``write_piece_local``;
 - erasure's rewrites of lake files (caller-named) and of export-spool
   files (rewritten in place, ``erase_key_from_feed``);
 - export segments (``export_changelog``, ``compact_feed``): each diff
-  task writes its own file, one row group per changed part;
-- the reconcile snapshot spool (``_spool_bucketed``, one row group per
+  task writes its own file, one slice per changed part;
+- the reconcile snapshot spool (``_spool_bucketed``, one slice per
   bucket) and the per-part detail spill (caller-named per part);
 - quarantine's dead-letter files;
 - a maintained view's state files (``MaintainedView._publish``, on
@@ -51,10 +53,69 @@ from __future__ import annotations
 import hashlib
 import os
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions.hashing import table_state_sha256
+
+#: the columns whose row-group min/max some reader uses: the chain
+#: reader prunes on ``repo``/``path`` (key) and ``bucket`` (whole-file
+#: links), binlog discovery orders epochs by ``seq``
+#: (``replay._discover_epochs``). Every other column's statistics (the
+#: payload's min/max, in the footer and again in each page header)
+#: would be bytes no reader looks at.
+STATS_COLUMNS = ("repo", "path", "bucket", "seq")
+
+#: a row group holds at most this many bytes of Arrow data, at its
+#: slice's average row size (``_group_cuts``)
+ROW_GROUP_BYTES = 1 << 20
+
+
+def _group_cuts(sl: pa.Table) -> list[int]:
+    """The row offsets that cut slice ``sl`` into its row groups, from
+    0 to its row count. A group holds at most ``ROW_GROUP_BYTES`` of
+    Arrow data and is cut only where ``repo`` changes value, unless one
+    repo's run alone is longer than a group: that run is cut into equal
+    parts and shares no group. So a group of a key-sorted slice holds
+    whole repos or one part of a repo's run, and its repo and path
+    min/max admit no key that another group holds."""
+    n = sl.num_rows
+    cap = max(1, ROW_GROUP_BYTES * n // max(1, sl.nbytes))
+    if n <= cap:
+        return [0, n]
+    if "repo" in sl.column_names:
+        r = sl["repo"]
+        starts = np.flatnonzero(
+            pc.fill_null(pc.not_equal(r.slice(1), r.slice(0, n - 1)), True).to_numpy(
+                zero_copy_only=False)
+        ) + 1
+    else:
+        starts = np.arange(1, n)
+    cuts = [0]
+    while n - cuts[-1] > cap:
+        lo = cuts[-1]
+        i = int(np.searchsorted(starts, lo + cap, side="right"))
+        c = int(starts[i - 1]) if i else 0
+        if c > lo:  # whole runs up to the last start that fits
+            cuts.append(c)
+            continue
+        end = int(starts[i]) if i < len(starts) else n  # one run longer than a group
+        k = -(-(end - lo) // cap)
+        cuts += [lo + (end - lo) * j // k for j in range(1, k + 1)]
+    return cuts if cuts[-1] == n else cuts + [n]
+
+
+def group_spans(slices: list[pa.Table]) -> list[tuple[int, int]]:
+    """``(first, count)``: the row groups ``publish_parquet`` writes
+    each of ``slices`` as."""
+    out, first = [], 0
+    for sl in slices:
+        count = len(_group_cuts(sl)) - 1
+        out.append((first, count))
+        first += count
+    return out
 
 
 def _digest(slices: list[pa.Table]) -> str:
@@ -72,10 +133,12 @@ def _digest(slices: list[pa.Table]) -> str:
 def publish_parquet(out_dir: str, slices: list[pa.Table], prefix: str = "part",
                     name: str | None = None) -> str:
     """Publish ``slices`` (one schema) as ONE parquet file in
-    ``out_dir``, one row group per slice — also a 0-row slice and past
-    pyarrow's 1Mi-row default, so callers can address row groups by
-    ordinal. The file is ``name``, or ``<prefix>-<digest>.parquet``
-    named by its content, which is skipped if it already exists. The
+    ``out_dir``. Each slice is its own run of row groups (one for a
+    0-row slice; ``_group_cuts``), so callers address a slice by the
+    span ``group_spans`` gives; min/max statistics are written for
+    ``STATS_COLUMNS`` only. The file is ``name``, or
+    ``<prefix>-<digest>.parquet`` named by its content, which is
+    skipped if it already exists. The
     bytes go to a tmp file beside the target, fsynced, then
     ``os.replace``d over it. Returns the file's path."""
     path = os.path.join(out_dir, name or f"{prefix}-{_digest(slices)}.parquet")
@@ -83,9 +146,13 @@ def publish_parquet(out_dir: str, slices: list[pa.Table], prefix: str = "part",
         return path
     os.makedirs(out_dir, exist_ok=True)
     tmp = f"{path}.tmp{os.getpid()}"
-    with pq.ParquetWriter(tmp, slices[0].schema) as w:
+    schema = slices[0].schema
+    stats = [c for c in STATS_COLUMNS if c in schema.names]
+    with pq.ParquetWriter(tmp, schema, write_statistics=stats or False) as w:
         for sl in slices:
-            w.write_table(sl, row_group_size=max(1, sl.num_rows))
+            cuts = _group_cuts(sl)
+            for a, b in zip(cuts, cuts[1:]):
+                w.write_table(sl.slice(a, b - a), row_group_size=max(1, b - a))
     publish_file(tmp, path)
     return path
 

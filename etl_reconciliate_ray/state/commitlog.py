@@ -60,11 +60,12 @@ class PartEntry:
     #: (the epoch's LWW winners incl. delete tombstones) layered on top
     #: of the newest full entry — Hudi/Iceberg-style MOR, SURVEY.md §4
     kind: str = "full"
-    #: per-file row-group ordinal holding THIS partition's rows (-1 =
-    #: whole file). Direct-mode delta files pack one row group per
-    #: bucket; readers then use ParquetFile.read_row_group instead of a
-    #: filtered scan — O(1) metadata work per read.
-    rgs: tuple[int, ...] = ()
+    #: per file, the row groups holding THIS partition's rows: one
+    #: ordinal, ``(first, count)`` for a slice that spans several
+    #: capped groups, or -1 for the whole file. Direct-mode delta files
+    #: pack one key-sorted slice per bucket; ``merge.read_slice`` reads
+    #: just its groups, those a key filter's min/max cannot exclude.
+    rgs: tuple[int | tuple[int, int], ...] = ()
 
 
 @dataclass
@@ -438,7 +439,7 @@ class CommitLog(Journal):
             state_sha256=rec["state_sha256"],
             input_seq=tuple(rec["input_seq"]) if rec.get("input_seq") else None,
             kind=rec.get("kind", "full"),
-            rgs=tuple(rec.get("rgs") or ()),
+            rgs=tuple(tuple(r) if isinstance(r, list) else r for r in rec.get("rgs") or ()),
         )
 
     def commit_part(self, entry: PartEntry) -> bool:

@@ -14,7 +14,9 @@ sites that go through it.
   steps, then a rerun with other block splits, leaves exact tables;
 - the CLI's repo view is counted from its state files' footers;
 - no package module but the catalog's sink registry and the bench
-  fixture generator calls Ray Data's ``write_parquet``.
+  fixture generator calls Ray Data's ``write_parquet``, and no package
+  function but ``stages.merge.read_slice`` reads parquet row groups or
+  makes a filtered ``read_table``.
 """
 
 from __future__ import annotations
@@ -293,4 +295,37 @@ def test_no_second_parquet_publish_path():
         with open(f) as fh:
             if ".write_parquet(" in fh.read() and rel not in allowed:
                 found.append(rel)
+    assert not found, found
+
+
+def test_one_slice_reader():
+    """Every row-group read and every filtered parquet read in the
+    package is ``stages.merge.read_slice``: no other function calls
+    ``read_row_group``/``read_row_groups`` or ``read_table`` with
+    ``filters``."""
+    import ast
+
+    import etl_reconciliate_ray
+
+    pkg = os.path.dirname(etl_reconciliate_ray.__file__)
+    found = []
+    for f in glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True):
+        rel = os.path.relpath(f, pkg)
+        with open(f) as fh:
+            tree = ast.parse(fh.read())
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            grouped = name in ("read_row_group", "read_row_groups")
+            filtered = name == "read_table" and any(k.arg == "filters" for k in node.keywords)
+            if (grouped or filtered) and (rel, owner.get(node)) != (
+                os.path.join("stages", "merge.py"), "read_slice"
+            ):
+                found.append((rel, node.lineno, name))
     assert not found, found
