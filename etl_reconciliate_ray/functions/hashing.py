@@ -7,19 +7,14 @@ reference's BigDecimal amount equality at
 equality) and the explicit hash-partitioning + salted-key splitting
 required at 10^10-event scale (SURVEY.md §4).
 
-All functions are deterministic; the 64-bit bucket hash runs one of
-two schemes, both zero-per-row-Python:
-
-- **fast path**: polars ``Series.hash`` (seeded xxhash, one SIMD pass
-  over the Arrow buffers — measured 30-40x faster than any
-  numpy-composed alternative on string keys). Stable within a polars
-  version but NOT guaranteed across versions, so ``HASH_IMPL`` embeds
-  the polars version and the commit log's layout fence refuses to
-  resume a lake written under a different one (silent bucket-routing
-  drift becomes a hard error).
-- **fallback** (polars absent): an in-repo polynomial hash +
-  splitmix64 finalizer over the Arrow offsets/data buffers —
-  self-contained, stable forever, ~10x slower.
+All functions are deterministic and zero-per-row-Python. The 64-bit
+bucket hash has one scheme: polars ``Series.hash`` (seeded xxhash, one
+SIMD pass over the Arrow buffers — measured 30-40x faster than any
+numpy-composed alternative on string keys). Its values are stable
+within a polars version but NOT guaranteed across versions, so
+``HASH_IMPL`` embeds the polars version and the commit log's layout
+fence refuses to resume a lake written under a different one: a lake
+never meets a bucket routing it was not written with.
 
 No wall clock, no process-local seeds.
 """
@@ -29,17 +24,13 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import polars as _pl
 import pyarrow as pa
 import pyarrow.compute as pc
 
-try:
-    import polars as _pl
-except ImportError:  # pragma: no cover - polars is baked into this env
-    _pl = None
-
 #: version tag of the bucket-hash scheme, persisted in the commit log's
 #: layout fence (CommitLog.ensure_layout)
-HASH_IMPL = f"xxh-polars-{_pl.__version__}" if _pl is not None else "poly64-splitmix-v2"
+HASH_IMPL = f"xxh-polars-{_pl.__version__}"
 
 _HASH_SEED = 42
 
@@ -47,9 +38,6 @@ _HASH_SEED = 42
 #: value ``merge.key_codes`` fills into null repo/path before its key
 #: join, so routing and merge agree on where null-keyed rows live.
 NULL_SENTINEL = "\x00N"
-
-_POLY_P = np.uint64(1099511628211)  # FNV-64 prime as the polynomial base
-_LEN_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def sha256_hex_array(col: pa.Array | pa.ChunkedArray) -> pa.Array:
@@ -76,43 +64,12 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def _hash_string_buffers(arr: pa.Array) -> np.ndarray:
-    """Polynomial 64-bit hash per string, computed over the Arrow
-    offsets+data buffers with numpy only — no ``to_pylist``, no per-row
-    Python. h(s) = mix64(sum_j s[j] * P^(L-1-j) mod 2^64  XOR  L*c).
-
-    Null hashes equal empty-string hash (callers that care fill first).
-    """
-    arr = pc.cast(arr, pa.large_string())
-    if arr.null_count:
-        arr = pc.fill_null(arr, "")
-    bufs = arr.buffers()
-    offsets = np.frombuffer(bufs[1], dtype=np.int64)[arr.offset : arr.offset + len(arr) + 1]
-    lo, hi = int(offsets[0]), int(offsets[-1])
-    offs = (offsets - lo).astype(np.int64)
-    lengths = np.diff(offs)
-    if hi == lo:  # all strings empty
-        return _mix64(np.zeros(len(arr), dtype=np.uint64))
-    data = np.frombuffer(bufs[2], dtype=np.uint8)[lo:hi]
-    maxlen = int(lengths.max())
-    pows = np.ones(maxlen, dtype=np.uint64)
-    if maxlen > 1:
-        pows[1:] = np.cumprod(np.full(maxlen - 1, _POLY_P, dtype=np.uint64))
-    # per byte: its string's end offset, then position-from-end exponent
-    ends_rep = np.repeat(offs[1:], lengths)
-    pos_from_end = ends_rep - 1 - np.arange(len(data), dtype=np.int64)
-    terms = data.astype(np.uint64) * pows[pos_from_end]
-    csum = np.concatenate([np.zeros(1, dtype=np.uint64), np.cumsum(terms, dtype=np.uint64)])
-    sums = csum[offs[1:]] - csum[offs[:-1]]
-    return _mix64(sums ^ (lengths.astype(np.uint64) * _LEN_MIX))
-
-
 def hash64(values: np.ndarray | pa.Array | pa.ChunkedArray | list) -> np.ndarray:
     """Deterministic 64-bit hash of a column (uint64 ndarray), used for
     bucket routing / partitioning only (collisions cost balance, never
     correctness — both sides of every cogroup use this same function).
-    Nulls hash to a fixed value. See module docstring for the
-    fast-path/fallback scheme and the version fence."""
+    Nulls hash to a fixed value. See the module docstring for the
+    scheme and its version fence."""
     if not isinstance(values, (pa.Array, pa.ChunkedArray)):
         values = pa.array(np.asarray(values, dtype=object))
     if isinstance(values, pa.ChunkedArray):
@@ -121,21 +78,14 @@ def hash64(values: np.ndarray | pa.Array | pa.ChunkedArray | list) -> np.ndarray
     if pa.types.is_integer(t) and t != pa.int64():
         # dtype-insensitive integer hashing: an int32 and an int64
         # column holding the same VALUES must hash identically — the
-        # polars fast path hashes the physical width, so without this
+        # polars hash covers the physical width, so without this
         # cast a bloom built over int64 ids silently rejects an int32
         # probe column (false negatives) and a bucketed join whose two
         # sides differ in width routes matching keys to different
         # buckets. safe=False: uint64 > 2^63 wraps, deterministically
         # and identically on every side.
         values = pc.cast(values, pa.int64(), safe=False)
-    if _pl is not None:
-        return _pl.from_arrow(values).hash(seed=_HASH_SEED).to_numpy()
-    if pa.types.is_integer(t):
-        v = pc.fill_null(values, 0).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return _mix64(v.view(np.uint64))
-    if not (pa.types.is_string(t) or pa.types.is_large_string(t)):
-        values = pc.cast(values, pa.string())
-    return _hash_string_buffers(values)
+    return _pl.from_arrow(values).hash(seed=_HASH_SEED).to_numpy()
 
 
 def bucket_of(

@@ -118,6 +118,20 @@ def _derive_num_buckets(
     return max(floor, min(cap, -(-est_mem // max(1, target_bucket_bytes))))
 
 
+def with_schema(ds):
+    """``(ds, schema)`` without a partial execution: the plan's own
+    schema when it knows one (a read, an in-memory or a materialized
+    Dataset), else ``ds`` materialized once, returned for the caller to
+    use in place of ``ds``. ``ds.schema()`` on an unexecuted plan runs
+    its first block and cancels the rest, and the rows are then computed
+    again."""
+    schema = ds.schema(fetch_if_missing=False)
+    if schema is None:
+        ds = ds.materialize()
+        schema = ds.schema()
+    return ds, schema
+
+
 def hash_join(
     left_ds,
     right_ds,
@@ -137,11 +151,16 @@ def hash_join(
 
     Colliding non-key column names get ``suffixes`` applied up front so
     the unioned stream has one uniform schema (Ray blocks must align).
+    Each input runs once: its schema comes from ``with_schema``, which
+    materializes an input whose plan does not know it rather than
+    starting a partial execution (the sort shuffle holds every input
+    block before it runs, so this costs no memory).
     """
     on = [on] if isinstance(on, str) else list(on)
     if num_buckets is None:
         num_buckets = _derive_num_buckets(left_ds, right_ds, target_bucket_bytes)
-    ls, rs = left_ds.schema(), right_ds.schema()  # ray.data Schema: .names/.types
+    left_ds, ls = with_schema(left_ds)  # ray.data Schema: .names/.types
+    right_ds, rs = with_schema(right_ds)
 
     def _pa_type(t):
         # Ray reports numpy dtypes/classes for pandas-block datasets

@@ -805,7 +805,9 @@ def bm25_topk(
         # empty (or all-null-text) corpus: no docs to rank
         import ray.data as rd
 
-        sch = ds.schema()  # Ray Data Schema: parallel names/types lists
+        from .joins import with_schema
+
+        _, sch = with_schema(ds)  # Ray Data Schema: parallel names/types lists
         id_type = dict(zip(sch.names, sch.types))[doc_id_col]
         return rd.from_arrow(pa.table({
             doc_id_col: pa.array([], id_type),

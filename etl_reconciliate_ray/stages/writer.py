@@ -14,7 +14,8 @@ Ray's retry model (SURVEY.md §4), and needs no stateful writer:
   names them), min/max statistics only on ``STATS_COLUMNS``, a
   **content-addressed** name (the sha256 of the slices' Arrow IPC
   bytes) unless the caller names the file, a tmp file in the same
-  directory that is fsynced and then atomically ``os.replace``d. A
+  directory that is fsynced and then atomically ``os.replace``d, and
+  the directory fsynced after the rename (``publish_file``). A
   retried task re-derives the same name, and a content-addressed file
   that already exists is not written again — idempotent under Ray task
   retries. A stale tmp file from a crashed attempt is never read;
@@ -45,7 +46,10 @@ Every data file the engine writes goes through ``publish_parquet``:
 - the report's tables, before each table's ``_DONE``.
 
 Other files — the exported JSONL envelope parts, the report's csv and
-xlsx renders — publish by the same fsync-then-rename, ``publish_file``.
+xlsx renders, and every ``state.commitlog.Journal`` file and marker
+(``Journal._write_atomic``) — publish by the same fsync, rename and
+directory fsync, ``publish_file``: the engine's one rename of a
+published name (the fixture generators rename their own outputs).
 """
 
 from __future__ import annotations
@@ -138,9 +142,9 @@ def publish_parquet(out_dir: str, slices: list[pa.Table], prefix: str = "part",
     span ``group_spans`` gives; min/max statistics are written for
     ``STATS_COLUMNS`` only. The file is ``name``, or
     ``<prefix>-<digest>.parquet`` named by its content, which is
-    skipped if it already exists. The
-    bytes go to a tmp file beside the target, fsynced, then
-    ``os.replace``d over it. Returns the file's path."""
+    skipped if it already exists. The bytes go to a tmp file beside the
+    target, which ``publish_file`` renames over it durably. Returns the
+    file's path."""
     path = os.path.join(out_dir, name or f"{prefix}-{_digest(slices)}.parquet")
     if name is None and os.path.exists(path):
         return path
@@ -159,11 +163,18 @@ def publish_parquet(out_dir: str, slices: list[pa.Table], prefix: str = "part",
 
 def publish_file(tmp: str, path: str) -> None:
     """Rename the finished file ``tmp`` over ``path`` once its bytes
-    are on disk (fsync, then ``os.replace``), so no published name can
-    hold a torn file after a host crash."""
+    are on disk (fsync, then ``os.replace``), then fsync the directory
+    so the rename itself is on disk before this returns: after a host
+    crash no published name holds a torn file, and none a later
+    publish refers to is missing."""
     with open(tmp, "rb") as fh:
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def write_piece_local(lake_root: str, epoch: int, part: int, tbl: pa.Table,

@@ -33,6 +33,8 @@ import os
 import threading
 from dataclasses import dataclass, field
 
+from ..stages.writer import publish_file
+
 
 def layout_fingerprint(num_buckets: int, salt_for_repo: dict | None) -> dict:
     """The canonical physical-layout fingerprint fenced by the commit
@@ -199,12 +201,13 @@ class Journal:
 
     @staticmethod
     def _write_atomic(path: str, recs: list[dict]) -> None:
+        """Write ``recs`` as JSONL to a tmp file beside ``path`` and
+        publish it over ``path`` (``writer.publish_file``: file fsync,
+        rename, directory fsync)."""
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
             fh.write("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        publish_file(tmp, path)
 
 
 @dataclass

@@ -46,6 +46,40 @@ def _hang_guard():
         signal.signal(signal.SIGALRM, old)
 
 
+@pytest.fixture(autouse=True)
+def _no_partial_execution(monkeypatch):
+    """Fails the test on a ``ray.cancel`` made with a package frame on
+    the stack while no exception is being handled. Ray Data cancels the
+    rest of an execution when its consumer stops early (``schema()``,
+    ``take(1)`` on an unexecuted plan), so such a call means package
+    code ran part of a Dataset and will run it again for its rows. A
+    cancel made while an error propagates (a failed task, a refusal)
+    is the executor's cleanup and stays allowed, and so is one with no
+    package frame: the test asked for it."""
+    import os
+    import sys
+
+    import ray
+
+    pkg = f"{os.sep}etl_reconciliate_ray{os.sep}"
+    cancel, seen = ray.cancel, []
+
+    def guarded_cancel(*args, **kwargs):
+        if sys.exc_info()[0] is None:
+            f = sys._getframe(1)
+            while f is not None and pkg not in f.f_code.co_filename:
+                f = f.f_back
+            if f is not None:
+                seen.append(f"{f.f_code.co_filename}:{f.f_lineno}")
+        return cancel(*args, **kwargs)
+
+    monkeypatch.setattr(ray, "cancel", guarded_cancel)
+    yield
+    if seen:
+        pytest.fail(f"{len(seen)} ray.cancel call(s) from package code, a partial "
+                    f"Dataset execution: {sorted(set(seen))}")
+
+
 @pytest.fixture(scope="session")
 def fixture_small(tmp_path_factory):
     """Small deterministic CDC fixture shared across tests."""
@@ -57,20 +91,33 @@ def fixture_small(tmp_path_factory):
     return out, cfg, manifest
 
 
+class _Renames(list):
+    """``(absolute target path, whether the renamed file's bytes had
+    been fsynced)`` per ``os.replace``, in order; ``dir_fsyncs`` holds
+    ``(absolute directory path, renames made before it)`` per fsync of
+    a directory."""
+
+    def __init__(self):
+        super().__init__()
+        self.dir_fsyncs: list[tuple[str, int]] = []
+
+
 @pytest.fixture
 def renames(monkeypatch):
-    """The driver's ``os.replace`` calls while the test runs, in order:
-    ``(absolute target path, whether the renamed file's bytes had been
-    fsynced)``, fsyncs tracked by inode."""
+    """The driver's ``os.replace`` calls and directory fsyncs while the
+    test runs (``_Renames``), fsyncs tracked by inode."""
     import os
+    import stat
 
     fsynced: set[tuple[int, int]] = set()
-    seen: list[tuple[str, bool]] = []
+    seen = _Renames()
     fsync, replace = os.fsync, os.replace
 
     def tracked_fsync(fd):
         st = os.fstat(fd)
         fsynced.add((st.st_dev, st.st_ino))
+        if stat.S_ISDIR(st.st_mode):
+            seen.dir_fsyncs.append((os.path.realpath(f"/proc/self/fd/{fd}"), len(seen)))
         fsync(fd)
 
     def tracked_replace(src, dst):

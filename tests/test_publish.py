@@ -9,6 +9,8 @@ sites that go through it.
 - the changelog does not report an unchanged null-content key;
 - the segment's ``_SEALED`` and a view's ``_CURRENT`` markers are
   fsynced before they are renamed into place;
+- each driver-side rename is followed by an fsync of its directory
+  before the next one;
 - the report's ``_DONE`` markers, ``summary.json`` and csv render are
   fsynced before their rename, and a crash at each of its durable
   steps, then a rerun with other block splits, leaves exact tables;
@@ -176,6 +178,39 @@ def test_markers_are_fsynced_before_they_publish(tmp_path, monkeypatch):
     assert os.path.realpath(os.path.join(seg, "_SEALED")) in durable
     assert os.path.realpath(os.path.join(view.view_root, "_CURRENT")) in durable
     assert view.current_epoch() == 1  # the first engine epoch without a seed
+
+
+def test_renames_are_durable_before_the_next_publish(tmp_path, renames):
+    """Each driver-side rename — a commit-log snapshot and its fresh
+    tail, ``lineage.json``, an export's ``_SEALED`` and ``_CURSOR``, a
+    view's state file (a driver-side ``publish_parquet``) and its
+    ``_CURRENT`` — is followed by an fsync of its directory before the
+    next rename: a rename is on disk only once its directory is, and a
+    later publish may name the file it made."""
+    from etl_reconciliate_ray.run import repo_view
+
+    binlog = tmp_path / "binlog"
+    binlog.mkdir()
+    lake = str(tmp_path / "lake")
+    cfg = ReplayConfig(lake_root=lake, num_buckets=2, snapshot_every=1)
+    _binlog_epoch(binlog, 0, [("I", f"r{i % 3}", f"p{i}", f"v{i}") for i in range(9)])
+    _binlog_epoch(binlog, 1, [("U", "r0", "p0", "w0")])
+    replay_stream(str(binlog), cfg)
+    seg = export_changelog(lake, str(tmp_path / "feed"))["segment"]
+    view = repo_view(lake)
+    view.advance(lake)
+
+    names = [path for path, _ in renames]
+    for want in (os.path.join(lake, "commitlog.snapshot.jsonl"),
+                 os.path.join(lake, "commitlog.jsonl"), os.path.join(lake, "lineage.json"),
+                 os.path.join(seg, "_SEALED"), os.path.join(tmp_path, "feed", "_CURSOR"),
+                 os.path.join(view.view_root, "_CURRENT")):
+        assert want in names, (want, names)
+    assert any(n.startswith(view.view_root + os.sep + "epoch=") and n.endswith(".parquet")
+               for n in names), names
+    for i, path in enumerate(names):
+        assert (os.path.realpath(os.path.dirname(path)), i + 1) in renames.dir_fsyncs, (
+            path, renames.dir_fsyncs)
 
 
 _STATUSES = ("MATCHED", "MISMATCH", "MISSING_RIGHT")
