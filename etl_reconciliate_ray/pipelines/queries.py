@@ -2705,12 +2705,11 @@ def q_revenue_by_nation(sf_dir: str):
     li = li.map_batches(derive, batch_format="pyarrow")
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     j1 = hash_join(li, orders, on="o_orderkey", num_buckets=16)
-    j1 = j1.map_batches(
-        lambda t: pa.table({"c_custkey": t["o_custkey"], "revenue": t["revenue"]}),
-        batch_format="pyarrow",
-    )
+    # customer takes the orders' key name, so j1 (which carries its
+    # schema) feeds the second join as it is, neither run nor pinned
     cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    j2 = hash_join(j1, cust, on="c_custkey", num_buckets=16)
+    j2 = hash_join(j1, cust.rename_columns({"c_custkey": "o_custkey"}), on="o_custkey",
+                   num_buckets=16)
     nation = read_table_pandas(sf_dir, "nation", columns=["n_nationkey", "n_name"]).rename(
         columns={"n_nationkey": "c_nationkey"}
     )

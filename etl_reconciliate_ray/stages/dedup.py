@@ -317,7 +317,7 @@ def verify_pairs_distributed(
     import ray
 
     from ..functions.bloom import bloom_contains, build_bloom
-    from .joins import hash_join
+    from .joins import _declare, hash_join
 
     # O(pairs) narrow rows; consumed twice (bloom pass + join input)
     pairs_ds = pairs_ds.materialize()
@@ -361,16 +361,22 @@ def verify_pairs_distributed(
         endpoint_docs, batch_format="pyarrow"
     ).materialize()
 
-    def as_a(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"doc_a": df["doc_id"], "text_a": df["text"]})
+    types = docs_pruned.schema().base_schema  # materialized: nothing runs
 
-    def as_b(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"doc_b": df["doc_id"], "text_b": df["text"]})
+    def docs_as(side: str):
+        # (doc_<side>, text_<side>) with its schema declared, so the
+        # join neither runs nor pins this renaming for its schema
+        names = {"doc_id": f"doc_{side}", "text": f"text_{side}"}
+        return _declare(
+            docs_pruned.map_batches(
+                lambda t: t.select(list(names)).rename_columns(list(names.values())),
+                batch_format="pyarrow",
+            ),
+            pa.schema([(names[c], types.field(c).type) for c in names]),
+        )
 
-    docs_a = docs_pruned.map_batches(as_a, batch_format="pandas")
-    docs_b = docs_pruned.map_batches(as_b, batch_format="pandas")
-    j1 = hash_join(pairs_ds, docs_a, on="doc_a", num_buckets=num_buckets)
-    j2 = hash_join(j1, docs_b, on="doc_b", num_buckets=num_buckets)
+    j1 = hash_join(pairs_ds, docs_as("a"), on="doc_a", num_buckets=num_buckets)
+    j2 = hash_join(j1, docs_as("b"), on="doc_b", num_buckets=num_buckets)
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         cache: dict[int, set] = {}

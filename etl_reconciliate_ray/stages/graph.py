@@ -72,7 +72,7 @@ def pagerank(
     """
     from ray.data.aggregate import Count, Sum
 
-    from .joins import hash_join
+    from .joins import _declare, hash_join
 
     d = float(damping)
 
@@ -168,11 +168,14 @@ def pagerank(
             w = pc.divide(
                 rank, pc.cast(pc.max_element_wise(t["deg"], 1), pa.float64())
             )
-            return pa.table({"src": t["node"], "w": w, "deg": t["deg"]})
+            return pa.table({"src": _i64(t["node"]), "w": w, "deg": _i64(t["deg"])})
 
         msgs = hash_join(
             edges,
-            state.map_batches(src_state_fn, batch_format="pyarrow"),
+            # declared, so the join does not run or pin each round's side
+            _declare(state.map_batches(src_state_fn, batch_format="pyarrow"),
+                     pa.schema([("src", pa.int64()), ("w", pa.float64()),
+                                ("deg", pa.int64())])),
             on="src",
             num_buckets=num_buckets,
         ).map_batches(

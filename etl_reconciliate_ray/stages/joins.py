@@ -119,17 +119,27 @@ def _derive_num_buckets(
 
 
 def with_schema(ds):
-    """``(ds, schema)`` without a partial execution: the plan's own
-    schema when it knows one (a read, an in-memory or a materialized
-    Dataset), else ``ds`` materialized once, returned for the caller to
-    use in place of ``ds``. ``ds.schema()`` on an unexecuted plan runs
-    its first block and cancels the rest, and the rows are then computed
-    again."""
+    """``(ds, schema)`` without a partial execution: the schema the plan
+    knows (a read, an in-memory or a materialized Dataset, a
+    ``hash_join`` output), else ``ds`` materialized once, returned for
+    the caller to use in place of ``ds``. ``ds.schema()`` on an
+    unexecuted plan runs its first block and cancels the rest, and the
+    rows are then computed again. A materialized input stays pinned in
+    the object store while the Dataset built on it lives."""
     schema = ds.schema(fetch_if_missing=False)
     if schema is None:
         ds = ds.materialize()
         schema = ds.schema()
     return ds, schema
+
+
+def _declare(ds, schema: pa.Schema | None):
+    """``ds`` with ``schema`` cached on its plan (Ray's own
+    ``Dataset.schema`` caches the same way), so ``with_schema`` reads
+    it and nothing runs for it; None leaves ``ds`` as it is."""
+    if schema is not None:
+        ds._plan.cache_schema(schema)
+    return ds
 
 
 def hash_join(
@@ -153,8 +163,11 @@ def hash_join(
     the unioned stream has one uniform schema (Ray blocks must align).
     Each input runs once: its schema comes from ``with_schema``, which
     materializes an input whose plan does not know it rather than
-    starting a partial execution (the sort shuffle holds every input
-    block before it runs, so this costs no memory).
+    starting a partial execution. When both inputs' schemas are Arrow
+    schemas and the key types agree, every bucket's output is cast to
+    the declared schema — the keys, then each side's columns, with
+    their input types — and the output Dataset carries it, so a chained
+    ``hash_join`` takes it without running or pinning this join.
     """
     on = [on] if isinstance(on, str) else list(on)
     if num_buckets is None:
@@ -182,6 +195,9 @@ def hash_join(
     r_fields = [(r_names[c], r_types[c]) for c in r_only]
     all_fields = l_fields + r_fields
     l_final, r_final = [f for f, _ in l_fields], [f for f, _ in r_fields]
+    exact = all(isinstance(t, pa.DataType) for t in ls.types + rs.types) and all(
+        l_types[k] == r_types[k] for k in on)
+    out_schema = pa.schema([(k, l_types[k]) for k in on] + all_fields) if exact else None
 
     def tag(side: str, rename: dict, missing: list):
         def fn(batch: pa.Table) -> pa.Table:
@@ -216,9 +232,12 @@ def hash_join(
             types_mapper=_NULLABLE_PD.get
         )
         merged = left.merge(right, on=on, how=how)
-        return pa.Table.from_pandas(merged, preserve_index=False)
+        return pa.Table.from_pandas(merged, schema=out_schema, preserve_index=False)
 
-    return tagged.groupby("__bucket__").map_groups(join_bucket, batch_format="pyarrow")
+    return _declare(
+        tagged.groupby("__bucket__").map_groups(join_bucket, batch_format="pyarrow"),
+        out_schema,
+    )
 
 
 def _hot_salts(keys: pa.Array | pa.ChunkedArray, hot: np.ndarray, num_salts: int) -> np.ndarray:
@@ -361,9 +380,18 @@ def salted_hash_join(
                 )
         return pa.concat_tables(parts)
 
+    def salted(ds, fn):
+        # the salted side's schema is its input's plus __skey, declared
+        # so the join neither runs nor pins it for its schema
+        ds, schema = with_schema(ds)
+        base = schema.base_schema
+        return _declare(ds.map_batches(fn, batch_format="pyarrow"),
+                        base.append(pa.field("__skey", pa.int64()))
+                        if isinstance(base, pa.Schema) else None)
+
     out = hash_join(
-        left_ds.map_batches(salt_left, batch_format="pyarrow"),
-        right_ds.map_batches(salt_right, batch_format="pyarrow"),
+        salted(left_ds, salt_left),
+        salted(right_ds, salt_right),
         on=["__skey", on],
         how=how,
         num_buckets=num_buckets,

@@ -802,17 +802,12 @@ def bm25_topk(
         Count(alias_name="n_docs"), Mean(on="dl", alias_name="avgdl")
     )
     if not stats or not stats.get("n_docs") or stats.get("avgdl") is None:
-        # empty (or all-null-text) corpus: no docs to rank
-        import ray.data as rd
-
-        from .joins import with_schema
-
-        _, sch = with_schema(ds)  # Ray Data Schema: parallel names/types lists
-        id_type = dict(zip(sch.names, sch.types))[doc_id_col]
-        return rd.from_arrow(pa.table({
-            doc_id_col: pa.array([], id_type),
+        # empty (or all-null-text) corpus: no docs to rank; the empty
+        # result stays lazy and takes doc_id's type from the corpus
+        return ds.map_batches(lambda t: pa.table({
+            doc_id_col: t[doc_id_col].slice(0, 0),
             "score_e4": pa.array([], pa.int64()),
-        }))
+        }), batch_format="pyarrow")
     n_docs, avgdl = float(stats["n_docs"]), float(stats["avgdl"])
 
     def candidates(t: pa.Table) -> pa.Table:

@@ -170,6 +170,12 @@ def publish_file(tmp: str, path: str) -> None:
     with open(tmp, "rb") as fh:
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    fsync_dir(path)
+
+
+def fsync_dir(path: str) -> None:
+    """fsync the directory holding ``path``, so a name just made there
+    (by a rename or a create) is on disk."""
     fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
     try:
         os.fsync(fd)

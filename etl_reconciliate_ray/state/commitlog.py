@@ -33,7 +33,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 
-from ..stages.writer import publish_file
+from ..stages.writer import fsync_dir, publish_file
 
 
 def layout_fingerprint(num_buckets: int, salt_for_repo: dict | None) -> dict:
@@ -171,15 +171,19 @@ class Journal:
         """One write + ONE fsync for a whole batch of records — the
         driver commits an epoch's partitions in a single durable append
         (per-record fsync was a fixed serial cost that throttled scaling
-        at high partition counts)."""
+        at high partition counts). The append that creates the file
+        also fsyncs its directory."""
         if not recs:
             return
         if self._stale_tail:
             self._write_tail()  # finish the crashed snapshot publish's truncate
+        created = not os.path.exists(self.path)
         with open(self.path, "a") as fh:
             fh.write("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
             fh.flush()
             os.fsync(fh.fileno())
+        if created:  # a fresh journal's first append: its name too
+            fsync_dir(self.path)
 
     def _publish_snapshot(self, recs: list[dict]) -> None:
         """Publish ``recs`` as the snapshot, then truncate the tail — one

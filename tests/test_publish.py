@@ -10,7 +10,8 @@ sites that go through it.
 - the segment's ``_SEALED`` and a view's ``_CURRENT`` markers are
   fsynced before they are renamed into place;
 - each driver-side rename is followed by an fsync of its directory
-  before the next one;
+  before the next one, and a fresh journal's first append, which
+  creates its file, fsyncs the directory before it returns;
 - the report's ``_DONE`` markers, ``summary.json`` and csv render are
   fsynced before their rename, and a crash at each of its durable
   steps, then a rerun with other block splits, leaves exact tables;
@@ -211,6 +212,22 @@ def test_renames_are_durable_before_the_next_publish(tmp_path, renames):
     for i, path in enumerate(names):
         assert (os.path.realpath(os.path.dirname(path)), i + 1) in renames.dir_fsyncs, (
             path, renames.dir_fsyncs)
+
+
+def test_a_fresh_journal_append_fsyncs_its_directory(tmp_path, renames):
+    """A commit log with no snapshot creates its file on the first
+    append, with no rename; the append fsyncs the directory before it
+    returns, so the journal's name is on disk with its first record."""
+    from etl_reconciliate_ray.state.commitlog import CommitLog
+
+    root = tmp_path / "lake"
+    log = CommitLog.open(str(root))
+    assert not renames.dir_fsyncs
+    log.seal_epoch(0)
+    assert os.path.exists(log.path) and not renames
+    assert renames.dir_fsyncs == [(os.path.realpath(root), 0)]
+    log.seal_epoch(1)  # the file exists now: one fsync, of the file
+    assert len(renames.dir_fsyncs) == 1
 
 
 _STATUSES = ("MATCHED", "MISMATCH", "MISSING_RIGHT")
