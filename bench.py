@@ -4,6 +4,7 @@ Default mode: run the headline pipelines over $GRAFT_SF_DIR (default
 /root/testdata/sf0.1) with ray.init(num_cpus=$RAY_GRAFT_CPUS or 32) and
 print ONE JSON line:
   {"metric": ..., "value": <total sec>, "unit": "sec",
+   "cpu_probe_sec": <same-window probe sec, not in value>,
    "queries": {...per-pipeline sec...}, "sf": ..., "num_cpus": N,
    "events_per_sec": ...}
 
@@ -238,14 +239,16 @@ def run_bench() -> dict:
         probe, batch_format="pyarrow"
     ).count()
     probe_sec = time.monotonic() - t0
-    qtimes["cpu_probe"] = round(probe_sec, 3)
     probe_eps = round(n_probe / probe_sec, 1)
 
+    # the headline counts engine work only: the probe measures the
+    # window, so it is reported beside the total, not inside it
     total = round(sum(qtimes.values()), 3)
     out = {
         "metric": "cdc_replay+reconcile+queries_total_sec",
         "value": total,
         "unit": "sec",
+        "cpu_probe_sec": round(probe_sec, 3),
         "queries": qtimes,
         "sf": sf,
         "num_cpus": ncpu,

@@ -31,6 +31,7 @@ from ..stages.joins import broadcast_anti_join, broadcast_join, hash_join
 from ..stages.lww import lww_latest
 from ..stages.multimodal import payload_meta_stage
 from ..stages.reconcile import reconcile_datasets
+from ..stages.shuffle import keyed_shuffle
 from ..stages.similarity import ann_lsh_topk, knn_cosine
 from ..stages.textstage import LangId, QualityScore, TokenStats, sha256_stage
 
@@ -124,15 +125,13 @@ def q_join_orders_lineitem(sf_dir: str):
 
 
 # ---------------------------------------------------------------- J4-J8 cogroup
-def _reconcile_sides_tagged(sf_dir: str, num_buckets: int = 16):
+def _reconcile_sides_tagged(sf_dir: str):
     """Derive deterministic L/R sides from orders exercising every
     status class — keys %10==9 right-only, %10==7 left-only, %10==3
     value-mutated, %10==5 duplicated on the right — FUSED: both sides
     derive from the same orders scan, so one map_batches emits the
-    tagged union (side + bucket) directly: ONE read instead of two and
-    no union barrier (reconcile_datasets' ``tagged_ds`` fast path)."""
-    from ..stages.reconcile import bucket_tag
-
+    side-tagged union directly: ONE read instead of two and no union
+    barrier (reconcile_datasets' ``tagged_ds`` fast path)."""
     base = read_table(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
 
     def both(t: pa.Table) -> pa.Table:
@@ -146,14 +145,11 @@ def _reconcile_sides_tagged(sf_dir: str, num_buckets: int = 16):
         rk1, rv1 = k[keep], val[keep] + ((k[keep] % 10) == 3).astype(np.int64)
         dup = (k % 10) == 5
         rk2, rv2 = k[dup], val[dup]
-        out = pa.table({
+        return pa.table({
             "orderkey": pa.array(np.concatenate([lk, rk1, rk2]), pa.int64()),
             "val_cents": pa.array(np.concatenate([lv, rv1, rv2]), pa.int64()),
             "side": pa.array(["L"] * len(lk) + ["R"] * (len(rk1) + len(rk2))),
         })
-        return out.append_column(
-            "bucket", bucket_tag(out, ["orderkey"], num_buckets)
-        )
 
     return base.map_batches(both, batch_format="pyarrow")
 
@@ -192,7 +188,7 @@ labeled AS (
 def _reconcile_detail(sf_dir: str):
     return reconcile_datasets(
         None, None, key_cols=["orderkey"], value_col="val_cents", num_buckets=16,
-        tagged_ds=_reconcile_sides_tagged(sf_dir, num_buckets=16),
+        tagged_ds=_reconcile_sides_tagged(sf_dir),
     )
 
 
@@ -1245,13 +1241,8 @@ def q_user_journeys(sf_dir: str):
     scale (thousands of groups, unlike the 5-group dimension variant):
     one key-hash shuffle, then a per-bucket pandas groupby-join —
     per-key work is the key's own sequence, the bound any engine has."""
-    from ..functions.hashing import hash64
 
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        b = (hash64(t["user_id"]) % np.uint64(32)).astype(np.int32)
-        return t.append_column("__b", pa.array(b))
 
     def join_skip_null(s: pd.Series):
         # string_agg semantics: NULL elements are skipped; an all-NULL
@@ -1270,7 +1261,7 @@ def q_user_journeys(sf_dir: str):
             "journey": g.agg(join_skip_null).values,
         })
 
-    return rd_groupby_bucket(ds.map_batches(tag, batch_format="pyarrow"), per_bucket)
+    return keyed_shuffle(ds, "user_id", 32, per_bucket, "pandas")
 
 
 def q_lexical_diversity_docs(sf_dir: str):
@@ -1326,18 +1317,14 @@ def q_mad_events(sf_dir: str):
     ambiguity. Per bucket: two vectorized sort+gather passes over the
     whole block (no per-user loop) — per-segment medians are index
     arithmetic over segment starts/sizes."""
-    from ..functions.hashing import hash64
     from ..stages.windowfns import _segment_starts
 
     ds = read_table(sf_dir, "events", columns=["user_id", "value"])
 
-    def tag(t: pa.Table) -> pa.Table:
+    def derive(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t["value"]))
         cents = pc.cast(pc.round(pc.multiply(t["value"], pa.scalar(100.0))), pa.int64())
-        b = (hash64(t["user_id"]) % np.uint64(32)).astype(np.int32)
-        return pa.table({
-            "user_id": t["user_id"], "cents": cents, "__b": pa.array(b)
-        })
+        return pa.table({"user_id": t["user_id"], "cents": cents})
 
     def seg_median2(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(user_at_start, 2*median per segment, sizes) for v sorted
@@ -1367,8 +1354,8 @@ def q_mad_events(sf_dir: str):
             "mad4_cents": mad4.astype("int64"),
         })
 
-    return (
-        rd_groupby_bucket(ds.map_batches(tag, batch_format="pyarrow"), per_bucket)
+    return keyed_shuffle(
+        ds.map_batches(derive, batch_format="pyarrow"), "user_id", 32, per_bucket, "pandas"
     )
 
 
@@ -1380,18 +1367,14 @@ def q_scd2_user_state(sf_dir: str):
     of the same changelog the LWW lake keeps only the tip of
     (reference keeps final state only, ReconciliationService.java:129).
     One key-hash shuffle, vectorized per-bucket kernels."""
-    from ..functions.hashing import hash64
     from ..stages.scd import scd2_intervals
 
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
 
-    def tag(t: pa.Table) -> pa.Table:
-        b = (hash64(t["user_id"]) % np.uint64(32)).astype(np.int32)
-        return t.append_column("__b", pa.array(b))
-
-    return rd_groupby_bucket(
-        ds.map_batches(tag, batch_format="pyarrow"),
+    return keyed_shuffle(
+        ds, "user_id", 32,
         lambda df: scd2_intervals(df, key="user_id", attr="event_type", order=["ts", "event_id"]),
+        "pandas",
     )
 
 
@@ -1402,20 +1385,16 @@ def q_event_transitions(sf_dir: str):
     ts-ordered stream. Per-bucket partial counts mean only
     (src, dst, n) rows — bounded by the event-type alphabet squared —
     leave the shuffle; the global sum is a tiny groupby."""
-    from ..functions.hashing import hash64
     from ..stages.scd import transition_partial_counts
 
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
 
-    def tag(t: pa.Table) -> pa.Table:
-        b = (hash64(t["user_id"]) % np.uint64(32)).astype(np.int32)
-        return t.append_column("__b", pa.array(b))
-
-    partials = rd_groupby_bucket(
-        ds.map_batches(tag, batch_format="pyarrow"),
+    partials = keyed_shuffle(
+        ds, "user_id", 32,
         lambda df: transition_partial_counts(
             df, key="user_id", attr="event_type", order=["ts", "event_id"]
         ),
+        "pandas",
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -1521,18 +1500,12 @@ def q_funnel_events(sf_dir: str):
     the user's step-i reach time). Per-bucket partials are exact (each
     user's history is bucket-local); only (step, n) rows — 3 per
     bucket — leave the shuffle."""
-    from ..functions.hashing import hash64
     from ..stages.funnel import funnel_partial
 
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_type"])
 
-    def tag(t: pa.Table) -> pa.Table:
-        b = (hash64(t["user_id"]) % np.uint64(32)).astype(np.int32)
-        return t.append_column("__b", pa.array(b))
-
-    partials = rd_groupby_bucket(
-        ds.map_batches(tag, batch_format="pyarrow"),
-        lambda df: funnel_partial(df, FUNNEL_STEPS),
+    partials = keyed_shuffle(
+        ds, "user_id", 32, lambda df: funnel_partial(df, FUNNEL_STEPS), "pandas"
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -1549,18 +1522,11 @@ def q_cohort_retention(sf_dir: str):
     cell. Distinct (user, day) pairs collapse inside each bucket, so
     the global combine sums a result bounded by span-in-days², not by
     the event count."""
-    from ..functions.hashing import hash64
     from ..stages.funnel import cohort_partial
 
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
 
-    def tag(t: pa.Table) -> pa.Table:
-        b = (hash64(t["user_id"]) % np.uint64(32)).astype(np.int32)
-        return t.append_column("__b", pa.array(b))
-
-    partials = rd_groupby_bucket(
-        ds.map_batches(tag, batch_format="pyarrow"), cohort_partial
-    )
+    partials = keyed_shuffle(ds, "user_id", 32, cohort_partial, "pandas")
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         out = df.groupby(["cohort_day", "days_since"], as_index=False)["n_users"].sum()
@@ -1569,14 +1535,6 @@ def q_cohort_retention(sf_dir: str):
 
     return partials.groupby(["cohort_day", "days_since"]).map_groups(
         finish, batch_format="pandas"
-    )
-
-
-def rd_groupby_bucket(tagged_ds, fn):
-    """groupby('__b').map_groups(pandas fn dropping __b) — the shared
-    tail of every bucket-kernel query."""
-    return tagged_ds.groupby("__b").map_groups(
-        lambda df: fn(df.drop(columns=["__b"])), batch_format="pandas"
     )
 
 
@@ -1698,13 +1656,8 @@ def q_rolling_user_values(sf_dir: str):
     sum of value (cents), ordered by (ts, event_id). One key-hash
     shuffle co-locates a user's events; the rolling sum inside each
     group is a vectorized cumsum difference — no per-row Python."""
-    from ..functions.hashing import hash64
 
     ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        b = (hash64(t["user_id"]) % np.uint64(16)).astype(np.int32)
-        return t.append_column("__b", pa.array(b))
 
     def roll(t: pa.Table) -> pa.Table:
         t = t.sort_by([("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")])
@@ -1725,11 +1678,7 @@ def q_rolling_user_values(sf_dir: str):
             "rolling3_cents": pa.array(rolling, pa.int64()),
         })
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(lambda t: roll(t.drop_columns(["__b"])), batch_format="pyarrow")
-    )
+    return keyed_shuffle(ds, "user_id", 16, roll)
 
 
 def q_window_fns_events(sf_dir: str):
@@ -1766,17 +1715,12 @@ def q_session_gaps_events(sf_dir: str):
     One key-hash shuffle; inside each bucket the gaps AND the per-user
     aggregate are computed by segmented numpy reduceat kernels, so only
     one tiny row per user ever leaves the bucket — no second shuffle."""
-    from ..functions.hashing import hash64
 
     gap_us = 1_800_000_000  # 30 min
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id"])
 
-    def tag(t: pa.Table) -> pa.Table:
-        b = (hash64(t["user_id"]) % np.uint64(32)).astype(np.int32)
-        return t.append_column("__b", pa.array(b))
-
     def per_bucket(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__b"]).sort_by(
+        t = t.sort_by(
             [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
         )
         n = t.num_rows
@@ -1807,11 +1751,7 @@ def q_session_gaps_events(sf_dir: str):
             "max_gap_us": pa.array(np.maximum.reduceat(gap, starts), pa.int64()),
         })
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return keyed_shuffle(ds, "user_id", 32, per_bucket)
 
 
 def q_session_ids_events(sf_dir: str):
@@ -1821,18 +1761,13 @@ def q_session_ids_events(sf_dir: str):
     each event is labelled with its user's 1-based session ordinal.
     SQL expresses it the same decomposed way (boundary flag -> running
     sum). One key-hash shuffle, segmented numpy kernel."""
-    from ..functions.hashing import hash64
     from ..stages.windowfns import _segment_starts
 
     gap_us = 1_800_000_000
     ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
 
-    def tag(t: pa.Table) -> pa.Table:
-        b = (hash64(t["user_id"]) % np.uint64(32)).astype(np.int32)
-        return t.append_column("__b", pa.array(b))
-
     def per_bucket(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__b"]).sort_by(
+        t = t.sort_by(
             [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
         )
         n = t.num_rows
@@ -1859,11 +1794,7 @@ def q_session_ids_events(sf_dir: str):
             "session_ord": pa.array(sid - base[seg_of], pa.int64()),
         })
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return keyed_shuffle(ds, "user_id", 32, per_bucket)
 
 
 def q_sliding_count_events(sf_dir: str):
@@ -1873,18 +1804,13 @@ def q_sliding_count_events(sf_dir: str):
     SQL's RANGE peer semantics. Per bucket this is two vectorized
     searchsorted passes over the (user, ts)-sorted block (no per-row
     loop, no quadratic window re-scan)."""
-    from ..functions.hashing import hash64
     from ..stages.windowfns import _segment_starts
 
     win_us = 3_600_000_000
     ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
 
-    def tag(t: pa.Table) -> pa.Table:
-        b = (hash64(t["user_id"]) % np.uint64(32)).astype(np.int32)
-        return t.append_column("__b", pa.array(b))
-
     def per_bucket(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__b"]).sort_by(
+        t = t.sort_by(
             [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
         )
         n = t.num_rows
@@ -1913,11 +1839,7 @@ def q_sliding_count_events(sf_dir: str):
             "n_last_hour": pa.array(hi - lo, pa.int64()),
         })
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return keyed_shuffle(ds, "user_id", 32, per_bucket)
 
 
 def q_first_last_orders(sf_dir: str):
@@ -2788,13 +2710,8 @@ def q_cum_distinct_events(sf_dir: str):
     (COUNT(DISTINCT) OVER is unsupported in most engines; both sides
     decompose it into first-occurrence flags + a running sum). One
     key-hash shuffle, vectorized per bucket."""
-    from ..functions.hashing import hash64
 
     ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        b = (hash64(t["user_id"]) % np.uint64(32)).astype(np.int32)
-        return t.append_column("__b", pa.array(b))
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"], kind="stable")
@@ -2806,13 +2723,7 @@ def q_cum_distinct_events(sf_dir: str):
             "n_types_seen": cum.astype("int64"),
         })
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(
-            lambda df: per_bucket(df.drop(columns=["__b"])), batch_format="pandas"
-        )
-    )
+    return keyed_shuffle(ds, "user_id", 32, per_bucket, "pandas")
 
 
 def q_ewma_events(sf_dir: str):
@@ -2825,14 +2736,11 @@ def q_ewma_events(sf_dir: str):
     trick, so rows-only for the driver; exactness is unit-tested
     against the recursion definition and across repartitionings
     (tests/test_analytics_ops.py)."""
-    from ..functions.hashing import hash64
 
     ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
 
-    def tag(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.and_(pc.is_valid(t["user_id"]), pc.is_valid(t["value"])))
-        b = (hash64(t["user_id"]) % np.uint64(32)).astype(np.int32)
-        return t.append_column("__b", pa.array(b))
+    def valid(t: pa.Table) -> pa.Table:
+        return t.filter(pc.and_(pc.is_valid(t["user_id"]), pc.is_valid(t["value"])))
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"], kind="stable")
@@ -2845,8 +2753,8 @@ def q_ewma_events(sf_dir: str):
             "ewma_e6": np.round(e * 1e6).astype("int64"),
         })
 
-    return rd_groupby_bucket(
-        ds.map_batches(tag, batch_format="pyarrow"), per_bucket
+    return keyed_shuffle(
+        ds.map_batches(valid, batch_format="pyarrow"), "user_id", 32, per_bucket, "pandas"
     )
 
 
@@ -2904,15 +2812,10 @@ def q_postings_terms(sf_dir: str):
     comma-joined string so the artifact is schema-stable and
     oracle-comparable. Per-bucket work is bounded by the bucket's
     vocabulary slice, not the corpus."""
-    from ..functions.hashing import hash64
     from ..stages.textstage import doc_term_counts
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     pairs = doc_term_counts(ds)  # term, doc_id, c
-
-    def tag(t: pa.Table) -> pa.Table:
-        b = (hash64(t["term"]) % np.uint64(32)).astype(np.int32)
-        return t.append_column("__b", pa.array(b))
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["term", "doc_id"])
@@ -2923,11 +2826,7 @@ def q_postings_terms(sf_dir: str):
             "postings": g.agg(lambda s: ",".join(str(i) for i in s)).values,
         })
 
-    return (
-        pairs.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return keyed_shuffle(pairs, "term", 32, per_bucket, "pandas")
 
 
 def q_rollup_lineitem(sf_dir: str):

@@ -41,17 +41,26 @@ def _floor_log2_u64(x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _hll_partial_registers(values: pa.Array | pa.ChunkedArray, p: int) -> np.ndarray:
-    """One HLL register vector (uint8[2^p]) for a batch of values."""
+def _hll_registers(
+    values: pa.Array | pa.ChunkedArray, codes: np.ndarray, num_groups: int, p: int
+) -> np.ndarray:
+    """HLL register plane (uint8[num_groups, 2^p]): row ``g`` holds the
+    registers of the non-NULL ``values`` whose group code is ``g``. ALL
+    groups fill in ONE vectorized pass: one hash64 over the column,
+    then np.maximum.at into the plane addressed by code*2^p + index."""
     m = 1 << p
-    h = hash64(values)  # uint64
-    idx = (h >> np.uint64(64 - p)).astype(np.int64)
-    w = h << np.uint64(p)  # remaining 64-p bits, left-aligned in 64
-    # rho = leading zeros of w within the (64-p)-bit suffix, +1
-    rho = np.where(w == 0, 64 - p + 1, 63 - _floor_log2_u64(w) + 1).astype(np.uint8)
-    reg = np.zeros(m, np.uint8)
-    np.maximum.at(reg, idx, rho)
-    return reg
+    if isinstance(values, pa.ChunkedArray):
+        values = values.combine_chunks()
+    plane = np.zeros(num_groups * m, np.uint8)
+    vi = np.flatnonzero(pa.compute.is_valid(values).to_numpy(zero_copy_only=False))
+    if len(vi):
+        h = hash64(values)[vi]  # uint64
+        idx = (h >> np.uint64(64 - p)).astype(np.int64)
+        w = h << np.uint64(p)  # remaining 64-p bits, left-aligned in 64
+        # rho = leading zeros of w within the (64-p)-bit suffix, +1
+        rho = np.where(w == 0, 64 - p + 1, 63 - _floor_log2_u64(w) + 1).astype(np.uint8)
+        np.maximum.at(plane, codes[vi] * m + idx, rho)
+    return plane.reshape(num_groups, m)
 
 
 def _hll_estimate(reg: np.ndarray) -> int:
@@ -106,27 +115,13 @@ def hll_count_distinct(
     def partial(t: pa.Table) -> pa.Table:
         # NULL group keys form their own group (GROUP BY semantics);
         # NULL values are excluded from the sketch (SQL COUNT(DISTINCT)
-        # ignores NULLs — an all-NULL key estimates 0). ALL groups'
-        # registers fill in ONE vectorized pass: one hash64 over the
-        # whole column, then np.maximum.at into a (G × 2^p) register
-        # plane addressed by group_code*m + bucket.
+        # ignores NULLs — an all-NULL key estimates 0)
         from ..functions.grouping import group_codes
 
         codes, first, G = group_codes(t, keys)
-        vals = t[col]
-        if isinstance(vals, pa.ChunkedArray):
-            vals = vals.combine_chunks()
-        valid = pa.compute.is_valid(vals).to_numpy(zero_copy_only=False)
-        plane = np.zeros(G * m, np.uint8)
-        if valid.any():
-            h = hash64(vals)  # uint64, whole column at once
-            idx = (h >> np.uint64(64 - p)).astype(np.int64)
-            w = h << np.uint64(p)
-            rho = np.where(w == 0, 64 - p + 1, 63 - _floor_log2_u64(w) + 1).astype(np.uint8)
-            vi = np.flatnonzero(valid)
-            np.maximum.at(plane, codes[vi] * m + idx[vi], rho[vi])
+        plane = _hll_registers(t[col], codes, G, p)
         rep = t.select(keys).take(pa.array(first))
-        regs = pa.array([plane[g * m : (g + 1) * m].tobytes() for g in range(G)], pa.binary())
+        regs = pa.array([row.tobytes() for row in plane], pa.binary())
         return pa.table({**{k: rep[k] for k in keys}, "__reg": regs})
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:

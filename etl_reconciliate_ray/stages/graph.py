@@ -29,6 +29,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .shuffle import bucket_ids, keyed_shuffle
+
 _SENTINEL = -1  # dangling-mass accumulator key; real node ids are >= 0
 
 # wedge-expansion chunk for the broadcast triangle fast path: peak
@@ -40,15 +42,6 @@ _WEDGE_CHUNK = 4_000_000
 
 def _i64(col):
     return pc.cast(col, pa.int64())
-
-
-def _bucket_tag(col, num_buckets: int) -> pa.Array:
-    """int32 hash-bucket id per row — ONE routing expression shared by
-    every bucketed kernel in this module (hash64 is dtype-insensitive,
-    so both sides of any cogroup built on this tag always agree)."""
-    from ..functions.hashing import hash64
-
-    return pa.array((hash64(col) % np.uint64(num_buckets)).astype(np.int32))
 
 
 def pagerank(
@@ -294,12 +287,9 @@ def chain_edges(
     casts to INT64_MIN days, silently dropping or fabricating edges);
     pre-filter upstream."""
 
-    def tag(t: pa.Table) -> pa.Table:
+    def project(t: pa.Table) -> pa.Table:
         return pa.table({
-            part_col: t[part_col],
-            node_col: _i64(t[node_col]),
-            ts_col: t[ts_col],
-            "__b": _bucket_tag(t[part_col], num_buckets),
+            part_col: t[part_col], node_col: _i64(t[node_col]), ts_col: t[ts_col],
         })
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -322,13 +312,9 @@ def chain_edges(
             "doc_b": np.maximum(prev[m], cur[m]).astype("int64"),
         })
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(
-            lambda df: per_bucket(df.drop(columns=["__b"])),
-            batch_format="pandas",
-        )
+    return keyed_shuffle(
+        ds.map_batches(project, batch_format="pyarrow"), part_col, num_buckets,
+        per_bucket, "pandas",
     )
 
 
@@ -356,13 +342,13 @@ def cooccurrence_edges(ds, group_cols, node_col: str, num_buckets: int = 32):
 
     group_cols = list(group_cols)
 
-    def tag(t: pa.Table) -> pa.Table:
+    def route(t: pa.Table) -> pa.Array:
         key = t[group_cols[0]]
         if len(group_cols) > 1:
             key = pc.binary_join_element_wise(
                 *[pc.cast(t[c], pa.string()) for c in group_cols], "\x1f"
             )
-        return t.append_column("__b", _bucket_tag(key, num_buckets))
+        return bucket_ids(key, num_buckets)
 
     def cliques(df: pd.DataFrame) -> pd.DataFrame:
         if df[group_cols + [node_col]].isna().any().any():
@@ -399,12 +385,7 @@ def cooccurrence_edges(ds, group_cols, node_col: str, num_buckets: int = 32):
         return pd.DataFrame({"doc_a": pairs[:, 0], "doc_b": pairs[:, 1]})
 
     return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(
-            lambda df: cliques(df.drop(columns=["__b"])),
-            batch_format="pandas",
-        )
+        keyed_shuffle(ds, route, num_buckets, cliques, "pandas")
         .groupby(["doc_a", "doc_b"])
         .aggregate(Count(alias_name="__n"))
         .drop_columns(["__n"])

@@ -9,9 +9,9 @@ message (J1 ``LoadSwiftMessagesTasklet.java:44``, J2
 - **broadcast_join** — the small side is ``ray.put`` ONCE and merged
   per batch inside ``map_batches`` (no shuffle, no re-ship per batch):
   the right tool when one side is a dimension table.
-- **hash_join** — both sides large: add ``__bucket__ = hash(key) % B``
-  to each, union with a side tag, single shuffle by bucket, pandas
-  merge within each bucket (explicit partitioned hash join;
+- **hash_join** — both sides large: tag each with its side, one
+  ``shuffle.keyed_shuffle`` of the union by key bucket, pandas merge
+  within each bucket (explicit partitioned hash join;
   ray_guide.md "Joins and lookups" portable pattern).
 - **broadcast_semi_join / anti_join** — membership filter against a
   broadcast key set. At 100 TB the exact set stops fitting an actor's
@@ -32,6 +32,7 @@ import pyarrow.compute as pc
 
 from ..functions.broadcast import fetch as _bfetch
 from ..functions.hashing import hash64
+from .shuffle import keyed_shuffle
 
 # arrow -> pandas NULLABLE dtype map for per-bucket merges: keeps a
 # null-bearing (or unmatched-outer) bucket's integer/bool columns at
@@ -45,13 +46,6 @@ _NULLABLE_PD = {
     pa.uint32(): pd.UInt32Dtype(), pa.uint64(): pd.UInt64Dtype(),
     pa.bool_(): pd.BooleanDtype(),
 }
-
-
-def _bucket_expr(col: pa.ChunkedArray | pa.Array, num_buckets: int) -> pa.Array:
-    # integer keys hash before the mod too: a plain ``key % n`` sends
-    # ids strided by n (per-shard id allocation, stepped sequences) all
-    # to ONE bucket
-    return pa.array((hash64(col) % np.uint64(num_buckets)).astype(np.int32))
 
 
 def broadcast_join(
@@ -205,14 +199,12 @@ def hash_join(
             for name, typ in missing:
                 batch = batch.append_column(name, pa.nulls(batch.num_rows, typ))
             batch = batch.select(on + [f for f, _ in all_fields])
-            batch = batch.append_column("__side__", pa.array([side] * batch.num_rows))
-            return batch.append_column("__bucket__", _bucket_expr(batch[on[0]], num_buckets))
+            return batch.append_column("__side__", pa.array([side] * batch.num_rows))
 
         return fn
 
-    tagged = left_ds.map_batches(tag("L", l_names, r_fields), batch_format="pyarrow").union(
-        right_ds.map_batches(tag("R", r_names, l_fields), batch_format="pyarrow")
-    )
+    sides = [left_ds.map_batches(tag("L", l_names, r_fields), batch_format="pyarrow"),
+             right_ds.map_batches(tag("R", r_names, l_fields), batch_format="pyarrow")]
 
     def join_bucket(t: pa.Table) -> pa.Table:
         # split sides while still Arrow: the other side's null-padded
@@ -234,10 +226,7 @@ def hash_join(
         merged = left.merge(right, on=on, how=how)
         return pa.Table.from_pandas(merged, schema=out_schema, preserve_index=False)
 
-    return _declare(
-        tagged.groupby("__bucket__").map_groups(join_bucket, batch_format="pyarrow"),
-        out_schema,
-    )
+    return _declare(keyed_shuffle(sides, on[0], num_buckets, join_bucket), out_schema)
 
 
 def _hot_salts(keys: pa.Array | pa.ChunkedArray, hot: np.ndarray, num_salts: int) -> np.ndarray:
@@ -443,6 +432,14 @@ def broadcast_semi_join(big_ds, keys_df: pd.DataFrame, on: str, batch_size: int 
     )
 
 
+def _sided(ds, side: str):
+    """``ds`` with a constant ``__side`` column naming its cogroup side."""
+    return ds.map_batches(
+        lambda t: t.append_column("__side", pa.array([side] * t.num_rows)),
+        batch_format="pyarrow",
+    )
+
+
 def asof_join(
     left_ds,
     right_ds,
@@ -475,19 +472,10 @@ def asof_join(
     contract as hash_join.
     """
 
-    def tag(side: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            batch = batch.append_column("__side", pa.array([side] * batch.num_rows))
-            return batch.append_column("__bucket", _bucket_expr(batch[by], num_buckets))
-
-        return fn
-
-    tagged_l = left_ds.map_batches(tag("L"), batch_format="pyarrow")
-    tagged_r = right_ds.map_batches(tag("R"), batch_format="pyarrow")
     right_keep = sorted({by, on} | set(right_cols))
 
     def asof_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        data_cols = [c for c in df.columns if c not in ("__side", "__bucket")]
+        data_cols = [c for c in df.columns if c != "__side"]
         l = df.loc[df["__side"] == "L", data_cols]
         r = df.loc[df["__side"] == "R", right_keep].copy()
         # deterministic tie-break, then exactly one right row per (by, on)
@@ -513,9 +501,8 @@ def asof_join(
         r = r.sort_values([on] + [c for c in r.columns if c != on], kind="stable")
         return pd.merge_asof(l, r, on=on, by=by, direction=direction)
 
-    return tagged_l.union(tagged_r).groupby("__bucket").map_groups(
-        asof_bucket, batch_format="pandas"
-    )
+    sides = [_sided(left_ds, "L"), _sided(right_ds, "R")]
+    return keyed_shuffle(sides, by, num_buckets, asof_bucket, "pandas")
 
 
 def interval_join(
@@ -542,19 +529,6 @@ def interval_join(
     salting on the interval's time-bin, which changes only the bucket
     fn, not the semantics.
     """
-
-    def tag(side: str):
-        def fn(t: pa.Table) -> pa.Table:
-            b = (hash64(t[by]) % np.uint64(num_buckets)).astype(np.int32)
-            t = t.append_column("__b", pa.array(b))
-            return t.append_column("__side", pa.array([side] * t.num_rows))
-
-        return fn
-
-    both = left_ds.map_batches(tag("L"), batch_format="pyarrow").union(
-        right_ds.map_batches(tag("R"), batch_format="pyarrow")
-    )
-
     out_cols = list(left_cols.values()) + list(right_cols.values())
 
     if {right_lower, right_upper} & ({on, by} | set(left_cols)):
@@ -582,4 +556,5 @@ def interval_join(
             out[dst] = pairs[ph[src]].to_numpy()
         return out
 
-    return both.groupby("__b").map_groups(join_bucket, batch_format="pandas")
+    sides = [_sided(left_ds, "L"), _sided(right_ds, "R")]
+    return keyed_shuffle(sides, by, num_buckets, join_bucket, "pandas")

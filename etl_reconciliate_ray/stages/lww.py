@@ -23,6 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.grouping import group_codes
+from .shuffle import keyed_shuffle
 
 
 def winner_index(group: np.ndarray, *orders: np.ndarray) -> np.ndarray:
@@ -77,19 +78,8 @@ def lww_latest(
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
     order_cols = [order_cols] if isinstance(order_cols, str) else list(order_cols)
 
-    def partial(t: pa.Table) -> pa.Table:
-        from .joins import _bucket_expr  # ONE routing definition engine-wide
+    def winners(t: pa.Table) -> pa.Table:
+        return _winner_take(t, key_cols, order_cols)
 
-        out = _winner_take(t, key_cols, order_cols)
-        return out.append_column(
-            "__bucket__", _bucket_expr(out[key_cols[0]], num_buckets)
-        )
-
-    def final(t: pa.Table) -> pa.Table:
-        return _winner_take(t, key_cols, order_cols).drop_columns(["__bucket__"])
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("__bucket__")
-        .map_groups(final, batch_format="pyarrow")
-    )
+    partials = ds.map_batches(winners, batch_format="pyarrow", batch_size=batch_size)
+    return keyed_shuffle(partials, key_cols[0], num_buckets, winners)

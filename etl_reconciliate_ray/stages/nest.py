@@ -23,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import hash64
+from .shuffle import keyed_shuffle
 
 
 def nest_table(
@@ -114,17 +114,9 @@ def nest_children(
     rows of one parent land in one bucket), then nest each bucket
     vectorized. Returns a Dataset of (parent_key, list<struct>) rows."""
 
-    def tag(t: pa.Table) -> pa.Table:
-        b = (hash64(t[parent_key]) % np.uint64(num_buckets)).astype(np.int32)
-        return t.append_column("__nb", pa.array(b))
-
-    def build(t: pa.Table) -> pa.Table:
-        return nest_table(t.drop_columns(["__nb"]), parent_key, order_col, list_col)
-
-    return (
-        child_ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__nb")
-        .map_groups(build, batch_format="pyarrow")
+    return keyed_shuffle(
+        child_ds, parent_key, num_buckets,
+        lambda t: nest_table(t, parent_key, order_col, list_col),
     )
 
 

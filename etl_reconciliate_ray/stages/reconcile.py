@@ -48,6 +48,7 @@ import pyarrow.compute as pc
 
 from ..functions.grouping import group_codes
 from ..functions.hashing import bucket_of
+from .shuffle import bucket_ids, keyed_shuffle
 
 STATUS_MATCHED = "MATCHED"
 STATUS_MISSING_LEFT = "MISSING_LEFT"
@@ -142,7 +143,7 @@ def reconcile_pair_pdf(
 def bucket_tag(batch: pa.Table, key_cols: Sequence[str], num_buckets: int,
                salt_for_repo: dict[str, int] | None = None) -> pa.Array:
     """The reconcile partition id for each row — THE one bucketing both
-    sides (and any pre-tagged producer) must share."""
+    sides share."""
     key_cols = list(key_cols)
     if len(key_cols) >= 2:
         return bucket_of(batch[key_cols[0]], batch[key_cols[1]], num_buckets, salt_for_repo)
@@ -154,9 +155,7 @@ def bucket_tag(batch: pa.Table, key_cols: Sequence[str], num_buckets: int,
     # bucket_of's dictionary-encode is tuned for a low-cardinality repo
     # column and would build a full per-batch hash table of a
     # near-unique key
-    from .joins import _bucket_expr
-
-    return _bucket_expr(batch[key_cols[0]], num_buckets)
+    return bucket_ids(batch[key_cols[0]], num_buckets)
 
 
 def reconcile_datasets(
@@ -177,36 +176,35 @@ def reconcile_datasets(
     the full ``key_cols`` is the merge key — strictly finer, so salted
     bucketing preserves correctness (SURVEY.md §4).
 
-    ``tagged_ds``: a pre-built union carrying ``side`` ("L"/"R") and a
-    ``bucket`` column from :func:`bucket_tag` — the fused fast path for
-    callers whose two sides DERIVE from one source (one read instead of
-    two + no union barrier); ``left_ds``/``right_ds`` are ignored.
+    ``tagged_ds``: a pre-built union carrying ``side`` ("L"/"R") — the
+    fused fast path for callers whose two sides DERIVE from one source
+    (one read instead of two + no union barrier); ``left_ds``/``right_ds``
+    are ignored. Either way rows are bucketed by :func:`bucket_tag`.
     """
     key_cols = list(key_cols)
 
-    if tagged_ds is not None:
-        tagged = tagged_ds
-    else:
-        def tag(side: str):
-            def fn(batch: pa.Table) -> pa.Table:
-                cols = key_cols + [value_col] + list(attr_cols)
-                batch = batch.select([c for c in cols if c in batch.column_names])
-                batch = batch.append_column(
-                    "side", pa.array([side] * batch.num_rows, pa.string())
-                )
-                return batch.append_column(
-                    "bucket", bucket_tag(batch, key_cols, num_buckets, salt_for_repo)
-                )
+    def side(name: str):
+        def fn(batch: pa.Table) -> pa.Table:
+            cols = key_cols + [value_col] + list(attr_cols)
+            batch = batch.select([c for c in cols if c in batch.column_names])
+            return batch.append_column(
+                "side", pa.array([name] * batch.num_rows, pa.string())
+            )
 
-            return fn
+        return fn
 
-        tagged = left_ds.map_batches(tag("L"), batch_format="pyarrow").union(
-            right_ds.map_batches(tag("R"), batch_format="pyarrow")
-        )
+    sides = tagged_ds if tagged_ds is not None else [
+        left_ds.map_batches(side("L"), batch_format="pyarrow"),
+        right_ds.map_batches(side("R"), batch_format="pyarrow"),
+    ]
+
     def reconcile_bucket(t: pa.Table) -> pa.Table:
         is_left = pc.equal(t["side"], "L")
         return reconcile_pair_pdf(
             t.filter(is_left), t.filter(pc.invert(is_left)), key_cols, value_col, attr_cols
         )
 
-    return tagged.groupby("bucket").map_groups(reconcile_bucket, batch_format="pyarrow")
+    return keyed_shuffle(
+        sides, lambda t: bucket_tag(t, key_cols, num_buckets, salt_for_repo),
+        num_buckets, reconcile_bucket,
+    )

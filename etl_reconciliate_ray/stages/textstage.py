@@ -425,8 +425,8 @@ def _span_dedup_sharded(ds, dup_ds, width: int, text_col: str,
     import ray
 
     from ..functions.bloom import bloom_contains, build_bloom
-    from ..functions.hashing import hash64
     from .joins import hash_semi_join
+    from .shuffle import keyed_shuffle
 
     def part_bloom(t: pa.Table) -> pa.Table:
         b = build_bloom(t["h"], bits_log2=bloom_bits_log2)
@@ -468,17 +468,14 @@ def _span_dedup_sharded(ds, dup_ds, width: int, text_col: str,
             else:
                 text = pa.nulls(n, pa.string())
                 ordc = t["__ord"]
-            b = (hash64(t[doc_id_col]) % np.uint64(num_buckets)).astype(np.int64)
             return pa.table({
                 doc_id_col: t[doc_id_col], "__text": text, "__ord": ordc,
                 "__side": pa.array([side] * n, pa.string()),
-                "__b": pa.array(b, pa.int64()),
             })
         return fn
 
-    tagged = ds.map_batches(tag("d"), batch_format="pyarrow").union(
-        drops.map_batches(tag("r"), batch_format="pyarrow")
-    )
+    sides = [ds.map_batches(tag("d"), batch_format="pyarrow"),
+             drops.map_batches(tag("r"), batch_format="pyarrow")]
 
     def rebuild(g: pa.Table) -> pa.Table:
         side = g["__side"]
@@ -505,7 +502,7 @@ def _span_dedup_sharded(ds, dup_ds, width: int, text_col: str,
             text_col, doc_id_col,
         )
 
-    return tagged.groupby("__b").map_groups(rebuild, batch_format="pyarrow")
+    return keyed_shuffle(sides, doc_id_col, num_buckets, rebuild)
 
 
 def span_dedup(ds, width: int = 20, text_col: str = "text",

@@ -9,11 +9,11 @@ needs (sessionized sequence features, per-user deltas, running totals).
 
 Scale shape (identical to `queries.q_rolling_user_values`):
 
-- ONE key-hash shuffle: rows are tagged with ``hash64(key) % buckets``
-  in ``map_batches`` and grouped by the BUCKET, not the raw key —
-  thousands of groups instead of millions, so the shuffle produces
-  large dense blocks and `map_groups` runs a vectorized kernel per
-  bucket rather than per key.
+- ONE key-hash shuffle (``shuffle.keyed_shuffle``): rows are grouped
+  by the hash BUCKET of the key, not the raw key — thousands of
+  groups instead of millions, so the shuffle produces large dense
+  blocks and `map_groups` runs a vectorized kernel per bucket rather
+  than per key.
 - Inside a bucket every function is a segmented numpy kernel over the
   (key, order)-sorted block: no per-row Python, no per-key loop.
 - Per-BUCKET memory, not per-key: a bucket must fit a worker's heap.
@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 import pyarrow as pa
 
-from ..functions.hashing import hash64
+from .shuffle import keyed_shuffle
 
 
 def _segment_starts(keys: np.ndarray) -> np.ndarray:
@@ -123,12 +123,8 @@ def window_functions(
     keep = list(keep if keep is not None else [key, *order_by])
     sort_spec = [(key, "ascending")] + [(c, "ascending") for c in order_by]
 
-    def tag(t: pa.Table) -> pa.Table:
-        b = (hash64(t[key]) % np.uint64(num_buckets)).astype(np.int32)
-        return t.append_column("__b", pa.array(b))
-
     def per_bucket(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__b"]).sort_by(sort_spec)
+        t = t.sort_by(sort_spec)
         n = t.num_rows
         k = t[key].to_numpy(zero_copy_only=False)
         starts = _segment_starts(k)
@@ -249,8 +245,4 @@ def window_functions(
             cols[out] = pa.array(cs - base, pa.int64())
         return pa.table(cols)
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return keyed_shuffle(ds, key, num_buckets, per_bucket)

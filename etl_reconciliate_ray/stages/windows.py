@@ -96,13 +96,9 @@ def session_window_agg(
     -> ONE shuffle on hash(key), then a vectorized per-bucket pandas
     pass (sort + diff + cumsum; no per-row Python). Emits one row per
     session: (key, session_start, n_events[, sum])."""
-    import numpy as np
     import pandas as pd
 
-    from ..stages.joins import _bucket_expr
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column("__bucket", _bucket_expr(batch[key], num_buckets))
+    from .shuffle import keyed_shuffle
 
     gap = pd.Timedelta(minutes=gap_minutes)
 
@@ -127,6 +123,4 @@ def session_window_agg(
             out["sum_value_f"] = g[value_col].sum()
         return out.reset_index(drop=True)
 
-    return events_ds.map_batches(tag, batch_format="pyarrow").groupby("__bucket").map_groups(
-        sessions, batch_format="pandas"
-    )
+    return keyed_shuffle(events_ds, key, num_buckets, sessions, "pandas")

@@ -114,13 +114,13 @@ def test_hll_error_bound_in_estimator_regime(ray_session):
 
 
 def test_hll_merge_is_idempotent_and_order_free():
-    from etl_reconciliate_ray.stages.distinctcount import (
-        _hll_estimate,
-        _hll_partial_registers,
-    )
+    from etl_reconciliate_ray.stages.distinctcount import _hll_estimate, _hll_registers
 
-    a = _hll_partial_registers(pa.array(np.arange(1000)), 12)
-    b = _hll_partial_registers(pa.array(np.arange(500, 1500)), 12)
+    def registers(values):  # one group: the operator's kernel, row 0
+        return _hll_registers(pa.array(values), np.zeros(len(values), np.int64), 1, 12)[0]
+
+    a = registers(np.arange(1000))
+    b = registers(np.arange(500, 1500))
     ab = np.maximum(a, b)
     ba = np.maximum(np.maximum(b, a), a)  # re-merge a: idempotent
     assert np.array_equal(ab, ba)

@@ -118,12 +118,17 @@ def test_bucket_tag_spreads_strided_integer_keys(ray_session):
     """Single-key unsalted bucket_tag hashes integer keys before the
     mod: ids strided by num_buckets (a plain ``key % n`` routes them all
     to ONE bucket) spread over several buckets, width-insensitively, and
-    a reconcile over them keeps exact counts."""
+    a reconcile over them keeps exact counts. The keyed shuffle's
+    routing (``shuffle.bucket_ids``, which bucket_tag uses here) is
+    ``hash64(key) % n`` as int32 for int32, int64, string and null keys:
+    the expression every hash-bucketed catalog operator used inline."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
+    from etl_reconciliate_ray.functions.hashing import hash64
     from etl_reconciliate_ray.stages.reconcile import bucket_tag, reconcile_datasets
+    from etl_reconciliate_ray.stages.shuffle import bucket_ids
 
     n = 8
     ids = np.arange(400, dtype=np.int64) * n
@@ -131,6 +136,19 @@ def test_bucket_tag_spreads_strided_integer_keys(ray_session):
     assert len(set(tags.to_pylist())) > 1
     narrow = bucket_tag(pa.table({"k": ids.astype(np.int32)}), ["k"], n)
     assert narrow.to_pylist() == tags.to_pylist()
+    for col in (
+        pa.array(ids.astype(np.int32)),
+        pa.array(ids),
+        pa.chunked_array([pa.array([f"k{i}" for i in ids[:200]]),
+                          pa.array([f"k{i}" for i in ids[200:]])]),
+        pa.array([None, 3, None, 16], pa.int64()),
+        pa.array([None, "a", "b"]),
+        pa.nulls(4),
+    ):
+        got = bucket_ids(col, n)
+        assert got.type == pa.int32()
+        assert got.to_pylist() == (hash64(col) % np.uint64(n)).astype(np.int32).tolist()
+    assert bucket_ids(pa.array(ids), n).to_pylist() == tags.to_pylist()
 
     left = pd.DataFrame({"k": ids[:300], "v": [f"h{i}" for i in ids[:300]]})
     right = pd.DataFrame({"k": ids[100:], "v": [f"h{i}" for i in ids[100:]]})
@@ -141,6 +159,55 @@ def test_bucket_tag_spreads_strided_integer_keys(ray_session):
     assert out["status"].value_counts().to_dict() == {
         "MATCHED": 150, "VALUE_DIFF": 50, "MISSING_RIGHT": 100, "MISSING_LEFT": 100,
     }
+
+
+def test_one_keyed_shuffle():
+    """Package code buckets rows by ``hash64(...) % ...`` and groups on
+    a hash-bucket tag only inside ``stages.shuffle``. Allowed apart:
+    the lake's ``bucket_of`` routing, the salted join's 40-bit key
+    packing (``joins._salted_route``), the Bloom filter and the HLL
+    sketch, which hash for other ends than bucketing."""
+    import ast
+    import glob
+    import os
+
+    import etl_reconciliate_ray
+
+    pkg = os.path.dirname(etl_reconciliate_ray.__file__)
+    home = os.path.join("stages", "shuffle.py")
+    allowed_mod = {
+        (os.path.join("stages", "shuffle.py"), "bucket_ids"),
+        (os.path.join("functions", "hashing.py"), "bucket_of"),
+        (os.path.join("stages", "joins.py"), "_salted_route"),
+    }
+    allowed_files = {os.path.join("functions", "bloom.py"),
+                     os.path.join("stages", "distinctcount.py")}
+    tags = {"__b", "__nb", "__bucket", "__bucket__", "bucket", "BUCKET"}
+    found = []
+    for f in glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True):
+        rel = os.path.relpath(f, pkg)
+        if rel in allowed_files:
+            continue
+        with open(f) as fh:
+            tree = ast.parse(fh.read())
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                    and isinstance(node.left, ast.Call)
+                    and getattr(node.left.func, "id", None) == "hash64"
+                    and (rel, owner.get(node)) not in allowed_mod):
+                found.append((rel, node.lineno, "hash64 %"))
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "groupby" and node.args
+                    and (getattr(node.args[0], "value", None) in tags
+                         or getattr(node.args[0], "id", None) in tags)
+                    and rel != home):
+                found.append((rel, node.lineno, "groupby on a bucket tag"))
+    assert not found, found
 
 
 def test_e2e_reconcile_counts_exact(fixture_small, tmp_path):
