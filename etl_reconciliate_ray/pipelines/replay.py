@@ -42,6 +42,17 @@ Resume: ``replay()`` skips epochs already sealed in the commit log —
 a kill/restart mid-stream converges to the identical sha256-verified
 lake state (north_star; chaos-tested in tests/test_replay_e2e.py).
 
+The outbound spool (``export_changelog``, ``compact_feed``) has one
+protocol: each segment is a sealed directory
+(``stages.writer.publish_sealed``: a sealed one is left as it is, an
+unsealed leftover is cleared and rewritten, the ``_SEALED`` marker of
+``{rows, files}`` publishes last), ``_segment_path`` names it,
+``_parse_segment`` reads its name back and ``_feed_segments`` is the
+one lister of the sealed segments. The three follow modes
+(``follow_stream``, ``follow_multiplexed``, ``follow_feed``) run on one
+tail loop, ``_poll_loop``: one step per poll, one idle count and one
+strict ``_EOS`` drain.
+
 Ray session ownership: these functions NEVER call ray.init/shutdown
 (driver contract in __ray_entry__.py).
 """
@@ -65,7 +76,7 @@ from ..stages.merge import LAKE_COLS, _epoch_tagged, _file_schema, _order, _unif
 from ..stages.merge import key_codes, key_mask, read_chain, read_links, read_slice, rg_spec
 from ..stages.normalize import bind_null_strings
 from ..stages.reconcile import STATUS_MISSING_LEFT, STATUS_MISSING_RIGHT, reconcile_pair_pdf
-from ..stages.writer import group_spans, publish_parquet, write_piece_local
+from ..stages.writer import group_spans, publish_parquet, publish_sealed, seal, write_piece_local
 from ..state.commitlog import CommitLog, PartEntry
 
 # input_seq marker stamped on MAINTENANCE (compaction) entries: lets a
@@ -463,7 +474,6 @@ def replay_multiplexed(
     coordinator_root: str,
     table_col: str = "tbl",
     stop_mid_epoch: int | None = None,
-    stop_at_unreadable: bool = False,
 ) -> list[dict]:
     """Ingest a MULTIPLEXED CDC stream — one binlog carrying N logical
     tables (the shape a Debezium/WAL feed actually has) — into N
@@ -487,11 +497,22 @@ def replay_multiplexed(
 
     ``stop_mid_epoch``: chaos hook — crash after staging (and
     preparing) epoch k's tables but before the COMMIT mark.
-    ``stop_at_unreadable``: tail mode (set by ``follow_multiplexed``) —
-    a half-copied epoch file cuts discovery at the readable prefix
-    instead of raising, so a poll that races the producer's copy still
-    ingests every complete earlier file.
+    ``follow_multiplexed`` tails the same core
+    (``_replay_multiplexed_descs``) with its own poll's discovery.
     """
+    return _replay_multiplexed_descs(
+        _discover_epochs(binlog_dir), tables, coordinator_root, table_col, stop_mid_epoch
+    )
+
+
+def _replay_multiplexed_descs(
+    descs: list[dict],
+    tables: dict[str, ReplayConfig],
+    coordinator_root: str,
+    table_col: str,
+    stop_mid_epoch: int | None = None,
+) -> list[dict]:
+    """``replay_multiplexed``'s core over discovered epoch descriptors."""
     import pyarrow.dataset as pads
 
     from ..state.txn import TxnCoordinator
@@ -508,7 +529,7 @@ def replay_multiplexed(
     # within this loop are strictly below every later iteration's check
     # (the sealed set only matters for the fresh-open state).
     logs = {name: CommitLog.open(cfg.lake_root) for name, cfg in tables.items()}
-    for ep in _discover_epochs(binlog_dir, stop_at_unreadable=stop_at_unreadable):
+    for ep in descs:
         engine_epoch = ep["epoch"] + 1  # 0 is reserved for bootstrap
         todo = {
             name: cfg for name, cfg in tables.items()
@@ -548,11 +569,12 @@ def follow_stream(
 ) -> list[dict]:
     """Continuous-tail mode (the reference's cron/trigger surface,
     ``ReconciliationController.java:41-42``): poll ``binlog_dir`` for
-    new epoch files, replay each batch as it lands, stop when an
-    ``_EOS`` marker file appears or ``idle_polls`` consecutive polls
-    find nothing new. Polling is control-plane only — the data path
-    stays deterministic (epoch content + commit log define the state,
-    never the wall clock).
+    new epoch files and replay each batch as it lands, on the one tail
+    loop (``_poll_loop``: stops once an ``_EOS`` marker file exists and
+    a strict discovery finds nothing new, or after ``idle_polls``
+    consecutive polls find nothing new). Polling is control-plane only
+    — the data path stays deterministic (epoch content + commit log
+    define the state, never the wall clock).
 
     ``on_batch(cfg)``: called after each fresh batch is replayed and
     sealed — the downstream-consumer hook (advance a ``MaintainedView``,
@@ -563,14 +585,9 @@ def follow_stream(
     discovery — the upstream-adapter hook (e.g. convert newly landed
     CDC envelope JSONL into binlog epochs, forward an upstream ``_EOS``
     marker); exceptions propagate."""
-
-    def run(descs: list[dict]) -> list[dict]:
-        out = _replay_epoch_descs(descs, cfg, lake_seed)
-        if on_batch is not None:
-            on_batch(cfg)
-        return out
-
-    return _poll_loop(binlog_dir, run, poll_sec, idle_polls, poll_hook)
+    step = _binlog_poll(binlog_dir, lambda descs: _replay_epoch_descs(descs, cfg, lake_seed))
+    return _poll_loop(binlog_dir, step, on_batch and functools.partial(on_batch, cfg),
+                      poll_sec, idle_polls, poll_hook)
 
 
 def follow_multiplexed(
@@ -583,56 +600,71 @@ def follow_multiplexed(
     on_batch=None,
 ) -> list[dict]:
     """Continuous-tail mode for a MULTIPLEXED stream: poll for new
-    epoch files and land each batch through ``replay_multiplexed`` —
-    per-epoch cross-table atomic commits, resumable at every crash
-    point (replay_multiplexed re-derives everything from the seals, the
+    epoch files and land each batch through ``replay_multiplexed``'s
+    core — per-epoch cross-table atomic commits, resumable at every
+    crash point (it re-derives everything from the seals, the
     coordinator log and the fences, so each poll is just a re-entry).
-    Stops on ``_EOS`` (after draining) or ``idle_polls`` empty polls.
+    Runs on the one tail loop (``_poll_loop``), whose discovery each
+    poll hands the batch: one discovery per poll, plus the strict one
+    of the ``_EOS`` drain. Stops on ``_EOS`` (after draining) or
+    ``idle_polls`` empty polls.
 
     ``on_batch(tables)``: downstream hook after each fresh atomic batch
     (advance views, spool feeds); exceptions propagate — the commits
     are already durable, so a crashed hook resumes cleanly."""
+    step = _binlog_poll(binlog_dir, lambda descs: _replay_multiplexed_descs(
+        descs, tables, coordinator_root, table_col))
+    return _poll_loop(binlog_dir, step, on_batch and functools.partial(on_batch, tables),
+                      poll_sec, idle_polls)
 
-    def run(descs: list[dict]) -> list[dict]:
-        out = replay_multiplexed(
-            binlog_dir, tables, coordinator_root, table_col=table_col,
-            stop_at_unreadable=True,
-        )
-        if on_batch is not None:
-            on_batch(tables)
+
+def _binlog_poll(binlog_dir: str, run):
+    """The ``_poll_loop`` step of a binlog tail: one discovery of the
+    epoch files (lenient: a mid-copy file cuts it; strict on the
+    ``_EOS`` drain), handed to ``run`` when it holds a file no earlier
+    poll handed over; ``[]`` when it does not."""
+    seen: set[str] = set()
+
+    def step(strict: bool) -> list[dict]:
+        descs = _discover_epochs(binlog_dir, stop_at_unreadable=not strict)
+        if all(d["file"] in seen for d in descs):
+            return []
+        out = run(descs)
+        seen.update(d["file"] for d in descs)
         return out
 
-    return _poll_loop(binlog_dir, run, poll_sec, idle_polls)
+    return step
 
 
-def _poll_loop(binlog_dir: str, run, poll_sec: float, idle_polls: int,
+def _poll_loop(watch_dir: str, step, on_batch, poll_sec: float, idle_polls: int,
                poll_hook=None) -> list[dict]:
-    """The tail loop both follow modes share: each poll discovers the
-    epoch files (lenient: a mid-copy file cuts discovery) and hands the
-    descs to ``run`` when any file is new; stops on ``_EOS`` once a
-    strict discovery finds nothing unseen, or after ``idle_polls``
-    consecutive polls without news."""
+    """THE tail loop of the three follow modes (``follow_stream``,
+    ``follow_multiplexed``, ``follow_feed``). Each poll calls
+    ``poll_hook()``, if given, then ``step(False)``: the fresh batch's
+    results, ``[]`` when nothing was new. ``on_batch()``, if given,
+    fires after each fresh batch. Stops once ``<watch_dir>/_EOS``
+    exists and the drain, a strict ``step(True)``, finds nothing new,
+    or after ``idle_polls`` consecutive polls without news."""
     out: list[dict] = []
-    seen: set[str] = set()
     idle = 0
+
+    def took(got: list[dict]) -> bool:
+        out.extend(got)
+        if got and on_batch is not None:
+            on_batch()
+        return bool(got)
+
     while True:
         if poll_hook is not None:
             poll_hook()
-        descs = _discover_epochs(binlog_dir, stop_at_unreadable=True)
-        if any(d["file"] not in seen for d in descs):
-            idle = 0
-            out.extend(run(descs))
-            seen.update(d["file"] for d in descs)
-        else:
-            idle += 1
-        if os.path.exists(os.path.join(binlog_dir, "_EOS")):
-            # STRICT discovery for the final drain: the producer is done
-            # (_EOS lands after the last file), so an unreadable file is
+        idle = 0 if took(step(False)) else idle + 1
+        if os.path.exists(os.path.join(watch_dir, "_EOS")):
+            # STRICT for the final drain: the producer is done (_EOS
+            # lands after the last file), so an unreadable file is
             # corruption, not a mid-copy — a lenient cut here would
             # declare the drain complete and silently drop the stream's
             # final epoch(s)
-            descs = _discover_epochs(binlog_dir, stop_at_unreadable=False)
-            if all(d["file"] in seen for d in descs):
+            if not took(step(True)):
                 break
         elif idle >= idle_polls:
             break
@@ -1639,14 +1671,20 @@ def erase_key_from_feed(out_dir: str, repo: str, path: str | None = None) -> dic
     in-flight) is probed as ``erase_key`` probes the lake's
     (``_files_holding_key``), and each file holding the key is
     rewritten in place without the key's rows
-    (``publish_parquet`` under the file's own name; segment names,
-    ``_SEALED`` markers and the ``_CURSOR`` are untouched, so consumer
-    positioning is unaffected — consumers that already applied the
-    rows must erase their own sinks)."""
+    (``publish_parquet`` under the file's own name). Then each sealed
+    segment whose ``_SEALED`` rows no longer equal its files' footer
+    rows is resealed with the recount (``writer.seal``), so the marker
+    matches what a consumer reads, also after a crash between the
+    rewrite and the reseal. Segment names, file counts and the
+    ``_CURSOR`` are untouched, so consumer positioning is unaffected.
+    Consumers that already applied the rows must erase their own sinks,
+    and so must the owner of each rendered envelope directory
+    (``export_feed_envelopes``): nothing here scrubs those."""
     import glob as _glob
 
     import pyarrow.parquet as pq
 
+    segs = _feed_segments(out_dir)  # before the files: each one's files are all listed
     feed = os.path.join(out_dir, "feed")
     files = sorted(_glob.glob(os.path.join(feed, "**", "*.parquet"), recursive=True))
     affected = _files_holding_key([(f, -1) for f in files], repo, path)
@@ -1656,6 +1694,14 @@ def erase_key_from_feed(out_dir: str, repo: str, path: str | None = None) -> dic
         kept = _without_key(t, repo, path)
         publish_parquet(os.path.dirname(f), [kept], name=os.path.basename(f))
         rows_erased += t.num_rows - kept.num_rows
+    for seg in segs:
+        held = [f for f in files if os.path.dirname(f) == seg]
+        rows = [pq.read_metadata(f).num_rows for f in held]
+        marker = os.path.join(seg, "_SEALED")
+        with open(marker) as fh:
+            stale = json.load(fh)["rows"] != sum(rows)
+        if stale:
+            seal(marker, pa.table({"file": held, "rows": rows}))
     return {"feed_files_rewritten": len(affected), "feed_rows_erased": rows_erased}
 
 
@@ -2201,9 +2247,10 @@ def export_changelog(
     head advanced would export an OVERLAPPING segment (or a second
     bootstrap snapshot) whose name-order fold resurrects
     deleted/reverted keys. A consumer that reads only sealed segments
-    in name order therefore sees each change exactly once. The diff
-    tasks write the segment's files themselves (``_write_segment``);
-    nothing data-scale lands on the driver."""
+    in name order therefore sees each change exactly once. The segment
+    publishes through ``writer.publish_sealed`` (``_write_segment``):
+    the diff tasks write its files themselves, and nothing data-scale
+    lands on the driver."""
     root = _root_of(cfg_or_root)
     log = CommitLog.open(root)
     head = log.latest_sealed_epoch()
@@ -2223,12 +2270,7 @@ def export_changelog(
     if head is None or (cur is not None and head <= cur):
         return {"skipped": True, "cursor": cur, "head": head}
 
-    # "0-snapshot": the '-' byte sorts below every digit, so the
-    # bootstrap segment is FIRST in name order regardless of later delta
-    # names — dumb consumers can fold the feed with a plain
-    # lexicographic walk (snapshot, then deltas, in apply order)
-    name = f"epochs=0-snapshot-{head:05d}" if cur is None else f"epochs={cur:05d}-{head:05d}"
-    seg = os.path.join(out_dir, "feed", name)
+    seg = _segment_path(out_dir, cur, head)
     written = _write_segment(root, seg, cur, head, image_cols)
     _publish_cursor(out_dir, head)
     return {
@@ -2243,29 +2285,27 @@ def export_changelog(
 
 def _write_segment(root: str, seg: str, from_epoch: int | None, to_epoch: int,
                    image_cols) -> dict:
-    """Write the changelog between two SEALED epochs as one spool
-    segment, then seal it. Each diff task publishes its own file
-    (``publish_parquet``), one slice per changed part; a task whose
-    parts netted no change, or a window that changed no part, writes one
-    zero-row file, so the segment always reads back with the feed's
-    schema. The driver writes the fsynced ``_SEALED`` marker after the
-    tasks return; it records the segment's ``rows`` and ``files``, so a
-    consumer can check what it read. Returns them."""
-    import shutil as _shutil
+    """Publish the changelog between two SEALED epochs as the sealed
+    spool segment ``seg`` (``writer.publish_sealed``: a sealed segment
+    is left as it is, an unsealed leftover is rewritten). Each diff
+    task publishes its own file (``publish_parquet``), one slice per
+    changed part; a task whose parts netted no change, or a window that
+    changed no part, writes one zero-row file, so the segment always
+    reads back with the feed's schema. The ``_SEALED`` marker records
+    the segment's ``rows`` and ``files``, so a consumer can check what
+    it read. Returns them."""
 
-    items, diff_part, feed_schema = _changelog_diff(root, from_epoch, to_epoch, image_cols)
-    _shutil.rmtree(seg, ignore_errors=True)  # crashed unsealed attempt
+    def write() -> pa.Table:
+        items, diff_part, feed_schema = _changelog_diff(root, from_epoch, to_epoch, image_cols)
 
-    def write(group: list[dict]) -> pa.Table:
-        diffs = [d for d in map(diff_part, group) if d.num_rows] or [feed_schema.empty_table()]
-        f = publish_parquet(seg, diffs, "changes")
-        return pa.table({"file": [f], "rows": [sum(d.num_rows for d in diffs)]})
+        def task(group: list[dict]) -> pa.Table:
+            diffs = [d for d in map(diff_part, group) if d.num_rows] or [feed_schema.empty_table()]
+            f = publish_parquet(seg, diffs, "changes")
+            return pa.table({"file": [f], "rows": [sum(d.num_rows for d in diffs)]})
 
-    out = _gather(_per_part(_deal(items), write)) if items else write([])
-    # equal zero-row outputs of two tasks are one content-addressed file
-    written = {"rows": pc.sum(out["rows"]).as_py(), "files": len(set(out["file"].to_pylist()))}
-    CommitLog._write_atomic(os.path.join(seg, "_SEALED"), [written])
-    return written
+        return _gather(_per_part(_deal(items), task)) if items else task([])
+
+    return publish_sealed(seg, write)
 
 
 def compact_feed(
@@ -2286,7 +2326,8 @@ def compact_feed(
     crash point):
 
     1. write + seal the new snapshot ``epochs=0-snapshot-<head>``
-       (skipped if already sealed — a retry);
+       (``_write_segment``, which leaves it as it is if already
+       sealed — a retry);
     2. advance ``_CURSOR`` to head (later ``export_changelog`` calls
        diff from head);
     3. delete every other sealed segment.
@@ -2310,20 +2351,16 @@ def compact_feed(
     head = log.latest_sealed_epoch()
     if head is None:
         return {"skipped": True, "reason": "nothing sealed"}
-    os.makedirs(os.path.join(out_dir, "feed"), exist_ok=True)
-    seg = os.path.join(out_dir, "feed", f"epochs=0-snapshot-{head:05d}")
-    name = os.path.basename(seg)
-    existing = [os.path.basename(s) for s in _feed_segments(out_dir)]
-    if existing == [name]:
+    seg = _segment_path(out_dir, None, head)
+    if _feed_segments(out_dir) == [seg]:
         return {"skipped": True, "reason": "already compacted", "segment": seg}
-    if name not in existing:  # retry after a crash-post-seal skips the build
-        _write_segment(root, seg, None, head, image_cols)
+    _write_segment(root, seg, None, head, image_cols)
     _publish_cursor(out_dir, head)
     if stop_before_delete:
         return {"skipped": False, "segment": seg, "deleted": 0, "head": head}
     deleted = 0
     for s in _feed_segments(out_dir):
-        if os.path.basename(s) != name:
+        if s != seg:
             _shutil.rmtree(s, ignore_errors=True)
             deleted += 1
     return {"skipped": False, "segment": seg, "deleted": deleted, "head": head}
@@ -2336,21 +2373,35 @@ def _publish_cursor(out_dir: str, epoch: int) -> None:
 
 
 def _sealed_to_epoch(out_dir: str) -> int | None:
-    """Highest to-epoch among SEALED segments (segment names embed it
-    as the final ``-``-separated field, for both ``epochs=A-B`` and
-    ``epochs=0-snapshot-B``) — the authoritative consumer cursor."""
-    best = None
-    for seg in _feed_segments(out_dir):
-        to = int(os.path.basename(seg).rsplit("-", 1)[1])
-        best = to if best is None else max(best, to)
-    return best
+    """Highest to-epoch among SEALED segments — the authoritative
+    consumer cursor."""
+    return max((_parse_segment(seg)[0] for seg in _feed_segments(out_dir)), default=None)
+
+
+def _segment_path(out_dir: str, from_epoch: int | None, to_epoch: int) -> str:
+    """The spool segment of the changes from ``from_epoch`` (None: the
+    empty lake, a snapshot) to ``to_epoch``: ``epochs=<from>-<to>``, or
+    ``epochs=0-snapshot-<to>``. The snapshot's ``-`` byte sorts below
+    every digit, so a bootstrap segment is FIRST in name order whatever
+    the later delta names — dumb consumers can fold the feed with a
+    plain lexicographic walk (snapshot, then deltas, in apply order)."""
+    frm = "0-snapshot" if from_epoch is None else f"{from_epoch:05d}"
+    return os.path.join(out_dir, "feed", f"epochs={frm}-{to_epoch:05d}")
+
+
+def _parse_segment(seg: str) -> tuple[int, bool]:
+    """``(to_epoch, snapshot)`` of a segment path or name
+    (``_segment_path``): the to-epoch is its last ``-`` field."""
+    name = os.path.basename(seg)
+    return int(name.rsplit("-", 1)[1]), "snapshot" in name
 
 
 def _feed_segments(out_dir: str) -> list[str]:
-    """SEALED segments of an ``export_changelog`` spool in apply order.
-    Name order IS apply order by construction (the snapshot's ``-``
-    byte sorts below every digit; delta names embed their monotone
-    from-epoch), so a plain sorted listdir is the whole protocol."""
+    """SEALED segments of an ``export_changelog`` spool in apply order:
+    the one lister of a spool's segments. Name order IS apply order by
+    construction (``_segment_path``: the snapshot's ``-`` byte sorts
+    below every digit; delta names embed their monotone from-epoch), so
+    a plain sorted listdir is the whole protocol."""
     feed = os.path.join(out_dir, "feed")
     if not os.path.isdir(feed):
         return []
@@ -2439,7 +2490,8 @@ def replicate_feed(
     partially-applied segment completes under the (epoch, part)
     fence. Replication is exactly-once end to end with NO coordination
     between producer and consumer beyond the segment ``_SEALED``
-    markers.
+    markers; the segments are listed by ``_feed_segments`` and a
+    snapshot is told by ``_parse_segment``.
 
     The replica is an independent lake: its own bucket count/salting,
     its own compaction/vacuum schedule, full read surface (lookups,
@@ -2455,7 +2507,9 @@ def replicate_feed(
     emits nothing. A compliant deployment erases at every hop —
     ``erase_key`` on the source, ``erase_key_from_feed`` on each spool,
     ``erase_key`` on each replica (each is O(key's buckets/segments),
-    never O(lake); see tests/test_replication.py).
+    never O(lake); see tests/test_replication.py) — and the owner of
+    each rendered envelope directory (``export_feed_envelopes``) must
+    erase the key there too: no engine function scrubs those.
 
     ``max_segments`` bounds one call (chaos tests / incremental
     draining); returns per-segment metrics and the replica head."""
@@ -2500,7 +2554,7 @@ def replicate_feed(
         # The tombstones read the SEALED state, so a crashed apply
         # reruns the same plan.
         plans = [_scan([seg], replica_cfg, prep=_feed_to_events)]
-        if "snapshot" in name:
+        if _parse_segment(seg)[1]:
             chains = _chains_payload(log, upto_epoch=log.latest_sealed_epoch())
             plans.append(_part_scan(chains, _as_tombstones, columns=["repo", "path"]))
         m = _apply_epochs(plans, {epoch: (0, 1)}, replica_cfg, log)[0]
@@ -2524,33 +2578,15 @@ def follow_feed(
     segments and apply each batch as it lands (the consumer mirror of
     ``follow_stream`` — a producer running ``--follow --export-feed``
     plus a consumer running ``follow_feed`` is live lake-to-lake
-    replication with no shared state). Stops when ``<out_dir>/_EOS``
-    appears and the feed is drained, or after ``idle_polls`` empty
-    polls. ``on_batch(replica_cfg)`` fires after each applied batch
-    (advance a view on the REPLICA, chain another export); exceptions
-    propagate — the replica commits are already durable."""
-    out: list[dict] = []
-    idle = 0
-    while True:
-        res = replicate_feed(out_dir, replica_cfg)
-        if res["applied"]:
-            idle = 0
-            out.extend(res["applied"])
-            if on_batch is not None:
-                on_batch(replica_cfg)
-        else:
-            idle += 1
-        if os.path.exists(os.path.join(out_dir, "_EOS")):
-            drain = replicate_feed(out_dir, replica_cfg)
-            if not drain["applied"]:
-                break
-            out.extend(drain["applied"])
-            if on_batch is not None:
-                on_batch(replica_cfg)
-        elif idle >= idle_polls:
-            break
-        time.sleep(poll_sec)
-    return out
+    replication with no shared state). Each poll is one
+    ``replicate_feed`` on the one tail loop (``_poll_loop``): it stops
+    when ``<out_dir>/_EOS`` appears and the feed is drained, or after
+    ``idle_polls`` empty polls. ``on_batch(replica_cfg)`` fires after
+    each applied batch (advance a view on the REPLICA, chain another
+    export); exceptions propagate — the replica commits are already
+    durable."""
+    return _poll_loop(out_dir, lambda strict: replicate_feed(out_dir, replica_cfg)["applied"],
+                      on_batch and functools.partial(on_batch, replica_cfg), poll_sec, idle_polls)
 
 
 def lake_schema_history(cfg_or_root) -> pa.Table:

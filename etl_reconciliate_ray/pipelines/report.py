@@ -11,11 +11,12 @@ output contract:
   (exact per-status counts + run metadata) — the machine-readable
   equivalent of the human notification.
 
-Writes are resumable and durable: table files publish task-side
-through ``stages.writer.publish_parquet``, then each table's ``_DONE``
-and last ``summary.json`` through ``CommitLog._write_atomic`` — a
-consumer that sees ``summary.json`` sees a complete report, also after
-a host crash (manifest-gated visibility, as in the lake sink).
+Writes are resumable and durable: each table is a sealed directory
+(``stages.writer.publish_sealed``: its files publish task-side through
+``publish_parquet``, then its ``_DONE`` marker), and ``summary.json``
+publishes last through ``CommitLog._write_atomic`` — a consumer that
+sees ``summary.json`` sees a complete report, also after a host crash
+(manifest-gated visibility, as in the lake sink).
 
 Conditional row coloring (green/red on status, ``:122-124,143-145``)
 is presentation-only and out of engine scope (SURVEY.md §2.1 K1).
@@ -24,13 +25,12 @@ is presentation-only and out of engine scope (SURVEY.md §2.1 K1).
 from __future__ import annotations
 
 import os
-import shutil
 import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.writer import publish_file, publish_parquet
+from ..stages.writer import publish_file, publish_parquet, publish_sealed
 from ..state.commitlog import CommitLog
 
 
@@ -64,14 +64,12 @@ def write_report(detail_ds, rollup_ds, counts_df, out_dir: str, meta: dict | Non
 
 
 def _write_table(ds, table_dir: str, split_col: str | None) -> None:
-    """Publish each block of ``ds`` (split by ``split_col`` into
-    ``<split_col>=<value>/`` files without that column) into
-    ``table_dir``, then its ``_DONE`` marker of ``rows`` and ``files``.
-    Both report tables are keyed, so no two blocks share a file."""
-    done = os.path.join(table_dir, "_DONE")
-    if os.path.exists(done):
-        return
-    shutil.rmtree(table_dir, ignore_errors=True)  # drop a partial attempt
+    """Publish ``table_dir`` as a sealed directory
+    (``writer.publish_sealed``, marker ``_DONE`` of ``rows`` and
+    ``files``): each block of ``ds`` publishes its own files, split by
+    ``split_col`` into ``<split_col>=<value>/`` files without that
+    column. Both report tables are keyed, so no two blocks share a
+    file."""
 
     def publish(block: pa.Table) -> pa.Table:
         parts = {table_dir: block}
@@ -87,10 +85,8 @@ def _write_table(ds, table_dir: str, split_col: str | None) -> None:
             "rows": pa.array([t.num_rows for t in parts.values()], pa.int64()),
         })
 
-    rows = ds.map_batches(publish, batch_format="pyarrow", batch_size=None).take_all()
-    published = {r["file"]: r["rows"] for r in rows}
-    os.makedirs(table_dir, exist_ok=True)  # an empty table publishes no file
-    CommitLog._write_atomic(done, [{"rows": sum(published.values()), "files": len(published)}])
+    publish_sealed(table_dir, lambda: pa.Table.from_pylist(
+        ds.map_batches(publish, batch_format="pyarrow", batch_size=None).take_all()), "_DONE")
 
 
 # Reference sheet layout (ExcelReportService.java:30-38,108-146): the

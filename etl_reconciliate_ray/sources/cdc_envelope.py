@@ -330,45 +330,39 @@ def export_feed_envelopes(feed_dir: str, out_dir: str) -> list[str]:
     on nondeterministic block splits. Round-tripped in tests (export →
     re-ingest → identical lake state).
 
-    Resumable and atomic:
-    a sealed segment is never re-rendered; an unsealed leftover is
-    rebuilt from scratch (part names derive from content, but a
-    crashed attempt may have split blocks differently, so rebuild —
-    not resume — is the safe idempotent path).
+    Resumable and atomic: each segment directory publishes through
+    ``writer.publish_sealed``, so a sealed one is never re-rendered and
+    an unsealed leftover is rebuilt from scratch (part names derive
+    from content, but a crashed attempt may have split blocks
+    differently, so rebuild — not resume — is the safe idempotent
+    path). The spool's sealed segments come from
+    ``replay._feed_segments`` and their to-epoch and snapshot flag from
+    ``replay._parse_segment``; a segment still being exported is not
+    listed, and the next call renders it.
 
     Scale shape: one ``replay._per_part`` item per parquet file of the
     segment; tasks write, fsync and rename their own part files, and
     per-row dict building (inherent to a nested-JSON wire format)
-    parallelizes with them. The driver then writes ``_SEALED``
-    through ``CommitLog._write_atomic``."""
+    parallelizes with them. The ``_SEALED`` marker follows, with the
+    segment's ``rows`` and ``files``."""
     import hashlib
     import json as _json
-    import shutil
 
     import pyarrow.parquet as pq
 
-    from ..pipelines.replay import _gather, _per_part
-    from ..stages.writer import publish_file
-    from ..state.commitlog import CommitLog
+    from ..pipelines.replay import _feed_segments, _gather, _parse_segment, _per_part
+    from ..stages.writer import publish_file, publish_sealed
 
     os.makedirs(out_dir, exist_ok=True)
     done: list[str] = []
-    segs = sorted(glob.glob(os.path.join(feed_dir, "feed", "epochs=*")))
-    for seg in segs:
-        if not os.path.exists(os.path.join(seg, "_SEALED")):
-            continue  # mid-export segment: next call gets it
+    for seg in _feed_segments(feed_dir):
         name = os.path.basename(seg)
         dest = os.path.join(out_dir, name)
         done.append(dest)
-        if os.path.exists(os.path.join(dest, "_SEALED")):
-            continue
-        shutil.rmtree(dest, ignore_errors=True)  # crashed unsealed try
-        os.makedirs(dest)
-        snapshot = "snapshot" in name
         # seq high bits: segment ordinal from the NAME (stable across
         # calls/crashes) — to-epoch ×2, +1 for deltas, matching the
         # segments' lexicographic fold order (see docstring)
-        to_epoch = int(name.rsplit("-", 1)[1])
+        to_epoch, snapshot = _parse_segment(seg)
         seq_base = (to_epoch * 2 + (0 if snapshot else 1)) << 32
 
         def render(f: str, dest=dest, snapshot=snapshot, name=name,
@@ -409,13 +403,10 @@ def export_feed_envelopes(feed_dir: str, out_dir: str) -> list[str]:
             with open(tmp, "wb") as fh:
                 fh.write(blob)
             publish_file(tmp, part)  # on disk before _SEALED can name it
-            return pa.table({"rows": [len(lines)]})
+            return pa.table({"file": [part], "rows": [len(lines)]})
 
-        files = sorted(glob.glob(os.path.join(seg, "*.parquet")))
-        parts = _gather(_per_part(files, render))
-        CommitLog._write_atomic(os.path.join(dest, "_SEALED"), [
-            {"rows": sum(parts.to_pydict().get("rows", [])), "files": parts.num_rows}
-        ])
+        publish_sealed(dest, lambda: _gather(_per_part(
+            sorted(glob.glob(os.path.join(seg, "*.parquet"))), render)))
     return done
 
 

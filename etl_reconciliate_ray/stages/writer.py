@@ -43,7 +43,15 @@ Every data file the engine writes goes through ``publish_parquet``:
 - a maintained view's state files (``MaintainedView._publish``, on
   the driver, one per block of the state, before ``_CURRENT`` moves);
 - converted envelope epochs and their dead letters (caller-named);
-- the report's tables, before each table's ``_DONE``.
+- the report's tables.
+
+Every sealed directory outside the lake — an export segment
+(``_SEALED``), a rendered envelope segment (``_SEALED``) and a report
+table (``_DONE``) — publishes through ``publish_sealed``: a sealed
+directory is never written again, an unsealed one is cleared and
+rewritten by the caller's tasks, and ``seal`` publishes its
+``{rows, files}`` marker last. ``erase_key_from_feed`` reseals the
+spool segments it rewrites through ``seal``.
 
 Other files — the exported JSONL envelope parts, the report's csv and
 xlsx renders, and every ``state.commitlog.Journal`` file and marker
@@ -55,7 +63,9 @@ published name (the fixture generators rename their own outputs).
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -181,6 +191,39 @@ def fsync_dir(path: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def publish_sealed(out_dir: str, write, marker: str = "_SEALED") -> dict:
+    """Publish ``out_dir`` as a sealed directory: files, then the
+    ``marker`` that makes them visible. A directory whose marker exists
+    is sealed and is not written again; its marker's record is
+    returned. Otherwise the leftovers of a crashed attempt are cleared
+    (its tasks may have split the rows into other files), ``write()``
+    runs (tasks that publish their own files into ``out_dir`` and
+    return a table of each file's ``file`` and ``rows``) and ``seal``
+    publishes the marker. Returns the marker's ``{rows, files}``."""
+    path = os.path.join(out_dir, marker)
+    if os.path.exists(path):
+        with open(path) as fh:
+            return json.load(fh)
+    shutil.rmtree(out_dir, ignore_errors=True)
+    os.makedirs(out_dir)
+    return seal(path, write())
+
+
+def seal(marker_path: str, written: pa.Table) -> dict:
+    """Publish the marker ``{rows, files}`` of the files ``written``
+    lists (columns ``file`` and ``rows``; a file listed twice, such as
+    two tasks' equal zero-row files, counts once) through
+    ``Journal._write_atomic``, so a consumer can check what it reads.
+    Returns the record."""
+    from ..state.commitlog import Journal
+
+    cols = written.to_pydict()  # no columns when nothing was written
+    files = dict(zip(cols.get("file", []), cols.get("rows", [])))
+    rec = {"rows": sum(files.values()), "files": len(files)}
+    Journal._write_atomic(marker_path, [rec])
+    return rec
 
 
 def write_piece_local(lake_root: str, epoch: int, part: int, tbl: pa.Table,

@@ -186,8 +186,8 @@ def test_cli_erase_mode(fixture_small, tmp_path, ray_session, capsys):
 
 def test_erase_scrubs_export_feed(fixture_small, tmp_path, ray_session):
     """erase_key_from_feed: the spooled CDC feed forgets the key too —
-    segments rewritten in place, markers/cursor untouched, and a
-    consumer replay of the scrubbed feed equals the erased lake."""
+    segments rewritten in place and still sealed, cursor untouched, and
+    a consumer replay of the scrubbed feed equals the erased lake."""
     import json
 
     from etl_reconciliate_ray.pipelines.replay import (
@@ -218,7 +218,7 @@ def test_erase_scrubs_export_feed(fixture_small, tmp_path, ray_session):
     res = erase_key_from_feed(out, repo, path)
     assert res["feed_rows_erased"] >= 1
 
-    # markers and cursor untouched
+    # cursor untouched, every segment still sealed
     with open(os.path.join(out, "_CURSOR")) as fh:
         assert fh.read() == cursor_before
     segs = sorted(glob.glob(os.path.join(out, "feed", "epochs=*")))
@@ -286,3 +286,33 @@ def test_erase_from_feed_reads_whole_only_the_files_holding_the_key(
     whole = {src for src, cols in reads if cols is None}
     assert whole == holding
     assert all(open(f, "rb").read() == b for f, b in before.items())
+
+
+def test_erase_from_feed_reseals_each_segment(fixture_small, tmp_path, ray_session):
+    """After ``erase_key_from_feed`` each sealed segment's ``_SEALED``
+    counts what a consumer reads: its ``rows`` equal the sum of its
+    files' footer row counts and its ``files`` their number."""
+    import json
+
+    from etl_reconciliate_ray.pipelines.replay import erase_key_from_feed, export_changelog
+
+    fixture_dir, _, manifest = fixture_small
+    cfg = _cfg(tmp_path, "lake_feed_reseal", manifest)
+    replay(fixture_dir, cfg, stop_after_epoch=2)
+    out = str(tmp_path / "spool")
+    export_changelog(cfg.lake_root, out)  # snapshot segment
+    replay(fixture_dir, cfg)
+    export_changelog(cfg.lake_root, out)  # delta segment
+    segs = sorted(glob.glob(os.path.join(out, "feed", "epochs=*")))
+    t = pq.read_table(sorted(glob.glob(os.path.join(segs[-1], "*.parquet")))[0])
+    assert t.num_rows
+
+    res = erase_key_from_feed(out, t["repo"][0].as_py())  # a whole repo, in both segments
+    assert res["feed_rows_erased"] >= 2
+    for seg in segs:
+        files = glob.glob(os.path.join(seg, "*.parquet"))
+        with open(os.path.join(seg, "_SEALED")) as fh:
+            marker = json.load(fh)
+        assert marker == {
+            "rows": sum(pq.read_metadata(f).num_rows for f in files), "files": len(files),
+        }, seg

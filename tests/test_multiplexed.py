@@ -197,3 +197,37 @@ def test_follow_multiplexed_cuts_at_midcopy_file(fixture_small, tmp_path, ray_se
     replay_multiplexed(mux, control, str(tmp_path / "mcc_txn"))
     for n in cfgs:
         assert lake_state_hash(cfgs[n].lake_root) == lake_state_hash(control[n].lake_root)
+
+
+def test_follow_multiplexed_discovers_once_per_poll(fixture_small, tmp_path, ray_session,
+                                                    monkeypatch):
+    """Each poll of ``follow_multiplexed`` reads the binlog footers once:
+    the batch lands with the poll's own lenient discovery, and the
+    ``_EOS`` drain adds one strict discovery. With ``_EOS`` already
+    present the stream lands in one poll, so two discoveries in all."""
+    import shutil
+
+    from etl_reconciliate_ray.pipelines import replay as replay_mod
+    from etl_reconciliate_ray.pipelines.replay import follow_multiplexed
+
+    fixture_dir, _, manifest = fixture_small
+    mux, _, _ = _build_mux(fixture_dir, str(tmp_path / "streams5"))
+    grow = str(tmp_path / "grow5")
+    os.makedirs(grow)
+    for f in sorted(glob.glob(os.path.join(mux, "*.parquet")))[:2]:
+        shutil.copy(f, os.path.join(grow, os.path.basename(f)))
+    open(os.path.join(grow, "_EOS"), "w").close()
+
+    lenient: list[bool] = []
+    discover = replay_mod._discover_epochs
+
+    def counted(binlog_dir, stop_at_unreadable=False):
+        lenient.append(stop_at_unreadable)
+        return discover(binlog_dir, stop_at_unreadable=stop_at_unreadable)
+
+    monkeypatch.setattr(replay_mod, "_discover_epochs", counted)
+    cfgs = {"files": _cfg(tmp_path, "dp_files", manifest),
+            "orders": _cfg(tmp_path, "dp_orders", manifest)}
+    out = follow_multiplexed(grow, cfgs, str(tmp_path / "dp_txn"), poll_sec=0.05, idle_polls=3)
+    assert [m["epoch"] for m in out if not m["skipped"]] == [1, 2]
+    assert lenient == [True, False]  # one lenient poll, then the strict drain

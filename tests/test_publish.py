@@ -16,10 +16,15 @@ sites that go through it.
   fsynced before their rename, and a crash at each of its durable
   steps, then a rerun with other block splits, leaves exact tables;
 - the CLI's repo view is counted from its state files' footers;
+- the report's tables, an export segment and an envelope segment are
+  sealed directories: a crash at the marker, then a rerun, leaves
+  exactly an uncrashed run's files, and a second call rewrites nothing;
 - no package module but the catalog's sink registry and the bench
-  fixture generator calls Ray Data's ``write_parquet``, and no package
+  fixture generator calls Ray Data's ``write_parquet``, no package
   function but ``stages.merge.read_slice`` reads parquet row groups or
-  makes a filtered ``read_table``.
+  makes a filtered ``read_table``, no function but
+  ``stages.writer.seal`` publishes a ``_SEALED`` or ``_DONE`` marker,
+  and none but ``replay._feed_segments`` lists a spool's segments.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from etl_reconciliate_ray.pipelines.replay import (
     replay_stream,
 )
 from etl_reconciliate_ray.pipelines.report import render_report, write_report
+from etl_reconciliate_ray.sources.cdc_envelope import export_feed_envelopes
 from etl_reconciliate_ray.stages.writer import publish_parquet
 from etl_reconciliate_ray.state.commitlog import Journal
 
@@ -284,14 +290,62 @@ class _Crash(Exception):
     pass
 
 
-@pytest.mark.parametrize("crash_at", [1, 2, 3])
-def test_report_crash_then_rerun_is_exact(tmp_path, monkeypatch, crash_at):
-    """Crash at each of the report's durable steps (the detail's and
-    the rollup's ``_DONE``, ``summary.json``), hooked on
-    ``Journal._write_atomic``; a rerun whose blocks split the rows
-    differently must leave each ``detail/status=S`` with exactly
-    ``counts[S]`` rows, not a crashed attempt's files as well."""
-    out = str(tmp_path / "report")
+def _sealed_surface(tmp_path, surface: str):
+    """``(run(out, blocks), steps)`` of one sealed-directory surface:
+    ``run`` writes it into ``out`` (the report from inputs of ``blocks``
+    blocks), and ``steps`` are its ``Journal._write_atomic`` targets
+    relative to ``out``, in order. ``segment`` is an ``export_changelog``
+    bootstrap of a one-epoch lake and ``envelopes`` the
+    ``export_feed_envelopes`` render of that segment."""
+    if surface == "report":
+        def run(out: str, blocks: int) -> None:
+            detail, rollup, counts = _report_inputs(blocks)
+            write_report(detail, rollup, _counts_df(counts), out)
+
+        return run, ["detail/_DONE", "rollup/_DONE", "summary.json"]
+    binlog = tmp_path / "binlog"
+    binlog.mkdir()
+    lake = str(tmp_path / "lake")
+    _binlog_epoch(binlog, 0, [("I", f"r{i % 3}", f"p{i}", f"v{i}") for i in range(30)])
+    replay_stream(str(binlog), ReplayConfig(lake_root=lake, num_buckets=4))
+    seg = "epochs=0-snapshot-00001"
+    if surface == "segment":
+        return (lambda out, blocks: export_changelog(lake, out, image_cols="all"),
+                [f"feed/{seg}/_SEALED", "_CURSOR"])
+    feed = str(tmp_path / "feed")
+    export_changelog(lake, feed, image_cols="all")
+    return lambda out, blocks: export_feed_envelopes(feed, out), [f"{seg}/_SEALED"]
+
+
+def _tree(out: str) -> dict[str, bytes]:
+    """Every file under ``out`` by relative path, with its bytes;
+    ``summary.json`` is left out (it records a wall time)."""
+    got = {}
+    for d, _, files in os.walk(out):
+        for f in files:
+            if f != "summary.json":
+                with open(os.path.join(d, f), "rb") as fh:
+                    got[os.path.relpath(os.path.join(d, f), out)] = fh.read()
+    return got
+
+
+@pytest.mark.parametrize(
+    "surface,crash_at",
+    [("report", 1), ("report", 2), ("report", 3), ("segment", 1), ("envelopes", 1)],
+    ids=["1", "2", "3", "segment", "envelopes"],
+)
+def test_report_crash_then_rerun_is_exact(tmp_path, monkeypatch, surface, crash_at):
+    """Crash at a durable step of a sealed-directory surface (the
+    report's detail and rollup ``_DONE`` and its ``summary.json``; an
+    export segment's and an envelope segment's ``_SEALED``), hooked on
+    ``Journal._write_atomic``. The crashed directory keeps its files
+    and one more, as if the crashed attempt had split its rows
+    otherwise. A rerun must leave it with exactly the files of an
+    uncrashed run, and the report's ``detail/status=S`` with exactly
+    ``counts[S]`` rows. A second call on the sealed directories
+    rewrites nothing."""
+    run, steps = _sealed_surface(tmp_path, surface)
+    out = str(tmp_path / "out")
     seen: list[str] = []
     write_atomic = Journal._write_atomic
 
@@ -302,14 +356,33 @@ def test_report_crash_then_rerun_is_exact(tmp_path, monkeypatch, crash_at):
         write_atomic(path, recs)
 
     monkeypatch.setattr(Journal, "_write_atomic", staticmethod(hooked))
-    detail, rollup, counts = _report_inputs(3)
     with pytest.raises(_Crash):
-        write_report(detail, rollup, _counts_df(counts), out)
-    assert seen == ["detail/_DONE", "rollup/_DONE", "summary.json"][:crash_at]
+        run(out, 3)
+    assert seen == steps[:crash_at]
     monkeypatch.undo()
-    detail, rollup, _ = _report_inputs(2)
-    write_report(detail, rollup, _counts_df(counts), out)
-    _assert_report(out, counts)
+    step = steps[crash_at - 1]
+    sealed = os.path.dirname(step) if os.path.basename(step) in ("_SEALED", "_DONE") else None
+    if sealed is not None:
+        crashed = glob.glob(os.path.join(out, sealed, "**", "*.*"), recursive=True)
+        leftover = sorted(crashed)[0]
+        with open(leftover, "rb") as src, open(os.path.join(
+                os.path.dirname(leftover), "stray-" + os.path.basename(leftover)), "wb") as dst:
+            dst.write(src.read())
+    run(out, 2)
+    if sealed is not None:
+        ref = str(tmp_path / "ref")
+        run(ref, 2)
+        assert _tree(os.path.join(out, sealed)) == _tree(os.path.join(ref, sealed))
+    if surface == "report":
+        _assert_report(out, _report_inputs(2)[2])
+
+    def stamps() -> dict:
+        return {p: (os.stat(os.path.join(out, p)).st_ino, os.stat(os.path.join(out, p)).st_mtime_ns)
+                for p in _tree(out)}
+
+    before = stamps()
+    run(out, 3)  # a rewrite would split the report's rows otherwise
+    assert stamps() == before
 
 
 def test_repo_view_count_reads_no_state(tmp_path, monkeypatch):
@@ -347,6 +420,65 @@ def test_no_second_parquet_publish_path():
         with open(f) as fh:
             if ".write_parquet(" in fh.read() and rel not in allowed:
                 found.append(rel)
+    assert not found, found
+
+
+def test_one_sealed_directory_publish():
+    """One sealed-directory protocol for the spools outside the lake:
+    no package function but ``stages.writer.seal`` hands
+    ``_write_atomic`` a path built from a ``_SEALED`` or ``_DONE``
+    name, and no function but ``replay._feed_segments`` lists a
+    spool's ``epochs=`` segment directories (a directory listing in a
+    function that names ``epochs=``)."""
+    import ast
+
+    import etl_reconciliate_ray
+
+    markers = {"_SEALED", "_DONE"}
+    listings = {"glob", "iglob", "listdir", "scandir", "walk", "iterdir"}
+    allowed = {("writer", "seal", "marker"), ("replay", "_feed_segments", "listing")}
+
+    def name_of(call: ast.Call) -> str | None:
+        return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+    def check(mod: str, fn: ast.FunctionDef) -> list[tuple[str, str, str]]:
+        docs = {
+            id(node.body[0].value) for node in ast.walk(fn)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+        }
+        strings = [n.value for n in ast.walk(fn) if isinstance(n, ast.Constant)
+                   and isinstance(n.value, str) and id(n) not in docs]
+
+        def names_marker(node: ast.AST) -> bool:
+            return any(isinstance(n, ast.Constant) and n.value in markers
+                       or isinstance(n, ast.Name) and n.id in tainted for n in ast.walk(node))
+
+        tainted: set[str] = set()
+        for node in ast.walk(fn):  # a name bound to a path built from a marker name
+            if isinstance(node, ast.Assign) and names_marker(node.value):
+                tainted |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call)]
+        kinds = set()
+        if any(name_of(c) == "_write_atomic" and c.args and names_marker(c.args[0])
+               for c in calls):
+            kinds.add("marker")
+        if any(name_of(c) in listings for c in calls) and any("epochs=" in v for v in strings):
+            kinds.add("listing")
+        return [(mod, fn.name, k) for k in sorted(kinds)]
+
+    pkg = os.path.dirname(etl_reconciliate_ray.__file__)
+    found = []
+    for f in sorted(glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True)):
+        mod = os.path.basename(f)[:-3]
+        with open(f) as fh:
+            tree = ast.parse(fh.read())
+        tops = [n for n in tree.body if isinstance(n, ast.ClassDef)]
+        for node in tree.body + [m for c in tops for m in c.body]:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{m}.{fn}: {k}" for m, fn, k in check(mod, node)
+                          if (m, fn, k) not in allowed]
     assert not found, found
 
 
