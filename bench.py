@@ -233,7 +233,7 @@ def run_bench() -> dict:
             h2 = hashlib.sha256(h).digest()  # noqa: F841
         return _pa.table({"n": _pa.array([batch.num_rows], _pa.int64())})
 
-    n_probe = 2_000_000
+    n_probe = 62_500 * ncpu  # 2,000,000 at the recorded 32 CPUs
     t0 = time.monotonic()
     rd.range(n_probe, override_num_blocks=4 * ncpu).map_batches(
         probe, batch_format="pyarrow"

@@ -72,8 +72,8 @@ import pyarrow.compute as pc
 
 from ..functions.hashing import retag_bucket, sha256_hex_array, table_state_sha256
 from ..stages.lww import winner_index
-from ..stages.merge import LAKE_COLS, _epoch_tagged, _file_schema, _order, _unify_concat
-from ..stages.merge import key_codes, key_mask, read_chain, read_links, read_slice, rg_spec
+from ..stages.merge import LAKE_COLS, _epoch_tagged, _file_schema, _order, _unify_concat, rg_spec
+from ..stages.merge import evolve_type, key_codes, key_mask, read_chain, read_links, read_slice
 from ..stages.normalize import bind_null_strings
 from ..stages.reconcile import STATUS_MISSING_LEFT, STATUS_MISSING_RIGHT, reconcile_pair_pdf
 from ..stages.writer import group_spans, publish_parquet, publish_sealed, seal, write_piece_local
@@ -672,37 +672,6 @@ def _poll_loop(watch_dir: str, step, on_batch, poll_sec: float, idle_polls: int,
     return out
 
 
-_INT_WIDTH = {pa.int8(): 8, pa.int16(): 16, pa.int32(): 32, pa.int64(): 64}
-_UINT_WIDTH = {pa.uint8(): 8, pa.uint16(): 16, pa.uint32(): 32, pa.uint64(): 64}
-_FLOAT_WIDTH = {pa.float16(): 16, pa.float32(): 32, pa.float64(): 64}
-
-
-def _safe_widen(a: pa.DataType, b: pa.DataType) -> pa.DataType | None:
-    """The LOSSLESS common type of two evolved column types, or None if
-    no safe promotion exists. Same-kind widening only (Debezium-style
-    additive type evolution): signed↔signed / unsigned↔unsigned /
-    float↔float width bumps, (large_)string and (large_)binary offset
-    widening, decimal128 precision growth at the SAME scale. Signed vs
-    unsigned, int vs float (int64→float64 loses above 2^53), and
-    timestamp unit changes stay refused."""
-    for widths in (_INT_WIDTH, _UINT_WIDTH, _FLOAT_WIDTH):
-        if a in widths and b in widths:
-            return a if widths[a] >= widths[b] else b
-    strs = (pa.string(), pa.large_string())
-    if a in strs and b in strs:
-        return pa.large_string()
-    bins = (pa.binary(), pa.large_binary())
-    if a in bins and b in bins:
-        return pa.large_binary()
-    if (
-        pa.types.is_decimal128(a)
-        and pa.types.is_decimal128(b)
-        and a.scale == b.scale
-    ):
-        return pa.decimal128(max(a.precision, b.precision), a.scale)
-    return None
-
-
 def _binlog_scan_schema(files: list[str], drop: tuple[str, ...] = ("ts",)) -> "pa.Schema":
     """Unified scan schema across binlog files (see ``_binlog_footers``)."""
     return _binlog_footers(files, drop)[0]
@@ -721,14 +690,15 @@ def _binlog_footers(
     contract: a payload column ADDED mid-stream appears in the unified
     schema (older files surface it as nulls via the explicit
     ``schema=`` read); a column absent from later files likewise reads
-    as null there. A type change for an existing column unifies to the
-    LOSSLESS wider type when one exists (``_safe_widen`` — int/float
-    width bumps, string/binary offset widening, decimal precision
-    growth; the parquet scanner casts narrower fragments up, and the
-    lake's chain resolution already promotes permissively) and is
-    refused loudly otherwise (silently coercing CDC payloads corrupts
-    the lake). ``drop`` columns (``ts``: dead weight in replay — LWW
-    orders on seq) are pruned at the scan. Field order is
+    as null there. A column's types fold, file by file, through
+    ``merge.evolve_type``: an all-null leg yields, a lossless widening
+    (int/float width bumps, string/binary offset widening, decimal
+    precision growth) takes the wider type, the parquet scanner casting
+    narrower fragments up, and anything else raises naming the file.
+    The same rule checks the window's pieces against the lake's types
+    before they commit (``_apply_epochs``), so a change split across
+    windows is refused too. ``drop`` columns (``ts``: dead weight in
+    replay — LWW orders on seq) are pruned at the scan. Field order is
     first-appearance, so the pre-evolution prefix stays stable.
 
     Without this, a scan that infers the schema from the FIRST file
@@ -750,22 +720,9 @@ def _binlog_footers(
             if fld.name in drop:
                 continue
             prev = fields.get(fld.name)
-            if prev is None:
-                fields[fld.name] = fld
-            elif not prev.type.equals(fld.type):
-                # an all-null file leg may carry `null` type; the real
-                # type (from any other file) wins
-                if pa.types.is_null(prev.type):
-                    fields[fld.name] = fld
-                elif not pa.types.is_null(fld.type):
-                    wide = _safe_widen(prev.type, fld.type)
-                    if wide is None:
-                        raise ValueError(
-                            f"binlog schema evolution changed the TYPE of column "
-                            f"{fld.name!r} ({prev.type} -> {fld.type} in {f}) with "
-                            "no lossless promotion; rewrite upstream, refusing"
-                        )
-                    fields[fld.name] = pa.field(fld.name, wide)
+            typ = fld.type if prev is None else evolve_type(fld.name, prev.type, fld.type, f)
+            if prev is None or not typ.equals(prev.type):
+                fields[fld.name] = fld if typ.equals(fld.type) else pa.field(fld.name, typ)
     return pa.schema(list(fields.values())), nbytes, frags
 
 
@@ -1024,7 +981,11 @@ def _apply_epochs(
     tombstones). Or it is a caller's Dataset (``run_epoch``,
     ``MultiTableTxn.stage``), whose blocks the write runs on as its one
     ``map_batches``. The epoch tag derives every row's bucket from
-    ``cfg``'s layout. The driver then folds parts whose chains would
+    ``cfg``'s layout. The driver then folds the footer schemas of the
+    window's pieces into the lake's types (``_fold_types`` over
+    ``_payload_schema``), which raises on a change ``merge.evolve_type``
+    refuses whatever the window size, leaving the pieces unreferenced as
+    a crashed window's are. Then it folds parts whose chains would
     outgrow ``cfg.delta_threshold`` (``_fold_long_chains``) and commits
     (and, with ``seal``, seals) the epochs strictly in order. Each
     epoch's metrics carry ``read_blocks``, the number of non-empty
@@ -1140,6 +1101,8 @@ def _apply_epochs(
         ds = events.map_batches(write_block, batch_format="pyarrow", batch_size=None)
         rows = [dict(r) for r in ds.take_all()]
     read_blocks = sum(int(r["block"]) for r in rows)
+    _fold_types(list(dict.fromkeys((int(r["epoch"]), r["file"]) for r in rows)),
+                _payload_schema(log, None))
     rows, folded = _fold_long_chains(rows, epochs[0], cfg, log)
     sec = time.monotonic() - t0
 
@@ -1677,9 +1640,10 @@ def erase_key_from_feed(out_dir: str, repo: str, path: str | None = None) -> dic
     matches what a consumer reads, also after a crash between the
     rewrite and the reseal. Segment names, file counts and the
     ``_CURSOR`` are untouched, so consumer positioning is unaffected.
-    Consumers that already applied the rows must erase their own sinks,
-    and so must the owner of each rendered envelope directory
-    (``export_feed_envelopes``): nothing here scrubs those."""
+    Consumers that already applied the rows must erase their own sinks.
+    A rendered envelope directory is scrubbed by rerunning
+    ``export_feed_envelopes`` on the spool: it renders again each
+    segment whose row count changed."""
     import glob as _glob
 
     import pyarrow.parquet as pq
@@ -1697,11 +1661,8 @@ def erase_key_from_feed(out_dir: str, repo: str, path: str | None = None) -> dic
     for seg in segs:
         held = [f for f in files if os.path.dirname(f) == seg]
         rows = [pq.read_metadata(f).num_rows for f in held]
-        marker = os.path.join(seg, "_SEALED")
-        with open(marker) as fh:
-            stale = json.load(fh)["rows"] != sum(rows)
-        if stale:
-            seal(marker, pa.table({"file": held, "rows": rows}))
+        if _sealed_rows(seg) != sum(rows):
+            seal(os.path.join(seg, "_SEALED"), pa.table({"file": held, "rows": rows}))
     return {"feed_files_rewritten": len(affected), "feed_rows_erased": rows_erased}
 
 
@@ -2012,43 +1973,54 @@ def lake_table(cfg_or_root, as_of_epoch: int | None = None) -> pa.Table:
     return _unify_concat(parts)
 
 
-def _file_schemas(log: CommitLog, upto_epoch: int | None) -> list[tuple[int, pa.Schema]]:
-    """``(epoch, schema)`` of every distinct file the log's surviving
-    entries reference up to ``upto_epoch``, from parquet FOOTERS only,
-    in (epoch, part) order of each file's first reference. Each footer
-    is read once per process (``merge._file_schema``, shared with chain
-    reads), so a repeated call — every image-carrying changelog, hence
-    every ``MaintainedView.advance`` — reads only the files new since
-    the last one."""
-    seen: set[str] = set()
-    out = []
-    for entry in sorted(log.all_entries(), key=lambda e: (e.epoch, e.part)):
-        if upto_epoch is not None and entry.epoch > upto_epoch:
-            continue
-        for f in entry.files:
-            if f not in seen:
-                seen.add(f)
-                out.append((entry.epoch, _file_schema(f)))
-    return out
+#: engine-internal lake columns: the merge machinery, not the table's
+#: logical payload schema
+_ENGINE_COLS = ("bucket", "op", "seq", "ts", "epoch")
+
+
+def _lake_files(log: CommitLog, upto_epoch: int | None) -> list[tuple[int, str]]:
+    """``(epoch, file)`` of every distinct file the log's surviving
+    entries reference up to ``upto_epoch`` (None: all of them), in
+    (epoch, part) order of each file's first reference."""
+    seen: dict[str, int] = {}
+    for entry in log.all_entries():  # (epoch, part) order
+        if upto_epoch is None or entry.epoch <= upto_epoch:
+            for f in entry.files:
+                seen.setdefault(f, entry.epoch)
+    return [(e, f) for f, e in seen.items()]
+
+
+def _fold_types(
+    files: list[tuple[int, str]], types: dict[str, pa.DataType] | None = None
+) -> tuple[dict[str, pa.DataType], list[tuple[int, str, pa.DataType]]]:
+    """The lake's one type fold: each ``(epoch, file)``'s footer schema,
+    in order, stepped into ``types`` (column -> type; None: empty)
+    through ``merge.evolve_type``, engine-internal columns elided.
+    Returns the types and the ``(epoch, column, type)`` steps at which
+    a column appeared or widened. Footers are metadata only and read
+    once per process (``merge._file_schema``, shared with chain reads),
+    so a repeated fold reads only the files new since the last one."""
+    types = {} if types is None else types
+    steps = []
+    for epoch, f in files:
+        schema = _file_schema(f)
+        for name, typ in zip(schema.names, schema.types):
+            if name in _ENGINE_COLS:
+                continue
+            prev = types.get(name)
+            typ = typ if prev is None else evolve_type(name, prev, typ, f)
+            if prev is None or not typ.equals(prev):
+                types[name] = typ
+                steps.append((epoch, name, typ))
+    return types, steps
 
 
 def _payload_schema(log: CommitLog, upto_epoch: int | None) -> dict[str, pa.DataType]:
-    """The lake's unified logical payload schema at ``upto_epoch``, from
-    the surviving files' footers (``_file_schemas``). Engine-internal
-    columns are elided; types that widened mid-stream unify via
-    ``_safe_widen`` (newest wins when no lossless widening exists,
-    matching what chain resolution itself produces)."""
-    out: dict[str, pa.DataType] = {}
-    for _, schema in _file_schemas(log, upto_epoch):
-        for name, typ in zip(schema.names, schema.types):
-            if name in ("bucket", "op", "seq", "ts", "epoch"):
-                continue
-            prev = out.get(name)
-            if prev is None or prev.equals(typ):
-                out[name] = typ
-            else:
-                out[name] = _safe_widen(prev, typ) or typ
-    return out
+    """The lake's logical payload schema at ``upto_epoch``: its files'
+    footers folded by ``_fold_types``. A lake holding a lossy pair of
+    types (written before the commit check existed) raises, naming the
+    column, both types and the file."""
+    return _fold_types(_lake_files(log, upto_epoch))[0]
 
 
 def _same(a, b):
@@ -2131,7 +2103,11 @@ def _changelog_diff(cfg_or_root, from_epoch: int | None, to_epoch: int | None, i
     feed_schema)``, one item per partition whose chain differs between
     the two sealed states, and ``diff_part(item)`` its feed rows at
     ``feed_schema``. ``lake_changelog`` runs it into a Dataset, the
-    export (``_write_segment``) into a spool segment."""
+    export (``_write_segment``) into a spool segment. Image columns
+    take the lake's folded types (``_payload_schema``), so both states
+    cast to them with Arrow's default safe cast: every type a chain
+    holds widens losslessly into them, and anything else was refused
+    at commit (``_apply_epochs``)."""
     log = CommitLog.open(_root_of(cfg_or_root))
     upto_to = _as_of_upto(log, to_epoch)
     upto_from = None if from_epoch is None else _as_of_upto(log, from_epoch)
@@ -2171,13 +2147,9 @@ def _changelog_diff(cfg_or_root, from_epoch: int | None, to_epoch: int | None, i
     )
 
     def state(chain: list[dict], part: int) -> pa.Table:
-        t = read_chain(chain, columns=cols, part=part)
-        if t is None:
-            return state_schema.empty_table()
-        for c in cols:
-            if c not in t.column_names:
-                t = t.append_column(c, pa.nulls(t.num_rows, state_schema.field(c).type))
-        return t.select(cols).cast(state_schema, safe=False)
+        # a column the chain predates null-fills, as in chain resolution
+        t = _unify_concat([state_schema.empty_table(), read_chain(chain, columns=cols, part=part)])
+        return t.select(cols).cast(state_schema)
 
     def diff_part(item: dict) -> pa.Table:
         part = int(item["part"])
@@ -2398,11 +2370,16 @@ def _parse_segment(seg: str) -> tuple[int, bool]:
 
 def _feed_segments(out_dir: str) -> list[str]:
     """SEALED segments of an ``export_changelog`` spool in apply order:
-    the one lister of a spool's segments. Name order IS apply order by
+    the one lister of segments. It takes the spool's root, whose
+    segments live under ``feed/``, or a directory that holds segments
+    itself, such as a rendered envelope directory
+    (``export_feed_envelopes``). Name order IS apply order by
     construction (``_segment_path``: the snapshot's ``-`` byte sorts
     below every digit; delta names embed their monotone from-epoch), so
     a plain sorted listdir is the whole protocol."""
     feed = os.path.join(out_dir, "feed")
+    if not os.path.isdir(feed):
+        feed = out_dir
     if not os.path.isdir(feed):
         return []
     return sorted(
@@ -2411,6 +2388,12 @@ def _feed_segments(out_dir: str) -> list[str]:
         if d.startswith("epochs=")
         and os.path.exists(os.path.join(feed, d, "_SEALED"))
     )
+
+
+def _sealed_rows(seg: str) -> int:
+    """The ``rows`` a sealed segment directory's ``_SEALED`` records."""
+    with open(os.path.join(seg, "_SEALED")) as fh:
+        return json.load(fh)["rows"]
 
 
 def _feed_to_events(t: pa.Table) -> pa.Table:
@@ -2507,9 +2490,9 @@ def replicate_feed(
     emits nothing. A compliant deployment erases at every hop —
     ``erase_key`` on the source, ``erase_key_from_feed`` on each spool,
     ``erase_key`` on each replica (each is O(key's buckets/segments),
-    never O(lake); see tests/test_replication.py) — and the owner of
-    each rendered envelope directory (``export_feed_envelopes``) must
-    erase the key there too: no engine function scrubs those.
+    never O(lake); see tests/test_replication.py) — and a rerun of
+    ``export_feed_envelopes`` on each spool, which renders the scrubbed
+    segments again.
 
     ``max_segments`` bounds one call (chaos tests / incremental
     draining); returns per-segment metrics and the replica head."""
@@ -2590,35 +2573,25 @@ def follow_feed(
 
 
 def lake_schema_history(cfg_or_root) -> pa.Table:
-    """Schema evolution audit: for every sealed epoch that introduced a
-    column, one row ``(epoch, column, dtype)`` — read from the commit
-    log's surviving entries' parquet FOOTERS only (O(files) metadata
-    reads, no data). The first epoch lists the base schema; later rows
-    are the additive/widened columns the evolving stream brought in.
-    Engine-internal columns (``bucket``, ``op``, ``seq``) are elided —
-    they are the merge machinery, not the table's logical schema.
-    History truncated by compaction collapses into the base's epoch,
-    like every other still-answerable read."""
+    """Schema evolution audit: one row ``(epoch, column, dtype)`` for
+    every sealed epoch at which a column appeared or its type widened —
+    the steps of the lake's type fold (``_fold_types``, shared with
+    ``_payload_schema``) over the commit log's surviving entries'
+    parquet FOOTERS only (O(files) metadata reads, no data). The first
+    epoch lists the base schema; later rows are the additive and
+    widened columns the evolving stream brought in. Engine-internal
+    columns (``bucket``, ``op``, ``seq``) are elided — they are the
+    merge machinery, not the table's logical schema. History truncated
+    by compaction collapses into the base's epoch, like every other
+    still-answerable read."""
     log = CommitLog.open(_root_of(cfg_or_root))
-    head = log.latest_sealed_epoch()
-    seen: dict[str, tuple[int, str]] = {}
-    if head is None:  # nothing sealed: no visible schema yet
-        return pa.table({
-            "epoch": pa.array([], pa.int64()),
-            "column": pa.array([], pa.string()),
-            "dtype": pa.array([], pa.string()),
-        })
-    for epoch, schema in _file_schemas(log, head):
-        for name, typ in zip(schema.names, schema.types):
-            if name in ("bucket", "op", "seq"):
-                continue
-            if name not in seen:
-                seen[name] = (epoch, str(typ))
-    rows = sorted(seen.items(), key=lambda kv: (kv[1][0], kv[0]))
+    head = log.latest_sealed_epoch()  # None: nothing sealed, no visible schema
+    steps = [] if head is None else _fold_types(_lake_files(log, head))[1]
+    rows = sorted({(e, c): str(t) for e, c, t in steps}.items())  # an epoch's last type
     return pa.table({
-        "epoch": pa.array([e for _, (e, _) in rows], pa.int64()),
-        "column": pa.array([c for c, _ in rows], pa.string()),
-        "dtype": pa.array([t for _, (_, t) in rows], pa.string()),
+        "epoch": pa.array([e for (e, _), _ in rows], pa.int64()),
+        "column": pa.array([c for (_, c), _ in rows], pa.string()),
+        "dtype": pa.array([t for _, t in rows], pa.string()),
     })
 
 

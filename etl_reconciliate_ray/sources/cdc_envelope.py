@@ -29,6 +29,7 @@ from __future__ import annotations
 import glob
 import os
 import re
+import shutil
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -331,14 +332,22 @@ def export_feed_envelopes(feed_dir: str, out_dir: str) -> list[str]:
     re-ingest → identical lake state).
 
     Resumable and atomic: each segment directory publishes through
-    ``writer.publish_sealed``, so a sealed one is never re-rendered and
-    an unsealed leftover is rebuilt from scratch (part names derive
-    from content, but a crashed attempt may have split blocks
+    ``writer.publish_sealed``, so a current sealed one is not rendered
+    again and an unsealed leftover is rebuilt from scratch (part names
+    derive from content, but a crashed attempt may have split blocks
     differently, so rebuild — not resume — is the safe idempotent
-    path). The spool's sealed segments come from
-    ``replay._feed_segments`` and their to-epoch and snapshot flag from
-    ``replay._parse_segment``; a segment still being exported is not
-    listed, and the next call renders it.
+    path). The spool's sealed segments and the rendered ones both come
+    from ``replay._feed_segments``, and a segment's to-epoch and
+    snapshot flag from ``replay._parse_segment``; a segment still being
+    exported is not listed, and the next call renders it.
+
+    The rendered directory follows the spool: each call first unseals
+    and removes every rendered segment whose spool segment is no longer
+    sealed (``replay.compact_feed`` deleted it) or whose ``_SEALED``
+    rows differ from the spool segment's (``replay.erase_key_from_feed``
+    rewrote it; rendering writes one line per spool row, so the counts
+    match while the render is current), and the render loop renders
+    the latter again.
 
     Scale shape: one ``replay._per_part`` item per parquet file of the
     segment; tasks write, fsync and rename their own part files, and
@@ -351,12 +360,18 @@ def export_feed_envelopes(feed_dir: str, out_dir: str) -> list[str]:
     import pyarrow.parquet as pq
 
     from ..pipelines.replay import _feed_segments, _gather, _parse_segment, _per_part
+    from ..pipelines.replay import _sealed_rows
     from ..stages.writer import publish_file, publish_sealed
 
     os.makedirs(out_dir, exist_ok=True)
+    spool = {os.path.basename(seg): seg for seg in _feed_segments(feed_dir)}
+    for dest in _feed_segments(out_dir):
+        seg = spool.get(os.path.basename(dest))
+        if seg is None or _sealed_rows(dest) != _sealed_rows(seg):
+            os.remove(os.path.join(dest, "_SEALED"))  # unseal before the files go
+            shutil.rmtree(dest)
     done: list[str] = []
-    for seg in _feed_segments(feed_dir):
-        name = os.path.basename(seg)
+    for name, seg in spool.items():
         dest = os.path.join(out_dir, name)
         done.append(dest)
         # seq high bits: segment ordinal from the NAME (stable across

@@ -59,11 +59,62 @@ def _order(t: pa.Table, col: str) -> np.ndarray:
 def _unify_concat(tables: list[pa.Table]) -> pa.Table:
     """Additive schema evolution: concat with permissive promotion —
     columns present in only some inputs are null-filled in the others
-    (``pyarrow.unify_schemas`` semantics; SURVEY.md §1.2)."""
+    (``pyarrow.unify_schemas`` semantics; SURVEY.md §1.2). The types it
+    meets were already unified by ``evolve_type`` when they were
+    written."""
     tables = [t for t in tables if t is not None]
     if not tables:
         return pa.table({})
     return pa.concat_tables(tables, promote_options="permissive")
+
+
+_INT_WIDTH = {pa.int8(): 8, pa.int16(): 16, pa.int32(): 32, pa.int64(): 64}
+_UINT_WIDTH = {pa.uint8(): 8, pa.uint16(): 16, pa.uint32(): 32, pa.uint64(): 64}
+_FLOAT_WIDTH = {pa.float16(): 16, pa.float32(): 32, pa.float64(): 64}
+
+
+def _safe_widen(a: pa.DataType, b: pa.DataType) -> pa.DataType | None:
+    """The LOSSLESS common type of two evolved column types, or None if
+    no safe promotion exists. Same-kind widening only (Debezium-style
+    additive type evolution): signed↔signed / unsigned↔unsigned /
+    float↔float width bumps, (large_)string and (large_)binary offset
+    widening, decimal128 precision growth at the SAME scale. Signed vs
+    unsigned, int vs float (int64→float64 loses above 2^53), and
+    timestamp unit changes stay refused."""
+    for widths in (_INT_WIDTH, _UINT_WIDTH, _FLOAT_WIDTH):
+        if a in widths and b in widths:
+            return a if widths[a] >= widths[b] else b
+    for offsets in ((pa.string(), pa.large_string()), (pa.binary(), pa.large_binary())):
+        if a in offsets and b in offsets:
+            return offsets[1]
+    if pa.types.is_decimal128(a) and pa.types.is_decimal128(b) and a.scale == b.scale:
+        return pa.decimal128(max(a.precision, b.precision), a.scale)
+    return None
+
+
+def evolve_type(column: str, a: pa.DataType, b: pa.DataType,
+                where: str | None = None) -> pa.DataType:
+    """THE schema-evolution rule, one step: column ``column`` seen as
+    ``a`` and then as ``b`` (in file ``where``, when known) has this
+    type. A null type (an all-null leg) yields to the other, equal
+    types stay, ``_safe_widen`` widens losslessly, and anything else
+    raises: silently coercing a CDC payload corrupts the lake. The
+    binlog scan (``replay._binlog_footers``) and the lake's one type
+    fold (``replay._fold_types``, behind the payload schema, the schema
+    history and the epoch kernel's commit check) step through it, so a
+    stream is refused or accepted whatever its window size."""
+    if pa.types.is_null(a):
+        return b
+    if pa.types.is_null(b) or a.equals(b):
+        return a
+    wide = _safe_widen(a, b)
+    if wide is None:
+        raise ValueError(
+            f"schema evolution changed the TYPE of column {column!r} ({a} -> {b}"
+            f"{'' if where is None else ' in ' + where}) with no lossless promotion; "
+            "rewrite upstream, refusing"
+        )
+    return wide
 
 
 # stay well under the int32 offset cap (2_147_483_647): take /
@@ -233,8 +284,10 @@ def _footer(path: str) -> tuple[pq.FileMetaData, list]:
 @lru_cache(maxsize=4096)
 def _file_schema(path: str) -> pa.Schema:
     """A lake file's Arrow schema from its parquet footer, read once per
-    path per process: chain reads prune columns with it, and the
-    changelog's payload schema unifies it over every live file. Safe
+    path per process: chain reads prune columns with it, and the lake's
+    type fold (``replay._fold_types``: the changelog's payload schema,
+    the schema history, each window's commit check) steps it over every
+    live file. Safe
     to cache by path: lake file names are content-addressed
     (``erase_key`` writes new names)."""
     return pq.read_schema(path)

@@ -464,6 +464,66 @@ def test_export_feed_envelopes_consumer_fold(env_fixture, tmp_path, ray_session)
     assert state == want
 
 
+def _rendered_two_segments(env_fixture, tmp_path):
+    """A spool of two sealed segments (a snapshot at epoch 2, then the
+    rest of the stream), rendered once. Returns (cfg, feed, env_out)."""
+    from etl_reconciliate_ray.pipelines.replay import export_changelog
+    from etl_reconciliate_ray.sources.cdc_envelope import export_feed_envelopes
+
+    fix = str(env_fixture["root"] / "fix")
+    cfg = ReplayConfig(lake_root=str(tmp_path / "lake"), num_buckets=8)
+    feed, env_out = str(tmp_path / "feed"), str(tmp_path / "env_out")
+    replay(fix, cfg, stop_after_epoch=2)
+    export_changelog(cfg, feed, image_cols="all")
+    replay(fix, cfg)
+    export_changelog(cfg, feed, image_cols="all")
+    assert len(export_feed_envelopes(feed, env_out)) == 2
+    return cfg, feed, env_out
+
+
+def _sealed(seg: str) -> dict:
+    with open(os.path.join(seg, "_SEALED")) as fh:
+        return json.load(fh)
+
+
+def test_envelopes_follow_compaction(env_fixture, tmp_path, ray_session):
+    """After ``compact_feed`` a re-render leaves exactly the spool's
+    sealed segments rendered: the directories of deleted segments go."""
+    from etl_reconciliate_ray.pipelines.replay import _feed_segments, compact_feed
+    from etl_reconciliate_ray.sources.cdc_envelope import export_feed_envelopes
+
+    cfg, feed, env_out = _rendered_two_segments(env_fixture, tmp_path)
+    assert compact_feed(cfg, feed)["deleted"] == 2
+    rendered = export_feed_envelopes(feed, env_out)
+    names = [os.path.basename(s) for s in _feed_segments(feed)]
+    assert sorted(os.listdir(env_out)) == names == [os.path.basename(d) for d in rendered]
+
+
+def test_envelopes_follow_erasure(env_fixture, tmp_path, ray_session):
+    """After ``erase_key_from_feed`` a re-render scrubs the key from the
+    rendered envelopes, and each rendered ``_SEALED`` counts its spool
+    segment's rows again."""
+    from etl_reconciliate_ray.pipelines.replay import _feed_segments, erase_key_from_feed
+    from etl_reconciliate_ray.sources.cdc_envelope import export_feed_envelopes
+
+    _, feed, env_out = _rendered_two_segments(env_fixture, tmp_path)
+    first = _feed_segments(feed)[0]
+    row = pq.read_table(glob.glob(os.path.join(first, "*.parquet"))[0]).slice(0, 1).to_pylist()[0]
+    key = (row["repo"], row["path"])
+    assert erase_key_from_feed(feed, *key)["feed_rows_erased"] >= 1
+    export_feed_envelopes(feed, env_out)
+
+    for seg in _feed_segments(feed):
+        dest = os.path.join(env_out, os.path.basename(seg))
+        assert _sealed(dest)["rows"] == _sealed(seg)["rows"]
+        for part in glob.glob(os.path.join(dest, "*.jsonl")):
+            with open(part) as fh:
+                for line in fh:
+                    rec = json.loads(line)
+                    img = rec["after"] or rec["before"]
+                    assert (img["repo"], img["path"]) != key
+
+
 def test_all_insert_epoch_null_before(ray_session, tmp_path):
     """A JSON-inferred all-null ``before`` (every row an insert) must
     convert cleanly — the null-typed image has no fields to gather."""

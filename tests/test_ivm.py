@@ -556,6 +556,7 @@ def test_payload_schema_reads_each_footer_once(tmp_path, monkeypatch):
     hence by every ``MaintainedView.advance``) reads each distinct
     referenced file's footer at most once."""
     from etl_reconciliate_ray.pipelines.replay import _payload_schema
+    from etl_reconciliate_ray.stages.merge import _file_schema
     from etl_reconciliate_ray.state.commitlog import CommitLog
 
     binlog = tmp_path / "binlog"
@@ -577,6 +578,7 @@ def test_payload_schema_reads_each_footer_once(tmp_path, monkeypatch):
     refs = [f for e in log.all_entries() for f in e.files]
     assert len(refs) >= 2 * len(set(refs))  # >= 2 buckets per block
 
+    _file_schema.cache_clear()  # the replay's commit check read them already
     calls = []
     real = pq.read_schema
     monkeypatch.setattr(pq, "read_schema", lambda f, *a, **k: calls.append(f) or real(f, *a, **k))
@@ -592,6 +594,7 @@ def test_changelog_reads_each_footer_once_across_calls(tmp_path, monkeypatch):
     once in all, not once per call."""
     from collections import Counter
 
+    from etl_reconciliate_ray.stages.merge import _file_schema
     from etl_reconciliate_ray.state.commitlog import CommitLog
 
     binlog = tmp_path / "binlog"
@@ -610,6 +613,7 @@ def test_changelog_reads_each_footer_once_across_calls(tmp_path, monkeypatch):
     replay_stream(str(binlog), ReplayConfig(lake_root=root, num_buckets=4))
     files = {f for e in CommitLog.open(root).all_entries() for f in e.files}
 
+    _file_schema.cache_clear()  # the replay's commit check read them already
     calls = Counter()
     real = pq.read_schema
     monkeypatch.setattr(pq, "read_schema", lambda f, *a, **k: calls.update([f]) or real(f, *a, **k))

@@ -126,7 +126,7 @@ def test_binlog_scan_schema_refuses_type_change(tmp_path):
 def test_safe_widen_lattice():
     import pyarrow as pa
 
-    from etl_reconciliate_ray.pipelines.replay import _safe_widen
+    from etl_reconciliate_ray.stages.merge import _safe_widen
 
     assert _safe_widen(pa.int32(), pa.int64()) == pa.int64()
     assert _safe_widen(pa.int64(), pa.int8()) == pa.int64()
@@ -141,6 +141,49 @@ def test_safe_widen_lattice():
     assert _safe_widen(pa.string(), pa.int64()) is None
     assert _safe_widen(pa.decimal128(10, 2), pa.decimal128(10, 4)) is None
     assert _safe_widen(pa.timestamp("us"), pa.timestamp("ms")) is None
+
+
+def test_one_schema_evolution_rule():
+    """One schema-evolution rule: no package function but
+    ``stages.merge.evolve_type`` calls ``_safe_widen``; only the binlog
+    scan and the lake's one type fold (``replay._fold_types``, behind
+    ``_payload_schema``, ``lake_schema_history`` and the commit check)
+    call ``evolve_type``; and no package code outside
+    ``functions/hashing.py`` (whose bucket hash wraps uint64 on
+    purpose) casts with ``safe=False``. Nested functions are reported
+    under their top-level function."""
+    import ast
+    import glob
+
+    import etl_reconciliate_ray
+
+    callers = {
+        "_safe_widen": {("stages/merge.py", "evolve_type")},
+        "evolve_type": {("pipelines/replay.py", "_binlog_footers"),
+                        ("pipelines/replay.py", "_fold_types")},
+    }
+    pkg = os.path.dirname(etl_reconciliate_ray.__file__)
+    found = []
+    for f in sorted(glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True)):
+        rel = os.path.relpath(f, pkg)
+        with open(f) as fh:
+            tree = ast.parse(fh.read())
+        tops = [n for n in tree.body if isinstance(n, ast.ClassDef)]
+        for fn in tree.body + [m for c in tops for m in c.body]:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in callers and (rel, fn.name) not in callers[name]:
+                    found.append(f"{rel}:{fn.name}: {name}")
+                if rel != "functions/hashing.py" and any(
+                    k.arg == "safe" and isinstance(k.value, ast.Constant) and k.value.value is False
+                    for k in node.keywords
+                ):
+                    found.append(f"{rel}:{fn.name}: safe=False")
+    assert not found, found
 
 
 def test_schema_evolution_type_widening_replay(tmp_path, ray_session):
@@ -189,6 +232,78 @@ def test_schema_evolution_type_widening_replay(tmp_path, ray_session):
         assert t.schema.field("size").type == pa.int64()
     want = {"a": ("x2", big), "b": ("y", 20), "c": ("z", big + 1)}
     assert states["seq"] == want and states["pipe"] == want
+
+
+def _epoch_binlog(binlog, *columns) -> None:
+    """One binlog epoch file per Arrow array of two values in
+    ``columns``, its ``v`` column: epoch ``e`` upserts key ``a`` and
+    inserts key ``b<e>``."""
+    import pyarrow as pa
+
+    os.makedirs(binlog)
+    for e, v in enumerate(columns):
+        pq.write_table(pa.table({
+            "seq": pa.array([2 * e + 1, 2 * e + 2], pa.int64()),
+            "op": pa.array(["I" if e == 0 else "U", "I"]), "repo": pa.array(["r", "r"]),
+            "path": pa.array(["a", f"b{e}"]), "content": pa.array([f"x{e}", f"y{e}"]), "v": v,
+        }), os.path.join(binlog, f"epoch={e:05d}.parquet"))
+
+
+def test_lossy_type_change_refused_whatever_the_window(tmp_path, ray_session):
+    """An int64 column holding 2^53+1 that turns float64 in the next
+    epoch file is refused at every window size: by the scan schema when
+    the two files share a window, by the commit check on the window's
+    pieces when they do not. The lake stays readable, with no float
+    copy of the column sealed."""
+    import pyarrow as pa
+
+    from etl_reconciliate_ray.pipelines.replay import lake_lookup, replay_stream
+
+    big = 2**53 + 1
+    binlog = str(tmp_path / "binlog")
+    _epoch_binlog(binlog, pa.array([big, 7], pa.int64()), pa.array([0.5, 1.5], pa.float64()))
+    for pipeline in (1, 2, 4):
+        cfg = ReplayConfig(lake_root=str(tmp_path / f"lake{pipeline}"), num_buckets=4,
+                           pipeline_epochs=pipeline)
+        with pytest.raises(ValueError, match="TYPE"):
+            replay_stream(binlog, cfg)
+
+        log = CommitLog.open(cfg.lake_root)
+        head = log.latest_sealed_epoch()
+        state = {r["path"]: r["v"] for r in lake_table(cfg.lake_root).to_pylist()}
+        assert state == ({} if head is None else {"a": big, "b0": 7}), pipeline
+        got = [r["v"] for r in lake_lookup(cfg.lake_root, "r", "a").to_pylist()]
+        assert got == ([] if head is None else [big]), pipeline
+        sealed = [f for e in log.all_entries() if head is not None and e.epoch <= head
+                  for f in e.files]
+        assert not any(pa.types.is_floating(pq.read_schema(f).field("v").type) for f in sealed)
+
+
+def test_schema_history_reports_each_widening(tmp_path, ray_session):
+    """An int32 column that widens to int64 in the next epoch shows in
+    the schema history at both epochs, with the type ``lake_table``
+    returns last. A later all-null epoch file, whose column is typed
+    null, yields to the lake's type: no history row, and the changelog
+    images keep int64."""
+    import pyarrow as pa
+
+    from etl_reconciliate_ray.pipelines.replay import (
+        lake_changelog, lake_schema_history, replay_stream,
+    )
+
+    binlog = str(tmp_path / "binlog")
+    _epoch_binlog(binlog, pa.array([1, 2], pa.int32()), pa.array([5_000_000_000, 3], pa.int64()),
+                  pa.nulls(2))
+    root = str(tmp_path / "lake")
+    replay_stream(binlog, ReplayConfig(lake_root=root, num_buckets=4))
+    hist = [r for r in lake_schema_history(root).to_pylist() if r["column"] == "v"]
+    assert [(r["epoch"], r["dtype"]) for r in hist] == [(1, "int32"), (2, "int64")]
+    assert lake_table(root).schema.field("v").type == pa.int64()
+    feed = lake_changelog(root, None, image_cols="all")
+    sch = feed.schema()
+    assert dict(zip(sch.names, sch.types))["v_new"] == pa.int64()
+    assert {r["path"]: r["v_new"] for r in feed.take_all()} == {
+        "a": None, "b0": 2, "b1": 3, "b2": None}
 
 
 def test_kill_restart_converges(fixture_small, tmp_path):
